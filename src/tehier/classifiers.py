@@ -3,9 +3,12 @@
 Both base classifiers expose the same contract: fit on labeled feature
 vectors, then emit a probability distribution over the local class set
 (sorted hierarchy labels). The SVM flavor reduces one-vs-rest with a
-Platt-calibrated binary SVM per class; logistic regression is a single
-softmax model. Single-class data yields a constant classifier so parent
-nodes with degenerate subsets still produce a probability.
+Platt-calibrated binary SVM per class; all of a node's binary SVMs share one
+kernel provider (the Gram matrix, or the column cache above the full-Gram
+limit), and each fits Platt on the decision values from its SMO gradient.
+Logistic regression is a single softmax model. Single-class data yields a
+constant classifier so parent nodes with degenerate subsets still produce a
+probability.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import DegenerateDataError, DimensionError
 from .labels import HierLabel
 from .logreg import LogRegConfig, LogRegModel, train_logreg
-from .svm import BinarySvmModel, SvmConfig, train_binary_svm
+from .svm import BinarySvmModel, SvmConfig, _KernelColumns, train_binary_svm
 
 SVM = "svm"
 LOGREG = "logreg"
@@ -60,12 +63,6 @@ class MulticlassModel:
             probs[degenerate] = 1.0 / len(self.classes)
         return probs
 
-    def class_index(self, label: HierLabel) -> int | None:
-        try:
-            return self.classes.index(label)
-        except ValueError:
-            return None
-
 
 def fit_multiclass(
     kind: str,
@@ -92,10 +89,11 @@ def fit_multiclass(
         config = config or SvmConfig()
         index = {c: i for i, c in enumerate(classes)}
         y_idx = np.array([index[l] for l in labels])
+        columns = _KernelColumns(X, config.gamma)
 
         def train_one(class_pos: int) -> BinarySvmModel:
             y = np.where(y_idx == class_pos, 1.0, -1.0)
-            return train_binary_svm(X, y, config)
+            return train_binary_svm(X, y, config, columns)
 
         if threads > 1 and len(classes) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -146,7 +146,8 @@ def read_feature_csv(
 
     The header must list the canonical k-mer names for ``config`` (default
     K=2,3,4), optionally followed by a ``label`` column. Raises FormatError
-    with the offending row number for layout or numeric problems.
+    with the offending row number for layout or numeric problems, including
+    ``nan`` and ``inf`` values, which would poison every kernel of a node.
     """
     config = config or KmerConfig()
     expected = canonical_feature_order(config)
@@ -190,6 +191,14 @@ def read_feature_csv(
         except ValueError:
             bad = next(c for c in row[:dim] if not _is_number(c))
             raise FormatError(f"non-numeric feature value {bad!r}", line=rowno) from None
+        finite = np.isfinite(vector)
+        if not finite.all():
+            col = int(np.argmin(finite))
+            raise FormatError(
+                f"non-finite feature value {row[col]!r} in column {col + 1} "
+                f"({expected[col]!r})",
+                line=rowno,
+            )
         label = None
         if labeled:
             token = row[dim].strip()

@@ -7,13 +7,21 @@ stops when the KKT gap m(a) - M(a) drops below the configured tolerance,
 which guarantees every sample then satisfies the KKT conditions within that
 tolerance once the bias is set to the midpoint of the gap.
 
+The kernel comes from one provider per training set (``_KernelColumns``):
+the full Gram matrix up to ``_FULL_GRAM_LIMIT`` rows, otherwise an LRU cache
+of columns. A one-vs-rest caller builds it once and shares it across all of
+its binary problems, which see the same rows and differ only in labels.
+
 Decision values are mapped to probabilities with Platt's sigmoid
 P(y=1|f) = 1 / (1 + exp(A f + B)), fitted by smoothed-target maximum
-likelihood with a Newton iteration.
+likelihood with a Newton iteration. The training decision values Platt needs
+are read off the final SMO gradient, f_k = y_k (grad_k + 1) + b, so fitting
+never evaluates a kernel beyond the columns SMO requested.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -76,10 +84,12 @@ def rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
 
 
 class _KernelColumns:
-    """Column provider for the training Gram matrix.
+    """Column provider for the training Gram matrix of one row set.
 
     Full matrix when the problem is small, otherwise an LRU cache of
-    individual columns.
+    individual columns. Columns depend only on X and gamma, so one provider
+    serves every binary problem on the same rows; the cache is locked
+    because those problems may be solved on concurrent threads.
     """
 
     def __init__(self, X: np.ndarray, gamma: float):
@@ -92,18 +102,22 @@ class _KernelColumns:
         else:
             self._full = None
             self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
+            self._lock = threading.Lock()
 
     def column(self, i: int) -> np.ndarray:
         if self._full is not None:
             return self._full[i]  # symmetric, and rows are contiguous
-        cached = self._cache.get(i)
-        if cached is not None:
-            self._cache.move_to_end(i)
-            return cached
+        with self._lock:
+            cached = self._cache.get(i)
+            if cached is not None:
+                self._cache.move_to_end(i)
+                return cached
+        # computed outside the lock; a column is the same whichever thread builds it
         col = rbf_kernel_matrix(self._X, self._X[i : i + 1], self._gamma)[:, 0]
-        self._cache[i] = col
-        if len(self._cache) > _ROW_CACHE_SIZE:
-            self._cache.popitem(last=False)
+        with self._lock:
+            self._cache[i] = col
+            if len(self._cache) > _ROW_CACHE_SIZE:
+                self._cache.popitem(last=False)
         return col
 
 
@@ -139,28 +153,36 @@ class BinarySvmModel:
 def smo_solve(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int):
     """Core SMO loop over a kernel-column provider.
 
-    Returns (alpha, bias, converged). ``K_columns`` is either a callable
+    Returns (alpha, bias, converged, grad), where grad is the dual gradient
+    Q alpha - 1 at the returned alpha. ``K_columns`` is either a callable
     i -> column or a _KernelColumns instance.
     """
     column = K_columns.column if hasattr(K_columns, "column") else K_columns
     n = y.shape[0]
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    # v = -y * grad, and the optimal bias lies between max v over I_up and
+    # min v over I_low. v_up / v_low hold v on those index sets and -inf / +inf
+    # elsewhere; they are updated in place, and their membership only at the
+    # two indices an iteration changes. With y = +-1 every update is exact,
+    # so this is the same arithmetic as recomputing -y * grad each time.
+    v = y.astype(np.float64)  # grad = -1 at alpha = 0
+    v_up = np.where(y > 0, v, -np.inf)
+    v_low = np.where(y < 0, v, np.inf)
     converged = False
     bias = 0.0
 
     def select_pair():
-        # v = -y * grad; the optimal bias lies between max over I_up and min over I_low
-        v = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-        if not up.any() or not low.any():
-            return None
-        v_up = np.where(up, v, -np.inf)
-        v_low = np.where(low, v, np.inf)
         i = int(np.argmax(v_up))
         j = int(np.argmin(v_low))
+        if v_up[i] == -np.inf or v_low[j] == np.inf:
+            return None  # I_up or I_low is empty
         return i, j, v_up[i], v_low[j]
+
+    def refresh(k):
+        up = alpha[k] < C if y[k] > 0 else alpha[k] > 0
+        low = alpha[k] > 0 if y[k] > 0 else alpha[k] < C
+        v_up[k] = v[k] if up else -np.inf
+        v_low[k] = v[k] if low else np.inf
 
     for _ in range(max_iter):
         selected = select_pair()
@@ -201,24 +223,31 @@ def smo_solve(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int):
         delta_j = new_j - alpha[j]
         alpha[i] = new_i
         alpha[j] = new_j
-        grad += y * (y[i] * delta_i * col_i + y[j] * delta_j * col_j)
+        # grad += y * change  <=>  v -= change
+        change = y[i] * delta_i * col_i + y[j] * delta_j * col_j
+        v -= change
+        v_up -= change
+        v_low -= change
+        refresh(i)
+        refresh(j)
     else:
         # iteration budget exhausted: refresh the bias for the final alphas
         selected = select_pair()
         if selected is not None:
             bias = 0.5 * (selected[2] + selected[3])
 
-    return alpha, float(bias), converged
+    return alpha, float(bias), converged, -y * v
 
 
 def train_binary_svm(
-    X: np.ndarray, y: np.ndarray, config: SvmConfig, decision_values_out: list | None = None
+    X: np.ndarray, y: np.ndarray, config: SvmConfig, columns: _KernelColumns | None = None
 ) -> BinarySvmModel:
     """Train a soft-margin RBF SVM with SMO and fit Platt calibration.
 
-    ``y`` holds +1/-1 labels; both classes must be present. When
-    ``decision_values_out`` is given, the training-set decision values are
-    appended to it (used by callers that calibrate externally).
+    ``y`` holds +1/-1 labels; both classes must be present. ``columns`` is
+    a kernel provider built from this ``X`` and ``config.gamma``, shared by
+    callers that train several problems on the same rows; by default one is
+    built here.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -227,28 +256,24 @@ def train_binary_svm(
     if X.shape[0] < 2 or (y > 0).all() or (y < 0).all():
         raise DegenerateDataError("binary SVM training needs both classes present")
 
-    columns = _KernelColumns(X, config.gamma)
-    alpha, bias, converged = smo_solve(
+    if columns is None:
+        columns = _KernelColumns(X, config.gamma)
+    alpha, bias, converged, grad = smo_solve(
         columns, y, config.C, config.kkt_tolerance, config.max_passes * X.shape[0]
     )
+    # f(x_k) = sum_l alpha_l y_l K_kl + b, and grad_k = y_k sum_l alpha_l y_l K_kl - 1
+    a, b = platt_calibrate(y * (grad + 1.0) + bias, y)
 
     keep = alpha > 0.0
-    model = BinarySvmModel(
+    return BinarySvmModel(
         support_vectors=X[keep].copy(),
         dual_coef=(alpha[keep] * y[keep]),
         bias=bias,
         gamma=config.gamma,
-        platt_a=0.0,
-        platt_b=0.0,
+        platt_a=a,
+        platt_b=b,
         converged=converged,
     )
-    decisions = model.decision_function(X)
-    if decision_values_out is not None:
-        decision_values_out.append(decisions)
-    a, b = platt_calibrate(decisions, y)
-    model.platt_a = a
-    model.platt_b = b
-    return model
 
 
 def dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:

@@ -241,3 +241,84 @@ def projected_gradient_qp(
             break
         last = current
     return alpha, objective(alpha)
+
+
+# -- SMO -------------------------------------------------------------------------
+
+_SNAP = 1e-12
+
+
+def smo_reference(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int):
+    """The package's original SMO loop, kept verbatim as a bit-for-bit oracle.
+
+    It rebuilds v = -y * grad and the I_up / I_low masks every iteration.
+    Returns (alpha, bias, converged). ``K_columns`` is either a callable
+    i -> column or an object with a ``column`` method.
+    """
+    column = K_columns.column if hasattr(K_columns, "column") else K_columns
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    converged = False
+    bias = 0.0
+
+    def select_pair():
+        # v = -y * grad; the optimal bias lies between max over I_up and min over I_low
+        v = -y * grad
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        if not up.any() or not low.any():
+            return None
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(np.argmax(v_up))
+        j = int(np.argmin(v_low))
+        return i, j, v_up[i], v_low[j]
+
+    for _ in range(max_iter):
+        selected = select_pair()
+        if selected is None:
+            converged = True
+            break
+        i, j, v_hi, v_lo = selected
+        gap = v_hi - v_lo
+        bias = 0.5 * (v_hi + v_lo)
+        if gap <= tol:
+            converged = True
+            break
+
+        col_i = column(i)
+        col_j = column(j)
+        quad = col_i[i] + col_j[j] - 2.0 * col_i[j]
+        if quad <= 1e-12:
+            quad = 1e-12
+        step = gap / quad
+
+        # feasible step length preserving the box constraints
+        limit_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
+        limit_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        step = min(step, limit_i, limit_j)
+
+        new_i = alpha[i] + y[i] * step
+        new_j = alpha[j] - y[j] * step
+        if new_i < _SNAP * C:
+            new_i = 0.0
+        elif new_i > C * (1.0 - _SNAP):
+            new_i = C
+        if new_j < _SNAP * C:
+            new_j = 0.0
+        elif new_j > C * (1.0 - _SNAP):
+            new_j = C
+
+        delta_i = new_i - alpha[i]
+        delta_j = new_j - alpha[j]
+        alpha[i] = new_i
+        alpha[j] = new_j
+        grad += y * (y[i] * delta_i * col_i + y[j] * delta_j * col_j)
+    else:
+        # iteration budget exhausted: refresh the bias for the final alphas
+        selected = select_pair()
+        if selected is not None:
+            bias = 0.5 * (selected[2] + selected[3])
+
+    return alpha, float(bias), converged

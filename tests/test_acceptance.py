@@ -141,7 +141,7 @@ def test_smo_kkt_audit_and_qp_oracle():
         y = np.array([1.0] * n_half + [-1.0] * n_half)
         C = float(rng.choice([0.5, 1.0, 4.0]))
         gamma = float(rng.choice([0.5, 1.0, 2.0]))
-        alpha, bias, converged = smo_solve(
+        alpha, bias, converged, _ = smo_solve(
             _KernelColumns(X, gamma), y, C, tol, 200 * len(y)
         )
         assert converged
@@ -159,7 +159,7 @@ def test_smo_kkt_audit_and_qp_oracle():
             y[0] = -y[0]
         C, gamma = 1.0, 0.9
         K = rbf_kernel_matrix(X, X, gamma)
-        alpha, _, _ = smo_solve(_KernelColumns(X, gamma), y, C, 1e-6, 400 * n)
+        alpha, _, _, _ = smo_solve(_KernelColumns(X, gamma), y, C, 1e-6, 400 * n)
         gap = abs(dual_objective(K, y, alpha) - projected_gradient_qp(K, y, C)[1])
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-3

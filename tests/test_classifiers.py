@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tehier.svm
 from tehier import (
     DegenerateDataError,
     DimensionError,
@@ -71,6 +72,35 @@ def test_thread_count_does_not_change_svm_model(rng):
         assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)
     query = rng.normal(size=(20, 2))
     assert np.array_equal(serial.predict_proba(query), threaded.predict_proba(query))
+
+
+def test_one_gram_per_node(rng, monkeypatch):
+    calls = []
+    original = tehier.svm.rbf_kernel_matrix
+
+    def counting(X, Y, gamma):
+        calls.append((X is Y, len(Y)))
+        return original(X, Y, gamma)
+
+    monkeypatch.setattr(tehier.svm, "rbf_kernel_matrix", counting)
+    X, y = separable_blobs(rng, 20, [(2, 0), (-2, 0), (0, 2)])
+    model = fit_multiclass("svm", X, [hl(str(c + 1)) for c in y], SvmConfig(C=5.0))
+    assert len(model.binary_models) == 3
+    assert calls == [(True, len(X))]
+
+
+def test_thread_count_does_not_change_svm_model_on_column_cache(rng, monkeypatch):
+    monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
+    monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", 8)  # evict while threads share it
+    X, y = separable_blobs(rng, 30, [(2, 0), (-2, 0), (0, 2)], spread=0.8)
+    labels = [hl(str(c + 1)) for c in y]
+    config = SvmConfig(C=5.0, gamma=1.0)
+    serial = fit_multiclass("svm", X, labels, config, threads=1)
+    threaded = fit_multiclass("svm", X, labels, config, threads=4)
+    for m1, m2 in zip(serial.binary_models, threaded.binary_models):
+        assert np.array_equal(m1.dual_coef, m2.dual_coef)
+        assert m1.bias == m2.bias
+        assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)
 
 
 def test_dimension_mismatch(rng):

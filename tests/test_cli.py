@@ -56,6 +56,18 @@ def test_train_predict_evaluate_pipeline(workspace, capsys):
     assert "hF: 1.000000" in out  # training-set predictions on separable data
 
 
+def test_train_rejects_non_finite_features(workspace, tmp_path, capsys):
+    lines = (workspace / "data.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[7] = "nan"
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["train", bad, "--base", "svm", "--out", tmp_path / "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "column 8" in err
+
+
 def test_predict_feature_width_mismatch(workspace, tmp_path):
     model = tmp_path / "narrow.json"
     narrow = tmp_path / "narrow.csv"

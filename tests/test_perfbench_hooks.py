@@ -1,0 +1,62 @@
+"""The benchmark's tracer (perfbench/spans.py) wraps tehier functions by name
+from outside the package. These tests keep those hooks working: every
+wrapped name exists, and fitting a node fires each SVM span the benchmark
+requires, on both the full-Gram and the column-cache path."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+import tehier.svm  # noqa: E402
+from perfbench.spans import REQUIRED, Tracer  # noqa: E402
+from tehier import SvmConfig, fit_multiclass  # noqa: E402
+
+from conftest import hl, separable_blobs  # noqa: E402
+
+SVM_SPANS = {name for names in REQUIRED.values() for name in names if name.startswith("svm.")}
+
+
+@pytest.fixture
+def tracer():
+    tracer = Tracer()
+    tracer.install()
+    try:
+        yield tracer
+    finally:
+        tracer.uninstall()
+
+
+def fired(tracer: Tracer) -> set[str]:
+    _, _, calls = tracer.totals()
+    return {name for name, count in calls.items() if count} | {
+        name for name, count in tracer.counts.items() if count
+    }
+
+
+def test_every_hook_resolves(tracer):
+    assert tracer.unpatched == set()
+
+
+def test_fitting_fires_required_svm_spans(tracer, rng, monkeypatch):
+    X, y = separable_blobs(rng, 20, [(2, 0), (-2, 0), (0, 2)], spread=0.8)
+    labels = [hl(str(c + 1)) for c in y]
+    config = SvmConfig(C=5.0, gamma=1.0)
+
+    full = fit_multiclass("svm", X, labels, config)
+    _, _, calls = tracer.totals()
+    assert calls["svm.kernel_full"] == 1  # one Gram for the node's three binary SVMs
+    assert fired(tracer) >= {"svm.train_binary_svm", "svm.smo_solve", "svm.kernel_full",
+                             "svm.platt_calibrate"}
+    assert "svm.kernel_column" not in fired(tracer)
+
+    monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
+    fit_multiclass("svm", X, labels, config, threads=2)
+    assert "svm.kernel_column" in fired(tracer)
+    assert "svm.decision_function" not in fired(tracer)
+    assert "svm.kernel_decision" not in fired(tracer)
+
+    full.predict_proba(X)
+    assert SVM_SPANS <= fired(tracer)

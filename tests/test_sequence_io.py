@@ -147,6 +147,20 @@ def test_read_feature_csv_rejects_non_numeric():
     assert "oops" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_read_feature_csv_rejects_non_finite(cell):
+    names = canonical_feature_order(KmerConfig())
+    row = ["0"] * 336
+    row[4] = cell
+    text = _csv_text([",".join(["0"] * 336), ",".join(row)])
+    with pytest.raises(FormatError) as err:
+        read_feature_csv(text)
+    message = str(err.value)
+    assert err.value.line == 3
+    assert f"column 5 ({names[4]!r})" in message
+    assert repr(cell) in message
+
+
 def test_read_feature_csv_rejects_wrong_column_names():
     header = ",".join(reversed(canonical_feature_order(KmerConfig())))
     with pytest.raises(FormatError):

@@ -1,16 +1,22 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from tehier import DegenerateDataError, DimensionError, SvmConfig, rbf_kernel, train_binary_svm
+import tehier.svm
 from tehier.svm import (
+    _KernelColumns,
     dual_objective,
     kkt_violations,
     platt_calibrate,
     platt_probability,
     rbf_kernel_matrix,
+    smo_solve,
 )
 
-from oracles import projected_gradient_qp
+from oracles import projected_gradient_qp, smo_reference
 
 
 def blob_pair(rng, n_per_class, separation=2.0, dim=2, spread=0.4):
@@ -54,13 +60,11 @@ def test_separable_four_points():
 
 
 def test_kkt_audit_on_random_blobs(rng):
-    from tehier.svm import _KernelColumns, smo_solve
-
     config = SvmConfig(C=1.0, gamma=1.0, kkt_tolerance=1e-3)
     for trial in range(5):
         X, y = blob_pair(rng, 100, separation=1.0 + trial * 0.3)
         K = rbf_kernel_matrix(X, X, config.gamma)
-        alpha, bias, converged = smo_solve(
+        alpha, bias, converged, _ = smo_solve(
             _KernelColumns(X, config.gamma), y, config.C, config.kkt_tolerance, 200 * len(y)
         )
         assert converged
@@ -90,9 +94,7 @@ def test_dual_objective_matches_projected_gradient_oracle(rng):
         model = train_binary_svm(X, y, config)
         K = rbf_kernel_matrix(X, X, config.gamma)
         # recover full alpha by re-solving; equivalently read it off the SVs
-        from tehier.svm import _KernelColumns, smo_solve
-
-        alpha, _, _ = smo_solve(_KernelColumns(X, config.gamma), y, config.C, 1e-6, 200 * n)
+        alpha, _, _, _ = smo_solve(_KernelColumns(X, config.gamma), y, config.C, 1e-6, 200 * n)
         smo_obj = dual_objective(K, y, alpha)
         _, pg_obj = projected_gradient_qp(K, y, config.C, iterations=150_000)
         assert smo_obj == pytest.approx(pg_obj, abs=1e-3)
@@ -119,6 +121,100 @@ def test_duplicated_dataset_keeps_decision_function(rng):
     doubled = train_binary_svm(np.vstack([X, X]), np.concatenate([y, y]), config)
     grid = np.random.default_rng(0).normal(size=(40, 2))
     assert np.allclose(base.decision_function(grid), doubled.decision_function(grid), atol=1e-3)
+
+
+def _assert_matches_reference(provider, y, C, tol, max_iter):
+    alpha, bias, converged, _ = smo_solve(provider, y, C, tol, max_iter)
+    ref_alpha, ref_bias, ref_converged = smo_reference(provider, y, C, tol, max_iter)
+    assert np.array_equal(alpha, ref_alpha)
+    assert bias == ref_bias
+    assert converged == ref_converged
+    return alpha, converged
+
+
+def test_smo_matches_reference_bit_for_bit(rng):
+    for trial in range(8):
+        n_pos, n_neg = int(rng.integers(20, 80)), int(rng.integers(20, 80))
+        X = np.vstack(
+            [rng.normal(0.5, 0.6, (n_pos, 3)), rng.normal(-0.5, 0.6, (n_neg, 3))]
+        )
+        y = np.array([1.0] * n_pos + [-1.0] * n_neg)
+        order = rng.permutation(len(y))
+        X, y = X[order], y[order]
+        gamma = float(rng.choice([0.3, 1.0, 4.0]))
+        C = float(rng.choice([0.5, 2.0, 16.0]))
+        _, converged = _assert_matches_reference(
+            _KernelColumns(X, gamma), y, C, 1e-3, 200 * len(y)
+        )
+        assert converged
+
+
+def test_smo_matches_reference_with_alphas_at_c(rng):
+    X, y = blob_pair(rng, 60, separation=0.5, spread=0.8)
+    C = 0.1
+    alpha, _ = _assert_matches_reference(_KernelColumns(X, 1.0), y, C, 1e-3, 200 * len(y))
+    assert (alpha == C).sum() > 10  # precondition: many alphas pinned at the box bound
+
+
+def test_smo_matches_reference_when_budget_runs_out(rng):
+    X, y = blob_pair(rng, 50, separation=1.0)
+    _, converged = _assert_matches_reference(_KernelColumns(X, 1.0), y, 1.0, 1e-3, 5)
+    assert not converged
+
+
+def test_smo_matches_reference_on_plain_callable(rng):
+    X, y = blob_pair(rng, 40, separation=1.2)
+    K = rbf_kernel_matrix(X, X, 0.7)
+    _assert_matches_reference(lambda i: K[i], y, 2.0, 1e-4, 200 * len(y))
+
+
+def test_smo_matches_reference_on_column_cache(rng, monkeypatch):
+    monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
+    X, y = blob_pair(rng, 40, separation=1.2)
+    _assert_matches_reference(_KernelColumns(X, 0.7), y, 2.0, 1e-3, 200 * len(y))
+
+
+def test_column_cache_shared_by_threads(rng, monkeypatch):
+    monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
+    monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", 5)
+    X = rng.normal(size=(40, 3))
+    expected = [rbf_kernel_matrix(X, X[i : i + 1], 0.5)[:, 0] for i in range(40)]
+    columns = _KernelColumns(X, 0.5)
+    requests = rng.integers(0, 40, size=(8, 400))
+
+    def worker(indices):
+        return all(np.array_equal(columns.column(int(i)), expected[i]) for i in indices)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(worker, r) for r in requests]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 8
+    assert len(columns._cache) <= 5
+
+
+@pytest.mark.parametrize(
+    "tol, max_passes, converges", [(1e-3, 200, True), (1e-12, 1, False)]
+)
+def test_platt_inputs_from_gradient_match_decision_function(
+    rng, monkeypatch, tol, max_passes, converges
+):
+    captured = []
+
+    def capture(values, labels):
+        captured.append(np.array(values))
+        return platt_calibrate(values, labels)
+
+    monkeypatch.setattr(tehier.svm, "platt_calibrate", capture)
+    X, y = blob_pair(rng, 60, separation=0.8, spread=0.6)
+    model = train_binary_svm(X, y, SvmConfig(C=4.0, gamma=2.0, kkt_tolerance=tol,
+                                             max_passes=max_passes))
+    assert model.converged == converges
+    (from_gradient,) = captured
+    assert np.allclose(from_gradient, model.decision_function(X), rtol=0, atol=1e-9)
 
 
 def test_single_class_rejected():
