@@ -96,8 +96,8 @@ def _kmer_config(args) -> KmerConfig:
 
 def _base_config(args):
     if args.base == "svm":
-        return SvmConfig(C=args.cost, gamma=args.gamma, seed=args.seed)
-    return LogRegConfig(seed=args.seed)
+        return SvmConfig(C=args.cost, gamma=args.gamma)
+    return LogRegConfig()
 
 
 def _echo_seed(args):
@@ -389,9 +389,7 @@ def cmd_compare(args) -> int:
         if base not in ("svm", "logreg"):
             raise FormatError(f"unknown base classifier {base!r}")
         base_config = (
-            SvmConfig(C=args.cost, gamma=args.gamma, seed=args.seed)
-            if base == "svm"
-            else LogRegConfig(seed=args.seed)
+            SvmConfig(C=args.cost, gamma=args.gamma) if base == "svm" else LogRegConfig()
         )
         try:
             results = crossval_strategies(

@@ -90,7 +90,7 @@ def grid_search(
 
     def evaluate(cell):
         c_value, gamma = cell
-        config = SvmConfig(C=c_value, gamma=gamma, seed=grid.seed)
+        config = SvmConfig(C=c_value, gamma=gamma)
         try:
             result = crossval(
                 X,
@@ -127,14 +127,13 @@ def train_final(
     taxonomy: Taxonomy,
     grid_result: GridResult,
     kmer_config: KmerConfig | None = None,
-    seed: int = 0,
     threads: int = 1,
 ) -> HierModel:
     """Train on all provided data with the selected (C, gamma)."""
     if grid_result.selected is None:
         raise GridSearchError("no viable cell: every grid cell failed")
     c_value, gamma = grid_result.selected
-    config = SvmConfig(C=c_value, gamma=gamma, seed=seed)
+    config = SvmConfig(C=c_value, gamma=gamma)
     return train_hier(
         X,
         labels,

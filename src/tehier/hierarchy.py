@@ -29,7 +29,7 @@ from typing import IO, Mapping
 import numpy as np
 
 from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass
-from .errors import DimensionError, ModelFileError, TaxonomyError
+from .errors import DimensionError, FormatError, ModelFileError, TaxonomyError
 from .kmers import KmerConfig
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig, LogRegModel
@@ -131,6 +131,17 @@ def best_path(scores: list[PathScore]) -> PathScore:
     return best
 
 
+def _require_finite(X: np.ndarray) -> None:
+    """Raise FormatError naming the first nan or inf feature value."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise FormatError(
+            f"non-finite feature value {float(X[row, col])!r} in row {row}, "
+            f"column {col} (0-based)"
+        )
+
+
 @dataclass
 class HierModel:
     """Taxonomy plus one trained local classifier per populated parent node."""
@@ -142,18 +153,19 @@ class HierModel:
     kmer_config: KmerConfig | None = None
     n_features: int = 0
 
-    def _check_width(self, X: np.ndarray) -> np.ndarray:
+    def _check_input(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
             raise DimensionError(
                 f"input has {X.shape[1]} features but the model was trained on "
                 f"{self.n_features}; featurization does not match the model fingerprint"
             )
+        _require_finite(X)
         return X
 
     def proba_tables(self, X: np.ndarray, threads: int = 1) -> list[ProbaTable]:
         """Per-sample probability tables for every trained node."""
-        X = self._check_width(X)
+        X = self._check_input(X)
         paths = sorted(self.node_models)
 
         def node_probs(path):
@@ -173,7 +185,10 @@ class HierModel:
         return tables
 
     def predict(self, X: np.ndarray, strategy: str, threads: int = 1) -> list[HierLabel]:
-        """Predict one hierarchy label per row; order follows the input."""
+        """Predict one hierarchy label per row; order follows the input.
+
+        Raises FormatError for a nan or inf feature value.
+        """
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         tables = self.proba_tables(X, threads=threads)
@@ -228,14 +243,16 @@ def train_hier(
 ) -> HierModel:
     """Train one local classifier per parent node (root included).
 
-    Every label must be a taxonomy node. Parent nodes whose training subset
-    is empty are left untrained; prediction treats them as terminals.
+    Every label must be a taxonomy node, and every feature value finite
+    (FormatError otherwise). Parent nodes whose training subset is empty are
+    left untrained; prediction treats them as terminals.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise TaxonomyError("training data must be nonempty")
     if X.shape[0] != len(labels):
         raise DimensionError(f"{X.shape[0]} rows but {len(labels)} labels")
+    _require_finite(X)
     for label in labels:
         if label not in taxonomy:
             raise TaxonomyError(f"training label {label} is not a taxonomy node")
@@ -348,18 +365,18 @@ def _config_to_dict(base_kind: str, config) -> dict:
             "gamma": config.gamma,
             "kkt_tolerance": config.kkt_tolerance,
             "max_passes": config.max_passes,
-            "seed": config.seed,
         }
     return {
         "l2_strength": config.l2_strength,
         "learning_rate": config.learning_rate,
         "max_iterations": config.max_iterations,
         "tolerance": config.tolerance,
-        "seed": config.seed,
     }
 
 
 def _config_from_dict(base_kind: str, d: dict):
+    # older model files carry a config seed that never affected a fit
+    d = {key: value for key, value in d.items() if key != "seed"}
     if base_kind == SVM:
         return SvmConfig(**d)
     return LogRegConfig(**d)

@@ -2,10 +2,16 @@
 
 Fitting is plain gradient descent with a backtracking line search, stopped on
 the gradient norm or an iteration cap. The bias row is never regularized.
+Each line-search trial's loss also yields the softmax of its scores, and
+each gradient reuses the softmax of the accepted trial, so an iteration
+computes ``X @ W`` and ``exp`` once per trial and ``X.T @ (P - onehot)``
+once. A line search that finds no descent step ends the fit with
+``converged=False``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +25,6 @@ class LogRegConfig:
     learning_rate: float = 1.0
     max_iterations: int = 500
     tolerance: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.l2_strength < 0:
@@ -37,22 +42,34 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def logreg_loss(weights, bias, X, y_idx, l2_strength) -> float:
-    """Mean cross-entropy plus (l2/2)*||W||^2 (bias excluded)."""
+def logreg_loss(weights, bias, X, y_idx, l2_strength, with_probs: bool = False):
+    """Mean cross-entropy plus (l2/2)*||W||^2 (bias excluded).
+
+    Returns the loss as a float, or ``(loss, probs)`` with the softmax of
+    ``X @ weights + bias`` when ``with_probs`` is set.
+    """
     scores = X @ weights + bias
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    nll = log_norm - shifted[np.arange(X.shape[0]), y_idx]
-    return float(nll.mean() + 0.5 * l2_strength * np.sum(weights * weights))
+    # the row max as k - 1 elementwise maxima over columns: exact in any
+    # order, and far cheaper than max(axis=1) when k is small
+    shifted = scores - functools.reduce(np.maximum, scores.T)[:, None]
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    nll = np.log(total) - shifted[np.arange(X.shape[0]), y_idx]
+    loss = float(nll.mean() + 0.5 * l2_strength * np.sum(weights * weights))
+    if with_probs:
+        return loss, e / total[:, None]
+    return loss
 
 
-def logreg_gradient(weights, bias, X, y_idx, l2_strength):
+def logreg_gradient(weights, bias, X, y_idx, l2_strength, probs=None):
     """Gradient of logreg_loss: ((P - onehot)'X / N + l2*W, mean(P - onehot)).
 
+    ``probs`` is P, the softmax of ``X @ weights + bias``, when the caller
+    already has it (``logreg_loss(..., with_probs=True)``); it is not modified.
     Returns (grad_weights, grad_bias) with the same shapes as (weights, bias).
     """
     n = X.shape[0]
-    probs = softmax(X @ weights + bias)
+    probs = softmax(X @ weights + bias) if probs is None else probs.copy()
     probs[np.arange(n), y_idx] -= 1.0
     grad_w = X.T @ probs / n + l2_strength * weights
     grad_b = probs.mean(axis=0)
@@ -75,7 +92,12 @@ class LogRegModel:
 
 
 def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRegConfig) -> LogRegModel:
-    """Fit softmax regression on class-index targets 0..n_classes-1."""
+    """Fit softmax regression on class-index targets 0..n_classes-1.
+
+    ``converged`` is true only when the gradient norm fell to the tolerance;
+    an exhausted iteration budget or a line search that found no step
+    lowering the loss leaves it false.
+    """
     X = np.asarray(X, dtype=np.float64)
     y_idx = np.asarray(y_idx, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y_idx.shape[0]:
@@ -85,12 +107,12 @@ def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRe
 
     weights = np.zeros((X.shape[1], n_classes))
     bias = np.zeros(n_classes)
-    loss = logreg_loss(weights, bias, X, y_idx, config.l2_strength)
+    loss, probs = logreg_loss(weights, bias, X, y_idx, config.l2_strength, with_probs=True)
     step = config.learning_rate
     converged = False
 
     for _ in range(config.max_iterations):
-        grad_w, grad_b = logreg_gradient(weights, bias, X, y_idx, config.l2_strength)
+        grad_w, grad_b = logreg_gradient(weights, bias, X, y_idx, config.l2_strength, probs)
         gnorm = float(np.sqrt(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b)))
         if gnorm <= config.tolerance:
             converged = True
@@ -101,15 +123,16 @@ def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRe
         for _ in range(40):
             new_w = weights - trial * grad_w
             new_b = bias - trial * grad_b
-            new_loss = logreg_loss(new_w, new_b, X, y_idx, config.l2_strength)
+            new_loss, new_probs = logreg_loss(
+                new_w, new_b, X, y_idx, config.l2_strength, with_probs=True
+            )
             if new_loss < loss:
-                weights, bias, loss = new_w, new_b, new_loss
+                weights, bias, loss, probs = new_w, new_b, new_loss, new_probs
                 accepted = True
                 break
             trial /= 2.0
         if not accepted:
-            converged = True  # no descent possible at float precision
-            break
+            break  # stalled: no descent possible at float precision
         step = trial * 2.0  # let the step grow; backtracking reins it in
 
     return LogRegModel(weights=weights, bias=bias, converged=converged)

@@ -200,24 +200,6 @@ class CrossvalResult:
         return float(np.mean(values))
 
 
-def _fold_config(config, fold_seed: int):
-    if isinstance(config, SvmConfig):
-        return SvmConfig(
-            C=config.C,
-            gamma=config.gamma,
-            kkt_tolerance=config.kkt_tolerance,
-            max_passes=config.max_passes,
-            seed=fold_seed,
-        )
-    return LogRegConfig(
-        l2_strength=config.l2_strength,
-        learning_rate=config.learning_rate,
-        max_iterations=config.max_iterations,
-        tolerance=config.tolerance,
-        seed=fold_seed,
-    )
-
-
 def crossval_strategies(
     X: np.ndarray,
     labels: list[HierLabel],
@@ -249,7 +231,7 @@ def crossval_strategies(
             [labels[i] for i in train_idx],
             taxonomy,
             base_kind=base_kind,
-            config=_fold_config(config, config.seed + fold),
+            config=config,
         )
         out = {}
         for strategy in strategies:

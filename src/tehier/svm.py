@@ -39,15 +39,13 @@ class SvmConfig:
     """Soft-margin cost, RBF width, and SMO stopping controls.
 
     ``max_passes`` bounds the optimizer at ``max_passes * n_samples`` pair
-    updates; the seed is carried for interface uniformity (the solver itself
-    is deterministic).
+    updates.
     """
 
     C: float = 1.0
     gamma: float = 1.0
     kkt_tolerance: float = 1e-3
     max_passes: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.C <= 0:

@@ -322,3 +322,67 @@ def smo_reference(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int)
             bias = 0.5 * (selected[2] + selected[3])
 
     return alpha, float(bias), converged
+
+
+# -- logistic regression -----------------------------------------------------------
+
+
+def _logreg_loss_reference(weights, bias, X, y_idx, l2_strength) -> float:
+    scores = X @ weights + bias
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    nll = log_norm - shifted[np.arange(X.shape[0]), y_idx]
+    return float(nll.mean() + 0.5 * l2_strength * np.sum(weights * weights))
+
+
+def _logreg_gradient_reference(weights, bias, X, y_idx, l2_strength):
+    n = X.shape[0]
+    scores = X @ weights + bias
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    probs[np.arange(n), y_idx] -= 1.0
+    grad_w = X.T @ probs / n + l2_strength * weights
+    grad_b = probs.mean(axis=0)
+    return grad_w, grad_b
+
+
+def train_logreg_reference(X, y_idx, n_classes, config):
+    """The package's original softmax-regression fit, kept verbatim as a
+    bit-for-bit oracle.
+
+    Every gradient recomputes the scores and their softmax. Returns
+    (weights, bias, converged); a line search that finds no descent step
+    reports ``converged=True`` here, as the original did.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y_idx = np.asarray(y_idx, dtype=np.int64)
+    weights = np.zeros((X.shape[1], n_classes))
+    bias = np.zeros(n_classes)
+    loss = _logreg_loss_reference(weights, bias, X, y_idx, config.l2_strength)
+    step = config.learning_rate
+    converged = False
+
+    for _ in range(config.max_iterations):
+        grad_w, grad_b = _logreg_gradient_reference(weights, bias, X, y_idx, config.l2_strength)
+        gnorm = float(np.sqrt(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b)))
+        if gnorm <= config.tolerance:
+            converged = True
+            break
+        accepted = False
+        trial = step
+        for _ in range(40):
+            new_w = weights - trial * grad_w
+            new_b = bias - trial * grad_b
+            new_loss = _logreg_loss_reference(new_w, new_b, X, y_idx, config.l2_strength)
+            if new_loss < loss:
+                weights, bias, loss = new_w, new_b, new_loss
+                accepted = True
+                break
+            trial /= 2.0
+        if not accepted:
+            converged = True
+            break
+        step = trial * 2.0
+
+    return weights, bias, converged

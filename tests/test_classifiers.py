@@ -63,7 +63,7 @@ def test_classes_sorted(rng):
 def test_thread_count_does_not_change_svm_model(rng):
     X, y = separable_blobs(rng, 30, [(2, 0), (-2, 0), (0, 2)])
     labels = [hl(str(c + 1)) for c in y]
-    config = SvmConfig(C=5.0, gamma=1.0, seed=7)
+    config = SvmConfig(C=5.0, gamma=1.0)
     serial = fit_multiclass("svm", X, labels, config, threads=1)
     threaded = fit_multiclass("svm", X, labels, config, threads=4)
     for m1, m2 in zip(serial.binary_models, threaded.binary_models):

@@ -1,10 +1,12 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
 from tehier import (
     DimensionError,
+    FormatError,
     KmerConfig,
     ModelFileError,
     SvmConfig,
@@ -247,6 +249,25 @@ def test_train_hier_rejects_unknown_labels(rng):
         train_hier(np.zeros((0, 2)), [], tax)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_hier_rejects_non_finite_features(rng, value):
+    tax, X, labels = hier_training_setup(rng)
+    X[3, 1] = value
+    with pytest.raises(FormatError, match=r"non-finite feature value .* in row 3, column 1"):
+        train_hier(X, labels, tax, base_kind="logreg")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_features(rng, value):
+    tax, X, labels = hier_training_setup(rng)
+    model = train_hier(X, labels, tax, base_kind="logreg")
+    queries = rng.normal(size=(5, 2))
+    queries[4, 0] = value
+    for strategy in ("nllcpn", "lcpnb"):
+        with pytest.raises(FormatError, match=r"in row 4, column 0"):
+            model.predict(queries, strategy)
+
+
 def test_end_to_end_prediction_quality(rng):
     tax, X, labels = hier_training_setup(rng)
     model = train_hier(X, labels, tax, base_kind="svm", config=SvmConfig(C=10, gamma=1.0))
@@ -309,6 +330,23 @@ def test_save_load_round_trip(rng, base_kind):
     resaved = io.StringIO()
     save_model(loaded, resaved)
     assert resaved.getvalue() == sink.getvalue()  # stable serialization
+
+
+@pytest.mark.parametrize("base_kind", ["svm", "logreg"])
+def test_load_reads_v1_file_with_config_seed(rng, base_kind):
+    # older builds wrote an unused "seed" into base_config; those files still load
+    tax, X, labels = hier_training_setup(rng)
+    config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
+    model = train_hier(X, labels, tax, base_kind=base_kind, config=config)
+    sink = io.StringIO()
+    save_model(model, sink)
+    payload = json.loads(sink.getvalue())
+    assert payload["schema_version"] == 1 and "seed" not in payload["base_config"]
+    payload["base_config"]["seed"] = 7
+    loaded = load_model(io.StringIO(json.dumps(payload)))
+    assert loaded.base_config == model.base_config
+    queries = rng.normal(size=(50, 2))
+    assert loaded.predict(queries, "lcpnb") == model.predict(queries, "lcpnb")
 
 
 def test_load_rejects_unknown_schema_version(rng):

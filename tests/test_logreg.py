@@ -4,7 +4,7 @@ import pytest
 from tehier import DegenerateDataError, LogRegConfig
 from tehier.logreg import logreg_gradient, logreg_loss, softmax, train_logreg
 
-from oracles import finite_difference_logreg_gradient
+from oracles import finite_difference_logreg_gradient, train_logreg_reference
 
 
 def finite_difference_gradient(weights, bias, X, y_idx, l2, h=1e-5):
@@ -87,3 +87,69 @@ def test_config_validation():
         LogRegConfig(l2_strength=-1)
     with pytest.raises(ValueError):
         LogRegConfig(max_iterations=0)
+
+
+def test_loss_with_probs_hands_back_the_softmax(rng):
+    n, d, k = 30, 4, 5
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, k, size=n)
+    weights = rng.normal(scale=2.0, size=(d, k))
+    bias = rng.normal(size=k)
+    loss, probs = logreg_loss(weights, bias, X, y, 1e-4, with_probs=True)
+    assert loss == logreg_loss(weights, bias, X, y, 1e-4)
+    assert np.array_equal(probs, softmax(X @ weights + bias))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 12])
+def test_gradient_same_bits_with_passed_in_softmax(rng, k):
+    n, d = 40, 6
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, k, size=n)
+    for scale in (0.0, 1.0, 50.0):  # 0: every score ties
+        weights = rng.normal(scale=scale, size=(d, k))
+        bias = rng.normal(scale=scale, size=k)
+        _, probs = logreg_loss(weights, bias, X, y, 1e-4, with_probs=True)
+        kept = probs.copy()
+        passed = logreg_gradient(weights, bias, X, y, 1e-4, probs)
+        fresh = logreg_gradient(weights, bias, X, y, 1e-4)
+        assert np.array_equal(passed[0], fresh[0]) and np.array_equal(passed[1], fresh[1])
+        assert np.array_equal(probs, kept)  # the caller's softmax is left alone
+
+
+def _bit_identity_problems(rng, k):
+    n, d = 12 * k, 5
+    X = rng.normal(size=(n, d))
+    y = np.arange(n) % k
+    yield X, y
+    # duplicated feature columns
+    yield np.hstack([X, X[:, :2], X[:, :2]]), y
+    # classes 0 and 1 mirror each other on duplicated rows: their scores tie
+    mirrored = np.where(y == 0, 1, np.where(y == 1, 0, y))
+    yield np.vstack([X, X]), np.concatenate([y, mirrored])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 12])
+def test_training_matches_reference_bit_for_bit(rng, k):
+    for X, y in _bit_identity_problems(rng, k):
+        for max_iterations in (1, 5, 500):
+            for l2 in (0.0, 1e-4):
+                config = LogRegConfig(l2_strength=l2, max_iterations=max_iterations)
+                model = train_logreg(X, y, k, config)
+                weights, bias, converged = train_logreg_reference(X, y, k, config)
+                assert np.array_equal(model.weights, weights)
+                assert np.array_equal(model.bias, bias)
+                assert model.converged == converged
+
+
+def test_stalled_line_search_is_not_converged():
+    # a tolerance no gradient norm reaches: the fit ends when no step out of
+    # 40 halvings lowers the loss, which the reference reported as converged
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 3))
+    y = rng.integers(0, 3, size=40)
+    config = LogRegConfig(tolerance=1e-300)
+    model = train_logreg(X, y, 3, config)
+    weights, bias, converged = train_logreg_reference(X, y, 3, config)
+    assert converged
+    assert not model.converged
+    assert np.array_equal(model.weights, weights) and np.array_equal(model.bias, bias)

@@ -1,9 +1,11 @@
 """The benchmark's tracer (perfbench/spans.py) wraps tehier functions by name
 from outside the package. These tests keep those hooks working: every
-wrapped name exists, and fitting a node fires each SVM span the benchmark
-requires, on both the full-Gram and the column-cache path."""
+wrapped name exists, fitting a node fires each SVM span the benchmark
+requires, on both the full-Gram and the column-cache path, and a logistic
+regression fit is counted once per loss and once per gradient."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import tehier.svm  # noqa: E402
 from perfbench.spans import REQUIRED, Tracer  # noqa: E402
-from tehier import SvmConfig, fit_multiclass  # noqa: E402
+from tehier import LogRegConfig, SvmConfig, fit_multiclass  # noqa: E402
 
+import oracles  # noqa: E402
 from conftest import hl, separable_blobs  # noqa: E402
 
 SVM_SPANS = {name for names in REQUIRED.values() for name in names if name.startswith("svm.")}
@@ -60,3 +63,31 @@ def test_fitting_fires_required_svm_spans(tracer, rng, monkeypatch):
 
     full.predict_proba(X)
     assert SVM_SPANS <= fired(tracer)
+
+
+def test_logreg_counts_each_trial_loss_and_each_iteration_gradient(tracer, rng, monkeypatch):
+    X, y = separable_blobs(rng, 20, [(2, 0), (-2, 0), (0, 2)], spread=0.8)
+    labels = [hl(str(c + 1)) for c in y]
+    config = LogRegConfig(learning_rate=4.0, max_iterations=60)
+
+    # the reference fit takes the same steps: one loss at the start plus one
+    # per line-search trial, and one gradient per iteration
+    reference = Counter()
+    for name in ("_logreg_loss_reference", "_logreg_gradient_reference"):
+        original = getattr(oracles, name)
+
+        def counted(*args, _name=name, _original=original):
+            reference[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(oracles, name, counted)
+    oracles.train_logreg_reference(X, y, 3, config)
+    trials = reference["_logreg_loss_reference"] - 1
+    iterations = reference["_logreg_gradient_reference"]
+    assert trials > iterations > 1  # the line search backtracked at least once
+
+    fit_multiclass("logreg", X, labels, config)
+    assert tracer.counts["logreg.loss_evals"] == 1 + trials
+    assert tracer.counts["logreg.gradient_evals"] == iterations
+    assert "logreg.train_logreg" in fired(tracer)
+    assert tracer.unpatched == set()

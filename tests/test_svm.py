@@ -102,7 +102,7 @@ def test_dual_objective_matches_projected_gradient_oracle(rng):
 
 def test_training_is_deterministic(rng):
     X, y = blob_pair(rng, 40)
-    config = SvmConfig(C=1.0, gamma=1.0, seed=3)
+    config = SvmConfig(C=1.0, gamma=1.0)
     m1 = train_binary_svm(X, y, config)
     m2 = train_binary_svm(X, y, config)
     assert np.array_equal(m1.dual_coef, m2.dual_coef)
