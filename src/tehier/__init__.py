@@ -28,7 +28,6 @@ from .hierarchy import (
     PathScore,
     load_model,
     load_model_file,
-    predict_batch,
     save_model,
     save_model_file,
     train_hier,

@@ -13,7 +13,6 @@ probability.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,6 @@ def fit_multiclass(
     X: np.ndarray,
     labels: list[HierLabel],
     config: SvmConfig | LogRegConfig | None = None,
-    threads: int = 1,
 ) -> MulticlassModel:
     """Train a local classifier of the requested kind.
 
@@ -90,16 +88,10 @@ def fit_multiclass(
         index = {c: i for i, c in enumerate(classes)}
         y_idx = np.array([index[l] for l in labels])
         columns = _KernelColumns(X, config.gamma)
-
-        def train_one(class_pos: int) -> BinarySvmModel:
-            y = np.where(y_idx == class_pos, 1.0, -1.0)
-            return train_binary_svm(X, y, config, columns)
-
-        if threads > 1 and len(classes) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                binaries = list(pool.map(train_one, range(len(classes))))
-        else:
-            binaries = [train_one(i) for i in range(len(classes))]
+        binaries = [
+            train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
+            for c in range(len(classes))
+        ]
         return MulticlassModel(
             kind=SVM, classes=classes, n_features=X.shape[1], binary_models=binaries
         )

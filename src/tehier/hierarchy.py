@@ -5,26 +5,36 @@ root) gets one local multiclass classifier whose classes are the node's
 children plus the node itself (the replicated-self class that lets a
 prediction stop early). The root has no self class. A sample labeled exactly
 at an internal node trains that node's self class; a sample labeled deeper
-trains the child its path passes through.
+trains the child its path passes through. A node's rows are one mask over
+the training labels' ancestor ids (``Taxonomy.ancestor_ids``).
 
-Prediction differs:
+Prediction works on taxonomy node ids (0 is the root, the rest preorder).
+``HierModel.proba_tables`` runs every local model once over the batch and
+returns a ``ProbaTable`` of ``(n_samples, n_nodes)`` arrays: ``edge[s, v]``
+is the probability of the edge into v at v's parent, ``stay[s, v]`` that of
+v's self class, and ``trained[v]`` marks the nodes that have a model. A
+class missing from a model scores 0. The decoders are pure functions of a
+taxonomy and a table, so stub tables drive them as well as trained models:
 
-* greedy descent ("nllcpn"): follow the argmax child from the root until the
-  local argmax is the self class, a leaf, or an untrained node.
-* path scoring ("lcpnb"): score every root-to-node path by the arithmetic
-  mean of its edge probabilities (internal terminals additionally average in
-  their self-class probability) and return the best terminal.
-
-Both are implemented as pure functions over per-node probability tables so
-they can be driven by stub distributions as well as trained models.
+* greedy descent ("nllcpn"): move every sample from the root to its local
+  argmax class, depth by depth, until it takes the self class or reaches a
+  leaf or an untrained node. Ties go to the first class in sorted order,
+  which puts the self class before the children.
+* path scoring ("lcpnb"): score every node reachable through trained
+  parents by the mean of the edge probabilities on its root path (a trained
+  internal node adds its self-class probability as a last edge) and take
+  the best; ties go to the deeper node, then the smaller label. Each
+  column is summed edge by edge from the root, in the order of
+  ``sum(edges)``, so scores and ties are exact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
@@ -42,9 +52,14 @@ STRATEGIES = (NLLCPN, LCPNB)
 
 _SCHEMA_VERSION = 1
 
-# A local probability table: parent path tuple -> {class label: probability}.
-# Untrained parents are simply absent.
-ProbaTable = Mapping[tuple[int, ...], Mapping[HierLabel, float]]
+
+@dataclass(frozen=True)
+class ProbaTable:
+    """Local probabilities of a batch by taxonomy node id (see module doc)."""
+
+    edge: np.ndarray  # (n_samples, n_nodes)
+    stay: np.ndarray  # (n_samples, n_nodes)
+    trained: np.ndarray  # (n_nodes,) bool
 
 
 @dataclass(frozen=True)
@@ -56,79 +71,61 @@ class PathScore:
     edge_probabilities: tuple[float, ...]
 
 
-def greedy_descent(taxonomy: Taxonomy, probas: ProbaTable) -> HierLabel:
-    """The nllcpn walk for one sample over a probability table."""
-    cur: tuple[int, ...] = ()
-    while True:
-        dist = probas.get(cur)
-        if dist is None:  # untrained node acts as a terminal
-            break
-        best = None
-        best_p = -1.0
-        for cls in sorted(dist):  # sorted => ties go to the smallest label
-            p = dist[cls]
-            if p > best_p:
-                best, best_p = cls, p
-        if best is None or best.path == cur:  # self class: stop here
-            break
-        cur = best.path
-        if taxonomy.is_leaf(best):
-            break
-    if not cur:
+def decode_nllcpn(taxonomy: Taxonomy, table: ProbaTable) -> np.ndarray:
+    """Greedy descent: the node id each sample stops at."""
+    n, n_nodes = table.edge.shape
+    # step[s, v]: the node sample s moves to from v; v itself ends the descent
+    step = np.tile(np.arange(n_nodes), (n, 1))
+    for v in np.flatnonzero(table.trained):
+        classes = taxonomy.child_ids[v] if v == 0 else [v, *taxonomy.child_ids[v]]
+        probs = np.column_stack([table.stay[:, c] if c == v else table.edge[:, c] for c in classes])
+        step[:, v] = np.take(classes, probs.argmax(axis=1))
+    node = np.zeros(n, dtype=np.intp)
+    for _ in range(taxonomy.max_depth):
+        node = step[np.arange(n), node]
+    if (node == 0).any():
         raise TaxonomyError("prediction never left the root; no usable local model")
-    return HierLabel(cur)
+    return node
 
 
-def score_all_paths(taxonomy: Taxonomy, probas: ProbaTable) -> list[PathScore]:
-    """The lcpnb path table for one sample, in taxonomy preorder.
-
-    Candidates are all nodes reachable through trained parents. An internal
-    trained terminal contributes its self-class probability as a final edge;
-    classes missing from a parent's table score 0.
-    """
-    scores: list[PathScore] = []
-    if () not in probas:
+def _lcpnb_scores(taxonomy: Taxonomy, table: ProbaTable):
+    """(candidate ids, their (n_samples, n_candidates) mean scores, which of
+    them add a self edge) over the nodes reachable through trained parents."""
+    if not table.trained[0]:
         raise TaxonomyError("root has no local model; nothing can be scored")
-    # stack of (node, edge probabilities along the path to it)
-    stack: list[tuple[HierLabel, tuple[float, ...]]] = []
-    root_dist = probas[()]
-    for top in reversed(taxonomy.roots):
-        stack.append((top, (float(root_dist.get(top, 0.0)),)))
-    while stack:
-        node, edges = stack.pop()
-        own_dist = probas.get(node.path)
-        is_terminal_style = taxonomy.is_leaf(node) or own_dist is None
-        if is_terminal_style:
-            scored_edges = edges
-        else:
-            scored_edges = edges + (float(own_dist.get(node, 0.0)),)
-        scores.append(
-            PathScore(
-                terminal=node,
-                score=sum(scored_edges) / len(scored_edges),
-                edge_probabilities=scored_edges,
-            )
-        )
-        if own_dist is not None:
-            for child in reversed(taxonomy.children(node)):
-                stack.append((child, edges + (float(own_dist.get(child, 0.0)),)))
-    return scores
+    reach = np.zeros(len(table.trained), dtype=bool)
+    total = np.zeros_like(table.edge)
+    for v in range(1, len(reach)):  # preorder: the parent's sum is ready
+        p = taxonomy.parent_id[v]
+        if table.trained[p] and (p == 0 or reach[p]):
+            reach[v] = True
+            total[:, v] = total[:, p] + table.edge[:, v]
+    candidates = np.flatnonzero(reach)
+    self_edge = np.array(
+        [table.trained[v] and bool(taxonomy.child_ids[v]) for v in candidates], dtype=bool
+    )
+    edges = total[:, candidates] + np.where(self_edge, table.stay[:, candidates], 0.0)
+    return candidates, edges / (taxonomy.node_depth[candidates] + self_edge), self_edge
 
 
-def best_path(scores: list[PathScore]) -> PathScore:
-    """Highest score; ties broken by greater depth, then smallest label."""
-    if not scores:
-        raise TaxonomyError("no scorable paths")
-    best = scores[0]
-    for cand in scores[1:]:
-        if cand.score > best.score:
-            best = cand
-        elif cand.score == best.score:
-            if cand.terminal.depth > best.terminal.depth:
-                best = cand
-            elif cand.terminal.depth == best.terminal.depth and cand.terminal < best.terminal:
-                best = cand
-    return best
+def decode_lcpnb(taxonomy: Taxonomy, table: ProbaTable) -> np.ndarray:
+    """Path scoring: the node id of each sample's best-scoring path."""
+    candidates, scores, _ = _lcpnb_scores(taxonomy, table)
+    # argmax keeps the first maximum: deeper nodes first, then by id, which
+    # within one depth is label order
+    order = np.lexsort((candidates, -taxonomy.node_depth[candidates]))
+    return candidates[order][scores[:, order].argmax(axis=1)]
+
+
+def score_paths(taxonomy: Taxonomy, table: ProbaTable) -> list[PathScore]:
+    """The lcpnb path table of a one-sample table, in taxonomy preorder."""
+    candidates, (scores,), self_edge = _lcpnb_scores(taxonomy, table)
+    out = []
+    for v, score, own in zip(candidates, scores, self_edge):
+        path = taxonomy.ancestor_ids[v, 1 : taxonomy.node_depth[v] + 1]
+        edges = table.edge[0, path].tolist() + ([float(table.stay[0, v])] if own else [])
+        out.append(PathScore(taxonomy.node_labels[v], float(score), tuple(edges)))
+    return out
 
 
 def _require_finite(X: np.ndarray) -> None:
@@ -163,14 +160,17 @@ class HierModel:
         _require_finite(X)
         return X
 
-    def proba_tables(self, X: np.ndarray, threads: int = 1) -> list[ProbaTable]:
-        """Per-sample probability tables for every trained node."""
+    def proba_tables(self, X: np.ndarray, threads: int = 1) -> ProbaTable:
+        """Every trained node's local probabilities for the batch."""
         X = self._check_input(X)
+        index = self.taxonomy.node_index
+        edge = np.zeros((X.shape[0], len(index)))
+        stay = np.zeros_like(edge)
+        trained = np.zeros(len(index), dtype=bool)
         paths = sorted(self.node_models)
 
         def node_probs(path):
-            model = self.node_models[path]
-            return path, model.classes, model.predict_proba(X)
+            return path, self.node_models[path].predict_proba(X)
 
         if threads > 1 and len(paths) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -178,11 +178,11 @@ class HierModel:
         else:
             computed = [node_probs(p) for p in paths]
 
-        tables: list[dict] = [dict() for _ in range(X.shape[0])]
-        for path, classes, probs in computed:
-            for row, table in enumerate(tables):
-                table[path] = dict(zip(classes, probs[row]))
-        return tables
+        for path, probs in computed:
+            trained[index[path]] = True
+            for col, cls in enumerate(self.node_models[path].classes):
+                (stay if cls.path == path else edge)[:, index[cls.path]] = probs[:, col]
+        return ProbaTable(edge, stay, trained)
 
     def predict(self, X: np.ndarray, strategy: str, threads: int = 1) -> list[HierLabel]:
         """Predict one hierarchy label per row; order follows the input.
@@ -191,15 +191,14 @@ class HierModel:
         """
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-        tables = self.proba_tables(X, threads=threads)
-        if strategy == NLLCPN:
-            return [greedy_descent(self.taxonomy, t) for t in tables]
-        return [best_path(score_all_paths(self.taxonomy, t)).terminal for t in tables]
+        table = self.proba_tables(X, threads=threads)
+        decode = decode_nllcpn if strategy == NLLCPN else decode_lcpnb
+        labels = self.taxonomy.node_labels
+        return [labels[v] for v in decode(self.taxonomy, table).tolist()]
 
     def path_scores(self, x: np.ndarray) -> list[PathScore]:
         """The full lcpnb score table for a single sample."""
-        (table,) = self.proba_tables(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        return score_all_paths(self.taxonomy, table)
+        return score_paths(self.taxonomy, self.proba_tables(x))
 
     @property
     def untrained_nodes(self) -> list[HierLabel]:
@@ -207,29 +206,6 @@ class HierModel:
         return [
             n for n in self.taxonomy.internal_nodes() if n.path not in self.node_models
         ]
-
-
-def _local_assignments(
-    parent: tuple[int, ...], labels: list[HierLabel]
-) -> tuple[list[int], list[HierLabel]]:
-    """Training rows and local classes for one parent node.
-
-    A label equal to the parent joins the replicated-self class; a label
-    passing through child c joins class c; anything else is out of scope.
-    """
-    depth = len(parent)
-    rows: list[int] = []
-    locals_: list[HierLabel] = []
-    for i, label in enumerate(labels):
-        if len(label.path) < depth or label.path[:depth] != parent:
-            continue
-        if len(label.path) == depth:
-            rows.append(i)
-            locals_.append(label)  # == parent: the self class
-        else:
-            rows.append(i)
-            locals_.append(HierLabel(label.path[: depth + 1]))
-    return rows, locals_
 
 
 def train_hier(
@@ -253,31 +229,35 @@ def train_hier(
     if X.shape[0] != len(labels):
         raise DimensionError(f"{X.shape[0]} rows but {len(labels)} labels")
     _require_finite(X)
-    for label in labels:
-        if label not in taxonomy:
-            raise TaxonomyError(f"training label {label} is not a taxonomy node")
+    ids = taxonomy.ids(labels, "training label")
     if base_kind not in (SVM, LOGREG):
         raise ValueError(f"unknown base classifier kind {base_kind!r}")
     if config is None:
         config = SvmConfig() if base_kind == SVM else LogRegConfig()
+    ancestors = taxonomy.ancestor_ids[ids]
+    depths = taxonomy.node_depth[ids]
 
-    parents: list[tuple[int, ...]] = [()]
-    parents.extend(n.path for n in taxonomy.internal_nodes())
+    def train_node(parent: int):
+        # rows under the parent; a label at the parent is its self class,
+        # a deeper one the child on its path
+        depth = taxonomy.node_depth[parent]
+        rows = np.flatnonzero(ancestors[:, depth] == parent)
+        if not rows.size:
+            return None
+        local = np.where(depths[rows] == depth, parent, ancestors[rows, depth + 1])
+        classes = [taxonomy.node_labels[c] for c in local.tolist()]
+        return fit_multiclass(base_kind, X[rows], classes, config)
 
-    def train_node(parent):
-        rows, local_classes = _local_assignments(parent, labels)
-        if not rows:
-            return parent, None
-        model = fit_multiclass(base_kind, X[rows], local_classes, config)
-        return parent, model
-
+    parents = [v for v, kids in enumerate(taxonomy.child_ids) if kids]
     if threads > 1 and len(parents) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             trained = list(pool.map(train_node, parents))
     else:
         trained = [train_node(p) for p in parents]
 
-    node_models = {parent: model for parent, model in trained if model is not None}
+    node_models = {
+        taxonomy.node_paths[v]: model for v, model in zip(parents, trained) if model is not None
+    }
     return HierModel(
         taxonomy=taxonomy,
         base_kind=base_kind,
@@ -286,12 +266,6 @@ def train_hier(
         kmer_config=kmer_config,
         n_features=X.shape[1],
     )
-
-
-def predict_batch(
-    model: HierModel, X: np.ndarray, strategy: str, threads: int = 1
-) -> list[HierLabel]:
-    return model.predict(X, strategy, threads=threads)
 
 
 # -- serialization -----------------------------------------------------------
@@ -309,18 +283,29 @@ def _binary_to_dict(m: BinarySvmModel) -> dict:
     }
 
 
-def _binary_from_dict(d: dict, n_features: int) -> BinarySvmModel:
+def _finite(where: str, *values) -> None:
+    for value in values:
+        if not np.isfinite(value).all():
+            raise ModelFileError(f"{where} holds a non-finite number")
+
+
+def _binary_from_dict(d: dict, n_features: int, where: str) -> BinarySvmModel:
     sv = np.array(d["support_vectors"], dtype=np.float64)
     if sv.size == 0:
         sv = sv.reshape(0, n_features)
+    dual_coef = np.array(d["dual_coef"], dtype=np.float64)
+    if sv.ndim != 2 or sv.shape[1] != n_features:
+        raise ModelFileError(
+            f"{where}: support vectors of shape {sv.shape} are not {n_features} features wide"
+        )
+    if dual_coef.shape != (len(sv),):
+        raise ModelFileError(
+            f"{where}: dual_coef of shape {dual_coef.shape} for {len(sv)} support vectors"
+        )
+    numbers = {k: float(d[k]) for k in ("bias", "gamma", "platt_a", "platt_b")}
+    _finite(where, sv, dual_coef, list(numbers.values()))
     return BinarySvmModel(
-        support_vectors=sv,
-        dual_coef=np.array(d["dual_coef"], dtype=np.float64),
-        bias=float(d["bias"]),
-        gamma=float(d["gamma"]),
-        platt_a=float(d["platt_a"]),
-        platt_b=float(d["platt_b"]),
-        converged=bool(d["converged"]),
+        support_vectors=sv, dual_coef=dual_coef, converged=bool(d["converged"]), **numbers
     )
 
 
@@ -339,44 +324,53 @@ def _multiclass_to_dict(m: MulticlassModel) -> dict:
     return out
 
 
-def _multiclass_from_dict(d: dict) -> MulticlassModel:
+def _multiclass_from_dict(d: dict, taxonomy: Taxonomy, path: tuple, n_features: int):
+    """One node's model, checked against the taxonomy and the feature width."""
+    where = f"node model {'.'.join(map(str, path)) or '(root)'}"
+    node = taxonomy.node_index.get(path)
+    if node is None or not taxonomy.child_ids[node]:
+        raise ModelFileError(f"{where} is not the root or an internal node of the taxonomy")
     classes = [parse_label(c) for c in d["classes"]]
+    allowed = {taxonomy.node_paths[c] for c in taxonomy.child_ids[node]} | ({path} if path else set())
+    paths = [c.path for c in classes]
+    if not paths or paths != sorted(set(paths)) or not allowed.issuperset(paths):
+        raise ModelFileError(
+            f"{where}: classes {d['classes']} are not sorted, distinct and drawn from "
+            f"the node's children{' and itself' if path else ''}"
+        )
+    if int(d["n_features"]) != n_features:
+        raise ModelFileError(f"{where} has {d['n_features']} features, not {n_features}")
     kind = d["kind"]
-    n_features = int(d["n_features"])
     model = MulticlassModel(kind=kind, classes=classes, n_features=n_features)
     if kind == SVM:
-        model.binary_models = [_binary_from_dict(b, n_features) for b in d["binary_models"]]
+        if len(d["binary_models"]) != len(classes):
+            raise ModelFileError(
+                f"{where}: {len(d['binary_models'])} binary models for {len(classes)} classes"
+            )
+        model.binary_models = [_binary_from_dict(b, n_features, where) for b in d["binary_models"]]
     elif kind == LOGREG:
         weights = np.array(d["weights"], dtype=np.float64)
+        bias = np.array(d["bias"], dtype=np.float64)
+        if weights.shape != (n_features, len(classes)) or bias.shape != (len(classes),):
+            raise ModelFileError(
+                f"{where}: logreg weights {weights.shape} and bias {bias.shape} do not fit "
+                f"{n_features} features and {len(classes)} classes"
+            )
+        _finite(where, weights, bias)
         model.logreg_model = LogRegModel(
-            weights=weights.reshape(int(d["n_features"]), -1),
-            bias=np.array(d["bias"], dtype=np.float64),
-            converged=bool(d.get("converged", True)),
+            weights=weights, bias=bias, converged=bool(d.get("converged", True))
         )
     elif kind != "constant":
-        raise ModelFileError(f"unknown local model kind {kind!r}")
+        raise ModelFileError(f"{where}: unknown local model kind {kind!r}")
+    elif len(classes) != 1:
+        raise ModelFileError(f"{where}: a constant model has {len(classes)} classes, not 1")
     return model
-
-
-def _config_to_dict(base_kind: str, config) -> dict:
-    if base_kind == SVM:
-        return {
-            "C": config.C,
-            "gamma": config.gamma,
-            "kkt_tolerance": config.kkt_tolerance,
-            "max_passes": config.max_passes,
-        }
-    return {
-        "l2_strength": config.l2_strength,
-        "learning_rate": config.learning_rate,
-        "max_iterations": config.max_iterations,
-        "tolerance": config.tolerance,
-    }
 
 
 def _config_from_dict(base_kind: str, d: dict):
     # older model files carry a config seed that never affected a fit
     d = {key: value for key, value in d.items() if key != "seed"}
+    _finite("base_config", list(d.values()))
     if base_kind == SVM:
         return SvmConfig(**d)
     return LogRegConfig(**d)
@@ -400,10 +394,10 @@ def save_model(model: HierModel, sink: IO[str]) -> None:
             if model.kmer_config is not None
             else None
         ),
-        "base_config": _config_to_dict(model.base_kind, model.base_config),
+        "base_config": dataclasses.asdict(model.base_config),
         "taxonomy": taxonomy_nodes,
         "node_models": {
-            render_label(HierLabel(path)) if path else "": _multiclass_to_dict(m)
+            ".".join(map(str, path)): _multiclass_to_dict(m)
             for path, m in sorted(model.node_models.items())
         },
     }
@@ -445,17 +439,18 @@ def load_model(source: IO[str]) -> HierModel:
             else None
         )
         base_kind = payload["base_kind"]
+        n_features = int(payload["n_features"])
         node_models = {}
         for key, entry in payload["node_models"].items():
             path = () if key == "" else parse_label(key).path
-            node_models[path] = _multiclass_from_dict(entry)
+            node_models[path] = _multiclass_from_dict(entry, taxonomy, path, n_features)
         return HierModel(
             taxonomy=taxonomy,
             base_kind=base_kind,
             node_models=node_models,
             base_config=_config_from_dict(base_kind, payload["base_config"]),
             kmer_config=kmer_config,
-            n_features=int(payload["n_features"]),
+            n_features=n_features,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"model file is truncated or malformed: {exc}") from None

@@ -7,15 +7,19 @@ plus every non-root ancestor). Metrics are micro-aggregated:
     hR = sum |P_i & T_i| / sum |T_i|
     hF = 2 hP hR / (hP + hR)
 
-Level-wise F truncates both paths at a depth, dropping samples whose true
-path is shallower than that depth. Zero-denominator metrics are reported as
-None (undefined), never silently as 0.
+Both sets are root paths, so no set is built: |P & T| is the depth of the
+deepest common ancestor, read off the taxonomy's ancestor-id rows, and
+|P| and |T| are the node depths. Level-wise F truncates both paths at a
+depth L, which caps each of the three counts at L, and drops samples whose
+true path is shallower than L. The counts are summed as integers before
+the divisions. Zero-denominator metrics are reported as None (undefined),
+never silently as 0.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +48,29 @@ class HierMetrics:
     n_samples: int
 
 
-def _f_measure(hp: float, hr: float) -> float:
+def f_measure(hp: float, hr: float) -> float:
+    """hF from an (hP, hR) pair; 0 when both are 0."""
     if hp + hr == 0:
         return 0.0
     return 2.0 * hp * hr / (hp + hr)
 
 
-def f_measure(hp: float, hr: float) -> float:
-    """hF from an (hP, hR) pair; 0 when both are 0."""
-    return _f_measure(hp, hr)
+def _pair_depths(pairs: list[tuple[HierLabel, HierLabel]], taxonomy: Taxonomy):
+    """Per pair: |P & T| (common-ancestor depth), |P| and |T|, as int arrays."""
+    predicted = taxonomy.ids([p for p, _ in pairs])
+    true = taxonomy.ids([t for _, t in pairs])
+    p_rows = taxonomy.ancestor_ids[predicted, 1:]
+    common = ((p_rows == taxonomy.ancestor_ids[true, 1:]) & (p_rows >= 0)).sum(axis=1)
+    return common, taxonomy.node_depth[predicted], taxonomy.node_depth[true]
+
+
+def _level_f(common, p_depth, t_depth, level: int) -> float | None:
+    eligible = t_depth >= level
+    if not eligible.any():
+        return None
+    hits = int(np.minimum(common[eligible], level).sum())
+    pred_total = int(np.minimum(p_depth[eligible], level).sum())
+    return f_measure(hits / pred_total, hits / (level * int(eligible.sum())))
 
 
 def hier_metrics(
@@ -61,22 +79,16 @@ def hier_metrics(
     """Micro-aggregated hP/hR/hF plus per-level F over (predicted, true) pairs."""
     if not pairs:
         raise TaxonomyError("cannot evaluate an empty prediction list")
-    hits = 0
-    pred_total = 0
-    true_total = 0
-    for predicted, true in pairs:
-        p_set = label_set(taxonomy, predicted)
-        t_set = label_set(taxonomy, true)
-        hits += len(p_set & t_set)
-        pred_total += len(p_set)
-        true_total += len(t_set)
-    hp = hits / pred_total
-    hr = hits / true_total
+    common, p_depth, t_depth = _pair_depths(pairs, taxonomy)
+    hits = int(common.sum())
+    hp = hits / int(p_depth.sum())
+    hr = hits / int(t_depth.sum())
     per_level = tuple(
-        levelwise_f(pairs, taxonomy, level) for level in range(1, taxonomy.max_depth + 1)
+        _level_f(common, p_depth, t_depth, level)
+        for level in range(1, taxonomy.max_depth + 1)
     )
     return HierMetrics(
-        hp=hp, hr=hr, hf=_f_measure(hp, hr), per_level_f=per_level, n_samples=len(pairs)
+        hp=hp, hr=hr, hf=f_measure(hp, hr), per_level_f=per_level, n_samples=len(pairs)
     )
 
 
@@ -91,22 +103,7 @@ def levelwise_f(
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    hits = 0
-    pred_total = 0
-    true_total = 0
-    eligible = 0
-    for predicted, true in pairs:
-        if true.depth < level:
-            continue
-        eligible += 1
-        p_set = label_set(taxonomy, predicted.truncate(level))
-        t_set = label_set(taxonomy, true.truncate(level))
-        hits += len(p_set & t_set)
-        pred_total += len(p_set)
-        true_total += len(t_set)
-    if eligible == 0:
-        return None
-    return _f_measure(hits / pred_total, hits / true_total)
+    return _level_f(*_pair_depths(pairs, taxonomy), level)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,23 @@ from __future__ import annotations
 import importlib.resources
 from typing import IO, Iterable
 
+import numpy as np
+
 from .errors import FormatError, TaxonomyError
 from .labels import HierLabel, parse_label
 
 
 class Taxonomy:
-    """Immutable rooted tree of hierarchy labels."""
+    """Immutable rooted tree of hierarchy labels, held as arrays of node ids.
+
+    Ids are fixed at construction: 0 is the implicit root and the nodes
+    follow in preorder, which is label order, so a parent's id is smaller
+    than its children's and siblings ascend. ``node_labels`` / ``node_paths``
+    map an id to the taxonomy's own label object (None for the root) and
+    path tuple, ``node_index`` maps a path tuple back to its id, and
+    ``parent_id``, ``node_depth``, ``child_ids`` and ``ancestor_ids`` (row v,
+    column d: v's ancestor at depth d, -1 below v) hold the tree.
+    """
 
     def __init__(self, labels: Iterable[HierLabel], names: dict[HierLabel, str] | None = None):
         closed: set[HierLabel] = set()
@@ -26,14 +37,19 @@ class Taxonomy:
         if not closed:
             raise TaxonomyError("taxonomy needs at least one node")
         self._nodes = closed
-        self._children: dict[tuple[int, ...], list[HierLabel]] = {(): []}
-        for node in closed:
-            self._children.setdefault(node.path, [])
-            parent_path = node.path[:-1]
-            self._children.setdefault(parent_path, []).append(node)
-        for siblings in self._children.values():
-            siblings.sort(key=lambda l: l.path[-1])
         self.names = dict(names or {})
+        self.node_labels: list[HierLabel | None] = [None, *sorted(closed)]
+        self.node_paths: list[tuple[int, ...]] = [(), *(n.path for n in self.node_labels[1:])]
+        self.node_index = {path: i for i, path in enumerate(self.node_paths)}
+        self.parent_id = np.array([-1] + [self.node_index[p[:-1]] for p in self.node_paths[1:]])
+        self.node_depth = np.array([len(p) for p in self.node_paths])
+        self.child_ids: list[list[int]] = [[] for _ in self.node_paths]
+        self.ancestor_ids = np.full((len(self.node_paths), self.max_depth + 1), -1)
+        self.ancestor_ids[0, 0] = 0
+        for v in range(1, len(self.node_paths)):
+            self.child_ids[self.parent_id[v]].append(v)
+            self.ancestor_ids[v] = self.ancestor_ids[self.parent_id[v]]
+            self.ancestor_ids[v, self.node_depth[v]] = v
 
     # -- structure queries ------------------------------------------------
 
@@ -43,44 +59,44 @@ class Taxonomy:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _require(self, label: HierLabel) -> None:
+    def ids(self, labels: list[HierLabel], what: str = "label") -> np.ndarray:
+        """Node ids of ``labels``; TaxonomyError names the first unknown one."""
+        ids = np.fromiter((self.node_index.get(l.path, 0) for l in labels), np.intp, len(labels))
+        if not ids.all():  # a label's path is never the root's
+            raise TaxonomyError(f"{what} {labels[int(ids.argmin())]} is not a taxonomy node")
+        return ids
+
+    def _id(self, label: HierLabel) -> int:
         if label not in self._nodes:
             raise TaxonomyError(f"label {label} is not a node of this taxonomy")
+        return self.node_index[label.path]
 
     @property
     def roots(self) -> list[HierLabel]:
         """Depth-1 nodes (children of the implicit root)."""
-        return list(self._children[()])
+        return [self.node_labels[c] for c in self.child_ids[0]]
 
     def children(self, label: HierLabel) -> list[HierLabel]:
-        self._require(label)
-        return list(self._children[label.path])
+        return [self.node_labels[c] for c in self.child_ids[self._id(label)]]
 
     def is_leaf(self, label: HierLabel) -> bool:
-        self._require(label)
-        return not self._children[label.path]
+        return not self.child_ids[self._id(label)]
 
     def ancestors(self, label: HierLabel) -> list[HierLabel]:
         """Proper ancestors, shallowest first; root excluded."""
-        self._require(label)
+        self._id(label)
         return label.prefixes()
 
     def nodes(self) -> list[HierLabel]:
         """All nodes in preorder."""
-        out: list[HierLabel] = []
-        stack = list(reversed(self._children[()]))
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(self._children[node.path]))
-        return out
+        return self.node_labels[1:]
 
     def internal_nodes(self) -> list[HierLabel]:
         """Non-leaf nodes in preorder (root excluded; it is not a label)."""
-        return [n for n in self.nodes() if self._children[n.path]]
+        return [self.node_labels[v] for v, kids in enumerate(self.child_ids) if v and kids]
 
     def leaves(self) -> list[HierLabel]:
-        return [n for n in self.nodes() if not self._children[n.path]]
+        return [self.node_labels[v] for v, kids in enumerate(self.child_ids) if not kids]
 
     def enumerate_paths(self) -> list[list[HierLabel]]:
         """One root-to-node path per node, in preorder.
@@ -92,14 +108,11 @@ class Taxonomy:
 
     @property
     def max_depth(self) -> int:
-        return max(len(n.path) for n in self._nodes)
+        return int(self.node_depth.max())
 
     def classes_per_level(self) -> list[int]:
         """Node counts by depth, index 0 = depth 1."""
-        counts = [0] * self.max_depth
-        for node in self._nodes:
-            counts[len(node.path) - 1] += 1
-        return counts
+        return np.bincount(self.node_depth[1:] - 1).tolist()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Taxonomy) and self._nodes == other._nodes

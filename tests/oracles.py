@@ -2,12 +2,19 @@
 
 Everything here is deliberately naive: substring scans, explicit set
 algebra, exhaustive enumeration, and a projected-gradient QP solver. None of
-it shares code with the package internals it audits.
+it shares code with the package internals it audits; the label-keyed
+decoders and metrics below use only the package's data types (labels,
+taxonomies, ``PathScore``, ``HierMetrics``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from tehier.errors import TaxonomyError
+from tehier.hierarchy import PathScore, ProbaTable
+from tehier.labels import HierLabel
+from tehier.metrics import HierMetrics
 
 
 def naive_kmer_counts(residues: str, k: int) -> dict[str, int]:
@@ -59,7 +66,125 @@ def naive_hier_prf(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]):
     return hp, hr, hf
 
 
+def set_algebra_hier_metrics(pairs, taxonomy) -> HierMetrics:
+    """hP/hR/hF and per-level F from frozensets of ancestor labels."""
+
+    def closure(label):
+        if label not in taxonomy:
+            raise TaxonomyError(f"label {label} is not a taxonomy node")
+        return frozenset(label.prefixes() + [label])
+
+    def counts(selected):
+        hits = pred = true = 0
+        for predicted, truth in selected:
+            p_set, t_set = closure(predicted), closure(truth)
+            hits += len(p_set & t_set)
+            pred += len(p_set)
+            true += len(t_set)
+        return hits, pred, true
+
+    def f(hp, hr):
+        return 0.0 if hp + hr == 0 else 2.0 * hp * hr / (hp + hr)
+
+    hits, pred, true = counts(pairs)
+    per_level = []
+    for level in range(1, taxonomy.max_depth + 1):
+        kept = [(p.truncate(level), t.truncate(level)) for p, t in pairs if t.depth >= level]
+        if kept:
+            l_hits, l_pred, l_true = counts(kept)
+            per_level.append(f(l_hits / l_pred, l_hits / l_true))
+        else:
+            per_level.append(None)
+    return HierMetrics(
+        hp=hits / pred, hr=hits / true, hf=f(hits / pred, hits / true),
+        per_level_f=tuple(per_level), n_samples=len(pairs),
+    )
+
+
 # -- top-down strategies -------------------------------------------------------
+
+
+def greedy_descent(taxonomy, probas) -> HierLabel:
+    """The nllcpn walk for one sample over a label table: trained parent path
+    tuple -> {class label: probability}."""
+    cur: tuple[int, ...] = ()
+    while True:
+        dist = probas.get(cur)
+        if dist is None:  # untrained node acts as a terminal
+            break
+        best = None
+        best_p = -1.0
+        for cls in sorted(dist):  # sorted => ties go to the smallest label
+            p = dist[cls]
+            if p > best_p:
+                best, best_p = cls, p
+        if best is None or best.path == cur:  # self class: stop here
+            break
+        cur = best.path
+        if taxonomy.is_leaf(best):
+            break
+    if not cur:
+        raise TaxonomyError("prediction never left the root; no usable local model")
+    return HierLabel(cur)
+
+
+def score_all_paths(taxonomy, probas) -> list[PathScore]:
+    """The lcpnb path table for one sample over a label table, in preorder.
+
+    Candidates are all nodes reachable through trained parents. An internal
+    trained terminal contributes its self-class probability as a final edge;
+    classes missing from a parent's table score 0.
+    """
+    scores: list[PathScore] = []
+    if () not in probas:
+        raise TaxonomyError("root has no local model; nothing can be scored")
+    stack: list[tuple[HierLabel, tuple[float, ...]]] = []
+    root_dist = probas[()]
+    for top in reversed(taxonomy.roots):
+        stack.append((top, (float(root_dist.get(top, 0.0)),)))
+    while stack:
+        node, edges = stack.pop()
+        own_dist = probas.get(node.path)
+        if taxonomy.is_leaf(node) or own_dist is None:
+            scored_edges = edges
+        else:
+            scored_edges = edges + (float(own_dist.get(node, 0.0)),)
+        scores.append(PathScore(node, sum(scored_edges) / len(scored_edges), scored_edges))
+        if own_dist is not None:
+            for child in reversed(taxonomy.children(node)):
+                stack.append((child, edges + (float(own_dist.get(child, 0.0)),)))
+    return scores
+
+
+def best_path(scores: list[PathScore]) -> PathScore:
+    """Highest score; ties broken by greater depth, then smallest label."""
+    if not scores:
+        raise TaxonomyError("no scorable paths")
+    best = scores[0]
+    for cand in scores[1:]:
+        if cand.score > best.score:
+            best = cand
+        elif cand.score == best.score:
+            if cand.terminal.depth > best.terminal.depth:
+                best = cand
+            elif cand.terminal.depth == best.terminal.depth and cand.terminal < best.terminal:
+                best = cand
+    return best
+
+
+def stub_proba_table(taxonomy, tables) -> ProbaTable:
+    """The array table of a list of per-sample label tables (as taken by
+    ``greedy_descent``) that share one set of trained parents."""
+    index = taxonomy.node_index
+    edge = np.zeros((len(tables), len(index)))
+    stay = np.zeros_like(edge)
+    trained = np.zeros(len(index), dtype=bool)
+    for row, probas in enumerate(tables):
+        for parent, dist in probas.items():
+            trained[index[parent]] = True
+            for cls, p in dist.items():
+                (stay if cls.path == parent else edge)[row, index[cls.path]] = p
+    return ProbaTable(edge, stay, trained)
 
 
 def greedy_chain_oracle(tree: dict, probas: dict) -> tuple[int, ...]:

@@ -26,19 +26,23 @@ from tehier import (
     wicker_taxonomy,
 )
 from tehier.gridsearch import Grid, DESK_C_VALUES, DESK_GAMMA_VALUES
-from tehier.hierarchy import best_path, greedy_descent, score_all_paths
+from tehier.hierarchy import decode_lcpnb, decode_nllcpn, score_paths
 from tehier.logreg import logreg_gradient, logreg_loss
 from tehier.svm import _KernelColumns, dual_objective, kkt_violations, rbf_kernel_matrix, smo_solve
 
 from conftest import hl
 from oracles import (
+    best_path,
     exhaustive_path_oracle,
     finite_difference_logreg_gradient,
     greedy_chain_oracle,
+    greedy_descent,
     naive_feature_vector,
     naive_hier_prf,
     projected_gradient_qp,
     random_stub_problem,
+    score_all_paths,
+    stub_proba_table,
 )
 
 
@@ -100,7 +104,9 @@ def test_greedy_strategy_matches_oracle():
             parent: {HierLabel(c): p for c, p in dist.items()}
             for parent, dist in probas.items()
         }
-        assert greedy_descent(taxonomy, table).path == greedy_chain_oracle(tree, probas)
+        (node,) = decode_nllcpn(taxonomy, stub_proba_table(taxonomy, [table]))
+        expected = greedy_chain_oracle(tree, probas)
+        assert taxonomy.node_paths[node] == expected == greedy_descent(taxonomy, table).path
         agree += 1
     report("greedy strategy oracle", f"{agree}/1000 random stub taxonomies")
 
@@ -116,9 +122,12 @@ def test_path_scoring_strategy_matches_oracle():
             for parent, dist in probas.items()
         }
         expected, oracle_scores = exhaustive_path_oracle(tree, probas)
-        scores = score_all_paths(taxonomy, table)
+        arrays = stub_proba_table(taxonomy, [table])
+        scores = score_paths(taxonomy, arrays)
+        assert scores == score_all_paths(taxonomy, table)
         assert {s.terminal.path: s.score for s in scores} == oracle_scores
-        assert best_path(scores).terminal.path == expected
+        (node,) = decode_lcpnb(taxonomy, arrays)
+        assert taxonomy.node_paths[node] == expected == best_path(scores).terminal.path
         agree += 1
     report("path-scoring strategy oracle", f"{agree}/1000 incl. tie-breaks")
 

@@ -60,18 +60,18 @@ def test_classes_sorted(rng):
     assert model.classes == [hl("1"), hl("2"), hl("3")]
 
 
-def test_thread_count_does_not_change_svm_model(rng):
+def test_svm_model_is_deterministic(rng):
     X, y = separable_blobs(rng, 30, [(2, 0), (-2, 0), (0, 2)])
     labels = [hl(str(c + 1)) for c in y]
     config = SvmConfig(C=5.0, gamma=1.0)
-    serial = fit_multiclass("svm", X, labels, config, threads=1)
-    threaded = fit_multiclass("svm", X, labels, config, threads=4)
-    for m1, m2 in zip(serial.binary_models, threaded.binary_models):
+    first = fit_multiclass("svm", X, labels, config)
+    second = fit_multiclass("svm", X, labels, config)
+    for m1, m2 in zip(first.binary_models, second.binary_models):
         assert np.array_equal(m1.dual_coef, m2.dual_coef)
         assert m1.bias == m2.bias
         assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)
     query = rng.normal(size=(20, 2))
-    assert np.array_equal(serial.predict_proba(query), threaded.predict_proba(query))
+    assert np.array_equal(first.predict_proba(query), second.predict_proba(query))
 
 
 def test_one_gram_per_node(rng, monkeypatch):
@@ -89,15 +89,16 @@ def test_one_gram_per_node(rng, monkeypatch):
     assert calls == [(True, len(X))]
 
 
-def test_thread_count_does_not_change_svm_model_on_column_cache(rng, monkeypatch):
+def test_column_cache_eviction_does_not_change_svm_model(rng, monkeypatch):
     monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
-    monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", 8)  # evict while threads share it
     X, y = separable_blobs(rng, 30, [(2, 0), (-2, 0), (0, 2)], spread=0.8)
     labels = [hl(str(c + 1)) for c in y]
     config = SvmConfig(C=5.0, gamma=1.0)
-    serial = fit_multiclass("svm", X, labels, config, threads=1)
-    threaded = fit_multiclass("svm", X, labels, config, threads=4)
-    for m1, m2 in zip(serial.binary_models, threaded.binary_models):
+    monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", len(X))  # every column stays
+    kept = fit_multiclass("svm", X, labels, config)
+    monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", 8)  # columns are evicted and rebuilt
+    evicted = fit_multiclass("svm", X, labels, config)
+    for m1, m2 in zip(kept.binary_models, evicted.binary_models):
         assert np.array_equal(m1.dual_coef, m2.dual_coef)
         assert m1.bias == m2.bias
         assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)

@@ -17,11 +17,19 @@ from tehier import (
     save_model,
     train_hier,
 )
-from tehier.hierarchy import HierModel, best_path, greedy_descent, score_all_paths
+from tehier.hierarchy import HierModel, decode_lcpnb, decode_nllcpn, score_paths
 from tehier.labels import HierLabel
 
 from conftest import hl, separable_blobs
-from oracles import exhaustive_path_oracle, greedy_chain_oracle, random_stub_problem
+from oracles import (
+    best_path,
+    exhaustive_path_oracle,
+    greedy_chain_oracle,
+    greedy_descent,
+    random_stub_problem,
+    score_all_paths,
+    stub_proba_table,
+)
 
 
 def as_label_table(probas):
@@ -34,6 +42,24 @@ def as_label_table(probas):
 
 def tree_to_taxonomy(tree) -> Taxonomy:
     return Taxonomy([HierLabel(path) for path in tree if path != ()])
+
+
+def nllcpn(tax, probas) -> HierLabel:
+    """The array decoder's greedy label, checked against the label-table walk."""
+    (node,) = decode_nllcpn(tax, stub_proba_table(tax, [probas]))
+    assert tax.node_labels[node] == greedy_descent(tax, probas)
+    return tax.node_labels[node]
+
+
+def lcpnb(tax, probas) -> tuple[HierLabel, dict]:
+    """(best label, {label: score}) from the arrays, checked bit for bit
+    against the label-table path scorer."""
+    table = stub_proba_table(tax, [probas])
+    scores = score_paths(tax, table)
+    assert scores == score_all_paths(tax, probas)
+    (node,) = decode_lcpnb(tax, table)
+    assert tax.node_labels[node] == best_path(scores).terminal
+    return tax.node_labels[node], {s.terminal: s.score for s in scores}
 
 
 # -- strategy logic over stub distributions ------------------------------------
@@ -49,7 +75,7 @@ def test_greedy_follows_highest_probabilities():
         (): {hl("1"): 0.6, hl("2"): 0.4},
         (1,): {hl("1"): 0.3, hl("1.1"): 0.7},
     }
-    assert greedy_descent(tax, probas) == hl("1.1")
+    assert nllcpn(tax, probas) == hl("1.1")
 
 
 def test_greedy_stops_on_self_class():
@@ -58,24 +84,24 @@ def test_greedy_stops_on_self_class():
         (): {hl("1"): 0.6, hl("2"): 0.4},
         (1,): {hl("1"): 0.8, hl("1.1"): 0.2},
     }
-    assert greedy_descent(tax, probas) == hl("1")
+    assert nllcpn(tax, probas) == hl("1")
 
 
 def test_greedy_degenerate_root_single_child():
     tax = Taxonomy([hl("1")])
-    assert greedy_descent(tax, {(): {hl("1"): 1.0}}) == hl("1")
+    assert nllcpn(tax, {(): {hl("1"): 1.0}}) == hl("1")
 
 
 def test_greedy_tie_breaks_to_smallest_label():
     tax = Taxonomy([hl("1"), hl("2")])
-    assert greedy_descent(tax, {(): {hl("1"): 0.5, hl("2"): 0.5}}) == hl("1")
+    assert nllcpn(tax, {(): {hl("1"): 0.5, hl("2"): 0.5}}) == hl("1")
     # self ties with child: self is the smaller label (it is the parent)
     tax2 = chain_taxonomy()
     probas = {
         (): {hl("1"): 1.0, hl("2"): 0.0},
         (1,): {hl("1"): 0.5, hl("1.1"): 0.5},
     }
-    assert greedy_descent(tax2, probas) == hl("1")
+    assert nllcpn(tax2, probas) == hl("1")
 
 
 def test_lcpnb_spec_worked_example():
@@ -84,11 +110,11 @@ def test_lcpnb_spec_worked_example():
         (): {hl("1"): 0.6, hl("2"): 0.4},
         (1,): {hl("1"): 0.3, hl("1.1"): 0.7},
     }
-    scores = {s.terminal: s.score for s in score_all_paths(tax, probas)}
+    best, scores = lcpnb(tax, probas)
     assert scores[hl("1")] == pytest.approx(0.45, abs=1e-12)  # (0.6 + 0.3) / 2
     assert scores[hl("1.1")] == pytest.approx(0.65, abs=1e-12)  # (0.6 + 0.7) / 2
     assert scores[hl("2")] == pytest.approx(0.4, abs=1e-12)
-    assert best_path(score_all_paths(tax, probas)).terminal == hl("1.1")
+    assert best == hl("1.1")
 
 
 def test_lcpnb_internal_node_win():
@@ -97,10 +123,10 @@ def test_lcpnb_internal_node_win():
         (): {hl("1"): 0.9, hl("2"): 0.1},
         (1,): {hl("1"): 0.8, hl("1.1"): 0.2},
     }
-    scores = {s.terminal: s.score for s in score_all_paths(tax, probas)}
+    best, scores = lcpnb(tax, probas)
     assert scores[hl("1")] == pytest.approx(0.85, abs=1e-12)
     assert scores[hl("1.1")] == pytest.approx(0.55, abs=1e-12)
-    assert best_path(score_all_paths(tax, probas)).terminal == hl("1")
+    assert best == hl("1")
 
 
 def test_lcpnb_single_chain_all_ones():
@@ -110,9 +136,9 @@ def test_lcpnb_single_chain_all_ones():
         (1,): {hl("1"): 0.0, hl("1.1"): 1.0},
         (1, 1): {hl("1.1"): 0.0, hl("1.1.1"): 1.0},
     }
-    best = best_path(score_all_paths(tax, probas))
-    assert best.terminal == hl("1.1.1")
-    assert best.score == 1.0
+    best, scores = lcpnb(tax, probas)
+    assert best == hl("1.1.1")
+    assert scores[best] == 1.0
 
 
 def test_lcpnb_tie_prefers_deeper_then_smaller():
@@ -122,9 +148,9 @@ def test_lcpnb_tie_prefers_deeper_then_smaller():
         (): {hl("1"): 0.4, hl("2"): 0.4},
         (1,): {hl("1"): 0.0, hl("1.1"): 0.4},
     }
-    scores = {s.terminal: s.score for s in score_all_paths(tax, probas)}
+    best, scores = lcpnb(tax, probas)
     assert scores[hl("1.1")] == scores[hl("2")]
-    assert best_path(score_all_paths(tax, probas)).terminal == hl("1.1")
+    assert best == hl("1.1")
 
 
 def test_path_score_mean_invariant():
@@ -133,7 +159,8 @@ def test_path_score_mean_invariant():
         (): {hl("1"): 0.37, hl("2"): 0.63},
         (1,): {hl("1"): 0.11, hl("1.1"): 0.89},
     }
-    for s in score_all_paths(tax, probas):
+    lcpnb(tax, probas)
+    for s in score_paths(tax, stub_proba_table(tax, [probas])):
         assert s.score == pytest.approx(
             sum(s.edge_probabilities) / len(s.edge_probabilities), abs=1e-12
         )
@@ -142,8 +169,8 @@ def test_path_score_mean_invariant():
 def test_untrained_internal_node_acts_as_terminal():
     tax = Taxonomy([hl("1.1.1"), hl("2")])
     probas = {(): {hl("1"): 0.9, hl("2"): 0.1}}  # node 1 untrained
-    assert greedy_descent(tax, probas) == hl("1")
-    scores = {s.terminal: s.score for s in score_all_paths(tax, probas)}
+    assert nllcpn(tax, probas) == hl("1")
+    _, scores = lcpnb(tax, probas)
     assert set(scores) == {hl("1"), hl("2")}  # 1.1, 1.1.1 unreachable
     assert scores[hl("1")] == pytest.approx(0.9)
 
@@ -158,18 +185,14 @@ def test_strategies_agree_on_degenerate_distributions(rng):
                 dist[cls] = 1.0 if cls == top else 0.0
         tax = tree_to_taxonomy(tree)
         table = as_label_table(probas)
-        greedy = greedy_descent(tax, table)
-        scored = best_path(score_all_paths(tax, table)).terminal
-        assert greedy == scored
+        assert nllcpn(tax, table) == lcpnb(tax, table)[0]
 
 
 def test_nllcpn_matches_greedy_oracle_on_random_stubs(rng):
     for _ in range(1000):
         tree, probas = random_stub_problem(rng)
         tax = tree_to_taxonomy(tree)
-        expected = greedy_chain_oracle(tree, probas)
-        got = greedy_descent(tax, as_label_table(probas))
-        assert got.path == expected
+        assert nllcpn(tax, as_label_table(probas)).path == greedy_chain_oracle(tree, probas)
 
 
 def test_lcpnb_matches_exhaustive_oracle_on_random_stubs(rng):
@@ -177,9 +200,9 @@ def test_lcpnb_matches_exhaustive_oracle_on_random_stubs(rng):
         tree, probas = random_stub_problem(rng)
         tax = tree_to_taxonomy(tree)
         expected, oracle_scores = exhaustive_path_oracle(tree, probas)
-        scores = score_all_paths(tax, as_label_table(probas))
-        assert {s.terminal.path: s.score for s in scores} == oracle_scores
-        assert best_path(scores).terminal.path == expected
+        best, scores = lcpnb(tax, as_label_table(probas))
+        assert {label.path: score for label, score in scores.items()} == oracle_scores
+        assert best.path == expected
 
 
 def test_predictions_are_real_taxonomy_nodes(rng):
@@ -187,7 +210,7 @@ def test_predictions_are_real_taxonomy_nodes(rng):
         tree, probas = random_stub_problem(rng)
         tax = tree_to_taxonomy(tree)
         table = as_label_table(probas)
-        for label in (greedy_descent(tax, table), best_path(score_all_paths(tax, table)).terminal):
+        for label in (nllcpn(tax, table), lcpnb(tax, table)[0]):
             assert label in tax
             assert label.depth >= 1
 
@@ -368,6 +391,95 @@ def test_load_rejects_truncated_file(rng):
         load_model(io.StringIO(sink.getvalue()[: len(sink.getvalue()) // 2]))
     with pytest.raises(ModelFileError):
         load_model(io.StringIO("{}"))
+
+
+def saved_payload(rng, base_kind):
+    tax, X, labels = hier_training_setup(rng)
+    config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
+    sink = io.StringIO()
+    save_model(train_hier(X, labels, tax, base_kind=base_kind, config=config), sink)
+    return json.loads(sink.getvalue())
+
+
+def move_node(payload, old, new):
+    payload["node_models"][new] = payload["node_models"].pop(old)
+
+
+def set_classes(node, classes):
+    node["classes"] = classes
+
+
+# (base kind, mutation of the saved JSON, words the error must name)
+MODEL_FILE_FAULTS = {
+    "leaf node": ("logreg", lambda p: move_node(p, "1", "2"), "not the root or an internal node"),
+    "unknown node": ("logreg", lambda p: move_node(p, "1", "1.7"), "not the root or an internal"),
+    "unsorted classes": (
+        "logreg", lambda p: set_classes(p["node_models"]["1"], ["1.1", "1"]), "not sorted"
+    ),
+    "duplicate classes": (
+        "logreg", lambda p: set_classes(p["node_models"]["1"], ["1", "1"]), "distinct"
+    ),
+    "class outside the node": (
+        "logreg", lambda p: set_classes(p["node_models"]["1"], ["1", "2"]), "children and itself"
+    ),
+    "self class at the root": (
+        "logreg", lambda p: set_classes(p["node_models"][""], ["1.1", "2"]), "node's children"
+    ),
+    "support vector width": (
+        "svm",
+        lambda p: [
+            row.append(0.5) for row in p["node_models"]["1"]["binary_models"][0]["support_vectors"]
+        ],
+        "not 2 features wide",
+    ),
+    "dual_coef length": (
+        "svm", lambda p: p["node_models"][""]["binary_models"][1]["dual_coef"].pop(), "dual_coef"
+    ),
+    "logreg weights shape": (
+        "logreg", lambda p: [row.pop() for row in p["node_models"][""]["weights"]], "weights"
+    ),
+    "logreg bias shape": (
+        "logreg", lambda p: p["node_models"]["1"]["bias"].append(0.0), "bias"
+    ),
+    "non-finite dual_coef": (
+        "svm",
+        lambda p: p["node_models"][""]["binary_models"][0]["dual_coef"].__setitem__(0, np.nan),
+        "non-finite",
+    ),
+    "non-finite platt_a": (
+        "svm",
+        lambda p: p["node_models"]["1"]["binary_models"][1].__setitem__("platt_a", np.inf),
+        "non-finite",
+    ),
+    "non-finite logreg weight": (
+        "logreg",
+        lambda p: p["node_models"]["1"]["weights"][0].__setitem__(1, -np.inf),
+        "non-finite",
+    ),
+    "non-finite config": ("svm", lambda p: p["base_config"].__setitem__("C", np.nan), "non-finite"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MODEL_FILE_FAULTS))
+def test_load_rejects_inconsistent_model_file(rng, fault):
+    base_kind, mutate, cause = MODEL_FILE_FAULTS[fault]
+    payload = saved_payload(rng, base_kind)
+    mutate(payload)
+    with pytest.raises(ModelFileError, match=cause):
+        load_model(io.StringIO(json.dumps(payload)))
+
+
+def test_predict_cli_exits_2_on_inconsistent_model_file(rng, tmp_path, capsys):
+    from tehier.cli import main
+
+    payload = saved_payload(rng, "svm")
+    payload["node_models"]["1"]["binary_models"][0]["dual_coef"].pop()
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    queries = tmp_path / "q.csv"
+    queries.write_text("a,b\n0.5,0.5\n")
+    assert main(["predict", str(queries), "--model", str(model), "--out", str(tmp_path / "p.csv")]) == 2
+    assert "dual_coef" in capsys.readouterr().err
 
 
 def test_feature_width_fingerprint_checked_at_predict(rng):

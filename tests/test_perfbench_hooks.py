@@ -1,8 +1,10 @@
 """The benchmark's tracer (perfbench/spans.py) wraps tehier functions by name
 from outside the package. These tests keep those hooks working: every
 wrapped name exists, fitting a node fires each SVM span the benchmark
-requires, on both the full-Gram and the column-cache path, and a logistic
-regression fit is counted once per loss and once per gradient."""
+requires, on both the full-Gram and the column-cache path, a logistic
+regression fit is counted once per loss and once per gradient, and a
+cross-validation round fires every hierarchy, classifier, metrics and label
+hook the benchmark requires."""
 
 import sys
 from collections import Counter
@@ -12,9 +14,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+import tehier.metrics  # noqa: E402
 import tehier.svm  # noqa: E402
 from perfbench.spans import REQUIRED, Tracer  # noqa: E402
-from tehier import LogRegConfig, SvmConfig, fit_multiclass  # noqa: E402
+from tehier import STRATEGIES, LogRegConfig, SvmConfig, Taxonomy, fit_multiclass  # noqa: E402
 
 import oracles  # noqa: E402
 from conftest import hl, separable_blobs  # noqa: E402
@@ -56,7 +59,7 @@ def test_fitting_fires_required_svm_spans(tracer, rng, monkeypatch):
     assert "svm.kernel_column" not in fired(tracer)
 
     monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
-    fit_multiclass("svm", X, labels, config, threads=2)
+    fit_multiclass("svm", X, labels, config)
     assert "svm.kernel_column" in fired(tracer)
     assert "svm.decision_function" not in fired(tracer)
     assert "svm.kernel_decision" not in fired(tracer)
@@ -90,4 +93,23 @@ def test_logreg_counts_each_trial_loss_and_each_iteration_gradient(tracer, rng, 
     assert tracer.counts["logreg.loss_evals"] == 1 + trials
     assert tracer.counts["logreg.gradient_evals"] == iterations
     assert "logreg.train_logreg" in fired(tracer)
+    assert tracer.unpatched == set()
+
+
+def test_crossval_round_fires_every_hierarchy_hook(tracer, rng):
+    # labels are made after the tracer is installed, so their creation counts
+    names = ["1", "1.1", "1.2", "2"]
+    tax = Taxonomy([hl(n) for n in names])
+    X, y = separable_blobs(rng, 8, [(2, 0), (-2, 0), (0, 2), (2, 2)], spread=0.5)
+    labels = [hl(names[c]) for c in y]
+    config = LogRegConfig(max_iterations=20)
+    results = tehier.metrics.crossval_strategies(
+        X, labels, tax, base_kind="logreg", config=config, strategies=STRATEGIES, k=2
+    )
+    assert set(results) == set(STRATEGIES)
+    assert fired(tracer) >= {
+        "hierarchy.train_hier", "classifiers.fit_multiclass", "hierarchy.predict",
+        "hierarchy.proba_tables", "classifiers.predict_proba", "metrics.hier_metrics",
+        "labels.hierlabel_created",
+    }
     assert tracer.unpatched == set()
