@@ -421,7 +421,8 @@ def cmd_compare(args) -> int:
 def _add_common(p, threads=True):
     p.add_argument("--seed", type=int, default=0, help="random seed (echoed to stdout)")
     if threads:
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes, the calling one included")
 
 
 def _add_kmer_flags(p):
@@ -528,6 +529,8 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise FormatError(f"--threads must be at least 1, got {args.threads}")
         return args.handler(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,3 +37,7 @@ class ModelFileError(TehierError):
 
 class GridSearchError(TehierError):
     """Grid search could not produce a usable parameter selection."""
+
+
+class WorkerError(TehierError):
+    """A worker process died, or could not send a task's outcome back."""

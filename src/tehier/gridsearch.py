@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +11,7 @@ from .hierarchy import LCPNB, HierModel, train_hier
 from .kmers import KmerConfig
 from .labels import HierLabel
 from .metrics import crossval
+from .parallel import run_tasks
 from .svm import SvmConfig
 from .taxonomy import Taxonomy
 
@@ -83,13 +83,15 @@ def grid_search(
     """Evaluate every (C, gamma) cell by cross-validated hF on the given data.
 
     Failed cells are recorded and excluded from selection; ties go to the
-    smaller C, then the smaller gamma.
+    smaller C, then the smaller gamma. The cells are the tasks that
+    ``threads`` worker processes share (``parallel.run_tasks``); the result
+    is the same for any worker count.
     """
     grid = grid or Grid()
     lattice = [(c, g) for c in grid.c_values for g in grid.gamma_values]
 
-    def evaluate(cell):
-        c_value, gamma = cell
+    def evaluate(index: int) -> GridCell:
+        c_value, gamma = lattice[index]
         config = SvmConfig(C=c_value, gamma=gamma)
         try:
             result = crossval(
@@ -106,12 +108,7 @@ def grid_search(
             return GridCell(c_value, gamma, None, None, "failed", str(exc))
         return GridCell(c_value, gamma, result.mean_hf, result.std_hf, "ok")
 
-    if threads > 1 and len(lattice) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(evaluate, lattice))
-    else:
-        cells = [evaluate(cell) for cell in lattice]
-
+    cells = run_tasks(evaluate, len(lattice), threads)
     selected = None
     best = -1.0
     for cell in cells:  # lattice order makes ">" implement the tie-break

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
@@ -43,6 +42,7 @@ from .errors import DimensionError, FormatError, ModelFileError, TaxonomyError
 from .kmers import KmerConfig
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig, LogRegModel
+from .parallel import run_tasks
 from .svm import BinarySvmModel, SvmConfig
 from .taxonomy import Taxonomy
 
@@ -161,24 +161,21 @@ class HierModel:
         return X
 
     def proba_tables(self, X: np.ndarray, threads: int = 1) -> ProbaTable:
-        """Every trained node's local probabilities for the batch."""
+        """Every trained node's local probabilities for the batch.
+
+        The node models are the tasks that ``threads`` worker processes
+        share (``parallel.run_tasks``); the table is the same for any count.
+        """
         X = self._check_input(X)
         index = self.taxonomy.node_index
         edge = np.zeros((X.shape[0], len(index)))
         stay = np.zeros_like(edge)
         trained = np.zeros(len(index), dtype=bool)
         paths = sorted(self.node_models)
-
-        def node_probs(path):
-            return path, self.node_models[path].predict_proba(X)
-
-        if threads > 1 and len(paths) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                computed = list(pool.map(node_probs, paths))
-        else:
-            computed = [node_probs(p) for p in paths]
-
-        for path, probs in computed:
+        computed = run_tasks(
+            lambda i: self.node_models[paths[i]].predict_proba(X), len(paths), threads
+        )
+        for path, probs in zip(paths, computed):
             trained[index[path]] = True
             for col, cls in enumerate(self.node_models[path].classes):
                 (stay if cls.path == path else edge)[:, index[cls.path]] = probs[:, col]
@@ -221,7 +218,9 @@ def train_hier(
 
     Every label must be a taxonomy node, and every feature value finite
     (FormatError otherwise). Parent nodes whose training subset is empty are
-    left untrained; prediction treats them as terminals.
+    left untrained; prediction treats them as terminals. The parent nodes are
+    the tasks that ``threads`` worker processes share
+    (``parallel.run_tasks``); the model is the same for any worker count.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -237,9 +236,12 @@ def train_hier(
     ancestors = taxonomy.ancestor_ids[ids]
     depths = taxonomy.node_depth[ids]
 
-    def train_node(parent: int):
+    parents = [v for v, kids in enumerate(taxonomy.child_ids) if kids]
+
+    def train_node(index: int):
         # rows under the parent; a label at the parent is its self class,
         # a deeper one the child on its path
+        parent = parents[index]
         depth = taxonomy.node_depth[parent]
         rows = np.flatnonzero(ancestors[:, depth] == parent)
         if not rows.size:
@@ -248,13 +250,7 @@ def train_hier(
         classes = [taxonomy.node_labels[c] for c in local.tolist()]
         return fit_multiclass(base_kind, X[rows], classes, config)
 
-    parents = [v for v, kids in enumerate(taxonomy.child_ids) if kids]
-    if threads > 1 and len(parents) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trained = list(pool.map(train_node, parents))
-    else:
-        trained = [train_node(p) for p in parents]
-
+    trained = run_tasks(train_node, len(parents), threads)
     node_models = {
         taxonomy.node_paths[v]: model for v, model in zip(parents, trained) if model is not None
     }

@@ -13,12 +13,13 @@ a non-ACGT character (N or another ambiguity code) is skipped entirely.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence as SequenceType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .parallel import run_tasks
 
 RAW_COUNTS = "raw"
 RELATIVE_FREQUENCY = "freq"
@@ -121,18 +122,21 @@ def featurize_batch(
 ) -> np.ndarray:
     """Row-per-sequence feature matrix; row order matches input order.
 
-    The result is identical for any thread count.
+    The sequences are cut into one contiguous chunk per worker, and the
+    chunks are the tasks that ``threads`` worker processes share
+    (``parallel.run_tasks``); the result is identical for any worker count.
     """
     config = config or KmerConfig()
     sequences = list(sequences)
     if not sequences:
         return np.zeros((0, config.dimension), dtype=np.float64)
-    if threads <= 1 or len(sequences) < 2:
-        rows = [featurize(s, config) for s in sequences]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda s: featurize(s, config), sequences))
-    return np.vstack(rows)
+    size = -(-len(sequences) // max(threads, 1))
+
+    def chunk(i: int) -> list[np.ndarray]:
+        return [featurize(s, config) for s in sequences[i * size : (i + 1) * size]]
+
+    chunks = run_tasks(chunk, -(-len(sequences) // size), threads)
+    return np.vstack([row for rows in chunks for row in rows])
 
 
 def valid_window_count(residues, k: int) -> int:

@@ -18,7 +18,6 @@ never silently as 0.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import TaxonomyError
 from .hierarchy import STRATEGIES, train_hier
 from .labels import HierLabel
 from .logreg import LogRegConfig
+from .parallel import run_tasks
 from .svm import SvmConfig
 from .taxonomy import Taxonomy
 
@@ -209,7 +209,11 @@ def crossval_strategies(
     threads: int = 1,
 ) -> dict[str, CrossvalResult]:
     """k-fold cross-validation sharing one trained model per fold across
-    all requested strategies (training is strategy-independent)."""
+    all requested strategies (training is strategy-independent).
+
+    The folds are the tasks that ``threads`` worker processes share
+    (``parallel.run_tasks``); the result is the same for any worker count.
+    """
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
@@ -237,11 +241,7 @@ def crossval_strategies(
             out[strategy] = hier_metrics(list(zip(predicted, truth)), taxonomy)
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fold_results = list(pool.map(run_fold, range(k)))
-    else:
-        fold_results = [run_fold(f) for f in range(k)]
+    fold_results = run_tasks(run_fold, k, threads)
 
     return {
         strategy: CrossvalResult(

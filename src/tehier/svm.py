@@ -21,7 +21,6 @@ never evaluates a kernel beyond the columns SMO requested.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -86,8 +85,7 @@ class _KernelColumns:
 
     Full matrix when the problem is small, otherwise an LRU cache of
     individual columns. Columns depend only on X and gamma, so one provider
-    serves every binary problem on the same rows; the cache is locked
-    because those problems may be solved on concurrent threads.
+    serves every binary problem on the same rows.
     """
 
     def __init__(self, X: np.ndarray, gamma: float):
@@ -100,22 +98,18 @@ class _KernelColumns:
         else:
             self._full = None
             self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
-            self._lock = threading.Lock()
 
     def column(self, i: int) -> np.ndarray:
         if self._full is not None:
             return self._full[i]  # symmetric, and rows are contiguous
-        with self._lock:
-            cached = self._cache.get(i)
-            if cached is not None:
-                self._cache.move_to_end(i)
-                return cached
-        # computed outside the lock; a column is the same whichever thread builds it
+        cached = self._cache.get(i)
+        if cached is not None:
+            self._cache.move_to_end(i)
+            return cached
         col = rbf_kernel_matrix(self._X, self._X[i : i + 1], self._gamma)[:, 0]
-        with self._lock:
-            self._cache[i] = col
-            if len(self._cache) > _ROW_CACHE_SIZE:
-                self._cache.popitem(last=False)
+        self._cache[i] = col
+        if len(self._cache) > _ROW_CACHE_SIZE:
+            self._cache.popitem(last=False)
         return col
 
 

@@ -4,8 +4,11 @@ wrapped name exists, fitting a node fires each SVM span the benchmark
 requires, on both the full-Gram and the column-cache path, a logistic
 regression fit is counted once per loss and once per gradient, and a
 cross-validation round fires every hierarchy, classifier, metrics and label
-hook the benchmark requires."""
+hook the benchmark requires, also when grid cells and folds are shared
+with a worker process."""
 
+import multiprocessing
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -14,10 +17,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+import tehier.gridsearch  # noqa: E402
 import tehier.metrics  # noqa: E402
 import tehier.svm  # noqa: E402
 from perfbench.spans import REQUIRED, Tracer  # noqa: E402
-from tehier import STRATEGIES, LogRegConfig, SvmConfig, Taxonomy, fit_multiclass  # noqa: E402
+from tehier import (  # noqa: E402
+    STRATEGIES, Grid, LogRegConfig, SvmConfig, Taxonomy, fit_multiclass,
+)
 
 import oracles  # noqa: E402
 from conftest import hl, separable_blobs  # noqa: E402
@@ -112,4 +118,35 @@ def test_crossval_round_fires_every_hierarchy_hook(tracer, rng):
         "hierarchy.proba_tables", "classifiers.predict_proba", "metrics.hier_metrics",
         "labels.hierlabel_created",
     }
+    assert tracer.unpatched == set()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_parallel_grid_and_folds_fire_required_spans_in_the_caller(tracer, rng, monkeypatch):
+    # one child process takes tasks while the caller works too; spans that
+    # fire only in the child never reach this tracer
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    names = ["1", "1.1", "1.2", "2"]
+    tax = Taxonomy([hl(n) for n in names])
+    X, y = separable_blobs(rng, 6, [(2, 0), (-2, 0), (0, 2), (2, 2)], spread=0.5)
+    labels = [hl(names[c]) for c in y]
+    caller_spans = {
+        "metrics.crossval", "hierarchy.train_hier", "svm.smo_solve", "svm.kernel_full",
+        "svm.decision_function", "metrics.hier_metrics",
+    }
+
+    grid = Grid(c_values=(1.0, 4.0), gamma_values=(0.5, 1.0), folds=2)
+    result = tehier.gridsearch.grid_search(X, labels, tax, grid, threads=2)
+    assert all(cell.status == "ok" for cell in result.cells)
+    assert fired(tracer) >= caller_spans
+
+    tracer.spans.clear()
+    tracer.counts.clear()
+    tehier.metrics.crossval_strategies(
+        X, labels, tax, config=SvmConfig(C=4.0, gamma=0.5), strategies=STRATEGIES, k=3,
+        threads=2,
+    )
+    assert fired(tracer) >= caller_spans - {"metrics.crossval"}
     assert tracer.unpatched == set()

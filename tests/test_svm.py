@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -172,28 +169,6 @@ def test_smo_matches_reference_on_column_cache(rng, monkeypatch):
     monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
     X, y = blob_pair(rng, 40, separation=1.2)
     _assert_matches_reference(_KernelColumns(X, 0.7), y, 2.0, 1e-3, 200 * len(y))
-
-
-def test_column_cache_shared_by_threads(rng, monkeypatch):
-    monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
-    monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", 5)
-    X = rng.normal(size=(40, 3))
-    expected = [rbf_kernel_matrix(X, X[i : i + 1], 0.5)[:, 0] for i in range(40)]
-    columns = _KernelColumns(X, 0.5)
-    requests = rng.integers(0, 40, size=(8, 400))
-
-    def worker(indices):
-        return all(np.array_equal(columns.column(int(i)), expected[i]) for i in indices)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = [f.result(timeout=60) for f in [pool.submit(worker, r) for r in requests]]
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == [True] * 8
-    assert len(columns._cache) <= 5
 
 
 @pytest.mark.parametrize(
