@@ -364,8 +364,8 @@ def _multiclass_from_dict(d: dict, taxonomy: Taxonomy, path: tuple, n_features: 
 
 
 def _config_from_dict(base_kind: str, d: dict):
-    # older model files carry a config seed that never affected a fit
-    d = {key: value for key, value in d.items() if key != "seed"}
+    # older model files carry a config seed and a logreg step size no fit reads
+    d = {key: value for key, value in d.items() if key not in ("seed", "learning_rate")}
     _finite("base_config", list(d.values()))
     if base_kind == SVM:
         return SvmConfig(**d)

@@ -138,12 +138,3 @@ def featurize_batch(
     chunks = run_tasks(chunk, -(-len(sequences) // size), threads)
     return np.vstack([row for rows in chunks for row in rows])
 
-
-def valid_window_count(residues, k: int) -> int:
-    """Number of length-k windows made purely of A/C/G/T."""
-    residues = getattr(residues, "residues", residues)
-    enc = _encode(residues)
-    if enc.size < k:
-        return 0
-    windows = sliding_window_view(enc, k)
-    return int((windows < 4).all(axis=1).sum())

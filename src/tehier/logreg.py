@@ -1,28 +1,32 @@
 """Multinomial logistic regression (softmax) with L2-regularized weights.
 
-Fitting is plain gradient descent with a backtracking line search, stopped on
-the gradient norm or an iteration cap. The bias row is never regularized.
-Each line-search trial's loss also yields the softmax of its scores, and
-each gradient reuses the softmax of the accepted trial, so an iteration
-computes ``X @ W`` and ``exp`` once per trial and ``X.T @ (P - onehot)``
-once. A line search that finds no descent step ends the fit with
-``converged=False``.
+Fitting is L-BFGS (Liu & Nocedal 1989; Nocedal & Wright ch. 7) over weights
+and bias as one flat vector: a two-loop recursion over the last 10 curvature
+pairs, Armijo backtracking from the unit step, stopped on the gradient norm
+or an iteration cap. The bias row is never regularized. Each line-search
+trial's loss also yields the softmax of its scores, and each gradient reuses
+the softmax of the accepted trial, so an iteration computes ``X @ W`` and
+``exp`` once per trial and ``X.T @ (P - onehot)`` once. A line search that
+finds no descent step ends the fit with ``converged=False``.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, DimensionError
 
+_MEMORY = 10  # L-BFGS curvature pairs kept
+_ARMIJO = 1e-4  # sufficient-decrease constant c1
+
 
 @dataclass(frozen=True)
 class LogRegConfig:
     l2_strength: float = 1e-4
-    learning_rate: float = 1.0
     max_iterations: int = 500
     tolerance: float = 1e-6
 
@@ -31,8 +35,8 @@ class LogRegConfig:
             raise ValueError("l2_strength must be nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.learning_rate <= 0 or self.tolerance <= 0:
-            raise ValueError("learning_rate and tolerance must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -105,34 +109,60 @@ def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRe
     if n_classes < 2:
         raise DegenerateDataError("softmax regression needs at least two classes")
 
-    weights = np.zeros((X.shape[1], n_classes))
-    bias = np.zeros(n_classes)
-    loss, probs = logreg_loss(weights, bias, X, y_idx, config.l2_strength, with_probs=True)
-    step = config.learning_rate
-    converged = False
+    l2 = config.l2_strength
+
+    def split(theta):  # the flat vector holds W row by row, then b
+        return theta[:-n_classes].reshape(-1, n_classes), theta[-n_classes:]
+
+    def gradient(theta, probs):
+        grad_w, grad_b = logreg_gradient(*split(theta), X, y_idx, l2, probs)
+        return np.concatenate([grad_w.ravel(), grad_b])
+
+    theta = np.zeros((X.shape[1] + 1) * n_classes)
+    loss, probs = logreg_loss(*split(theta), X, y_idx, l2, with_probs=True)
+    grad = gradient(theta, probs)
+    history = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y) pairs, oldest first
 
     for _ in range(config.max_iterations):
-        grad_w, grad_b = logreg_gradient(weights, bias, X, y_idx, config.l2_strength, probs)
-        gnorm = float(np.sqrt(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b)))
+        gnorm = float(np.sqrt(grad @ grad))
         if gnorm <= config.tolerance:
-            converged = True
             break
-        # backtracking: shrink until the step actually lowers the loss
-        accepted = False
-        trial = step
+        direction = _two_loop(grad, history, gnorm)
+        slope = float(grad @ direction)  # < 0: H stays positive definite
+        # Armijo backtracking from the unit step, halving on each rejection
+        step = 1.0
         for _ in range(40):
-            new_w = weights - trial * grad_w
-            new_b = bias - trial * grad_b
-            new_loss, new_probs = logreg_loss(
-                new_w, new_b, X, y_idx, config.l2_strength, with_probs=True
-            )
-            if new_loss < loss:
-                weights, bias, loss, probs = new_w, new_b, new_loss, new_probs
-                accepted = True
+            new_theta = theta + step * direction
+            new_loss, new_probs = logreg_loss(*split(new_theta), X, y_idx, l2, with_probs=True)
+            if new_loss - loss <= _ARMIJO * step * slope:
                 break
-            trial /= 2.0
-        if not accepted:
+            step /= 2.0
+        else:
             break  # stalled: no descent possible at float precision
-        step = trial * 2.0  # let the step grow; backtracking reins it in
+        new_grad = gradient(new_theta, new_probs)
+        s, y = new_theta - theta, new_grad - grad
+        sy = float(s @ y)
+        if sy > 0.0:  # keep the inverse-Hessian estimate positive definite
+            history.append((s, y, 1.0 / sy))
+        theta, loss, grad = new_theta, new_loss, new_grad
 
-    return LogRegModel(weights=weights, bias=bias, converged=converged)
+    return LogRegModel(*split(theta), converged=float(np.sqrt(grad @ grad)) <= config.tolerance)
+
+
+def _two_loop(grad: np.ndarray, history, gnorm: float) -> np.ndarray:
+    """L-BFGS direction -H grad from the curvature pairs; with none, H is the
+    identity over ||grad||, so the first trial step has unit length."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(history):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if history:
+        s, y, rho = history[-1]
+        q *= 1.0 / (rho * float(y @ y))  # s.y / y.y
+    else:
+        q /= gnorm
+    for (s, y, rho), alpha in zip(history, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q

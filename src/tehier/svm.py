@@ -268,31 +268,6 @@ def train_binary_svm(
     )
 
 
-def dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    """Dual objective W(a) = 1'a - 1/2 a'Qa (the quantity SMO maximizes)."""
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ K @ ay)
-
-
-def kkt_violations(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, bias: float, C: float) -> np.ndarray:
-    """Per-sample KKT violation magnitudes for an audit.
-
-    For margins m_i = y_i f(x_i): alpha=0 wants m_i >= 1, alpha=C wants
-    m_i <= 1, free alphas want m_i = 1; the returned value is how far each
-    sample is on the wrong side (0 when satisfied).
-    """
-    f = K @ (alpha * y) + bias
-    margins = y * f
-    viol = np.zeros_like(margins)
-    at_zero = alpha <= 0.0
-    at_c = alpha >= C
-    free = ~(at_zero | at_c)
-    viol[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
-    viol[at_c] = np.maximum(0.0, margins[at_c] - 1.0)
-    viol[free] = np.abs(margins[free] - 1.0)
-    return viol
-
-
 def platt_calibrate(decision_values, labels) -> tuple[float, float]:
     """Fit sigmoid parameters (A, B) by smoothed-target maximum likelihood.
 

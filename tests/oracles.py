@@ -27,6 +27,12 @@ def naive_kmer_counts(residues: str, k: int) -> dict[str, int]:
     return counts
 
 
+def valid_window_count(residues, k: int) -> int:
+    """Number of length-k windows made purely of A/C/G/T."""
+    residues = getattr(residues, "residues", residues)
+    return sum(set(residues[i : i + k]) <= set("ACGT") for i in range(len(residues) - k + 1))
+
+
 def naive_feature_vector(residues: str, k_values, normalization: str) -> np.ndarray:
     """Canonical-order vector built from naive_kmer_counts."""
     import itertools
@@ -368,6 +374,31 @@ def projected_gradient_qp(
     return alpha, objective(alpha)
 
 
+def dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
+    """Dual objective W(a) = 1'a - 1/2 a'Qa (the quantity SMO maximizes)."""
+    ay = alpha * y
+    return float(alpha.sum() - 0.5 * ay @ K @ ay)
+
+
+def kkt_violations(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, bias: float, C: float) -> np.ndarray:
+    """Per-sample KKT violation magnitudes for an audit.
+
+    For margins m_i = y_i f(x_i): alpha=0 wants m_i >= 1, alpha=C wants
+    m_i <= 1, free alphas want m_i = 1; the returned value is how far each
+    sample is on the wrong side (0 when satisfied).
+    """
+    f = K @ (alpha * y) + bias
+    margins = y * f
+    viol = np.zeros_like(margins)
+    at_zero = alpha <= 0.0
+    at_c = alpha >= C
+    free = ~(at_zero | at_c)
+    viol[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
+    viol[at_c] = np.maximum(0.0, margins[at_c] - 1.0)
+    viol[free] = np.abs(margins[free] - 1.0)
+    return viol
+
+
 # -- SMO -------------------------------------------------------------------------
 
 _SNAP = 1e-12
@@ -473,8 +504,9 @@ def _logreg_gradient_reference(weights, bias, X, y_idx, l2_strength):
 
 
 def train_logreg_reference(X, y_idx, n_classes, config):
-    """The package's original softmax-regression fit, kept verbatim as a
-    bit-for-bit oracle.
+    """The package's original softmax-regression fit: gradient descent with
+    a backtracking line search from a unit learning rate, each search
+    starting at twice the last accepted step.
 
     Every gradient recomputes the scores and their softmax. Returns
     (weights, bias, converged); a line search that finds no descent step
@@ -485,7 +517,7 @@ def train_logreg_reference(X, y_idx, n_classes, config):
     weights = np.zeros((X.shape[1], n_classes))
     bias = np.zeros(n_classes)
     loss = _logreg_loss_reference(weights, bias, X, y_idx, config.l2_strength)
-    step = config.learning_rate
+    step = 1.0  # the original fit's default learning rate
     converged = False
 
     for _ in range(config.max_iterations):

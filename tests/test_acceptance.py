@@ -28,15 +28,17 @@ from tehier import (
 from tehier.gridsearch import Grid, DESK_C_VALUES, DESK_GAMMA_VALUES
 from tehier.hierarchy import decode_lcpnb, decode_nllcpn, score_paths
 from tehier.logreg import logreg_gradient, logreg_loss
-from tehier.svm import _KernelColumns, dual_objective, kkt_violations, rbf_kernel_matrix, smo_solve
+from tehier.svm import _KernelColumns, rbf_kernel_matrix, smo_solve
 
 from conftest import hl
 from oracles import (
     best_path,
+    dual_objective,
     exhaustive_path_oracle,
     finite_difference_logreg_gradient,
     greedy_chain_oracle,
     greedy_descent,
+    kkt_violations,
     naive_feature_vector,
     naive_hier_prf,
     projected_gradient_qp,

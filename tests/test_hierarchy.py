@@ -372,6 +372,22 @@ def test_load_reads_v1_file_with_config_seed(rng, base_kind):
     assert loaded.predict(queries, "lcpnb") == model.predict(queries, "lcpnb")
 
 
+def test_load_reads_logreg_file_with_learning_rate(rng):
+    # logreg model files from before L-BFGS carry the old step-size knob
+    tax, X, labels = hier_training_setup(rng)
+    model = train_hier(X, labels, tax, base_kind="logreg")
+    sink = io.StringIO()
+    save_model(model, sink)
+    payload = json.loads(sink.getvalue())
+    assert "learning_rate" not in payload["base_config"]
+    payload["base_config"]["learning_rate"] = 1.0
+    loaded = load_model(io.StringIO(json.dumps(payload)))
+    assert loaded.base_config == model.base_config
+    queries = rng.normal(size=(50, 2))
+    assert loaded.predict(queries, "lcpnb") == model.predict(queries, "lcpnb")
+    assert loaded.predict(queries, "nllcpn") == model.predict(queries, "nllcpn")
+
+
 def test_load_rejects_unknown_schema_version(rng):
     tax, X, labels = hier_training_setup(rng)
     model = train_hier(X, labels, tax, base_kind="logreg")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tehier import KmerConfig, canonical_feature_order, count_kmers, featurize, featurize_batch
-from tehier.kmers import RAW_COUNTS, RELATIVE_FREQUENCY, valid_window_count
+from tehier.kmers import RAW_COUNTS, RELATIVE_FREQUENCY
 
-from oracles import naive_feature_vector, naive_kmer_counts
+from oracles import naive_feature_vector, naive_kmer_counts, valid_window_count
 
 
 def random_sequences(rng, count, max_len=2000, ambiguity=0.05):

@@ -128,17 +128,90 @@ def _bit_identity_problems(rng, k):
     yield np.vstack([X, X]), np.concatenate([y, mirrored])
 
 
+def _objective_and_gradient_norm(weights, bias, X, y, l2):
+    grad_w, grad_b = logreg_gradient(weights, bias, X, y, l2)
+    gnorm = float(np.sqrt(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b)))
+    return logreg_loss(weights, bias, X, y, l2), gnorm
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 12])
 def test_training_matches_reference_bit_for_bit(rng, k):
+    # L-BFGS takes other steps than the reference's gradient descent, so the
+    # weights differ; what holds is that the fit either reaches the tolerance
+    # or says it did not, never ends above an unconverged reference, and
+    # agrees with a converged one on the optimum of the objective
     for X, y in _bit_identity_problems(rng, k):
-        for max_iterations in (1, 5, 500):
-            for l2 in (0.0, 1e-4):
-                config = LogRegConfig(l2_strength=l2, max_iterations=max_iterations)
-                model = train_logreg(X, y, k, config)
-                weights, bias, converged = train_logreg_reference(X, y, k, config)
-                assert np.array_equal(model.weights, weights)
-                assert np.array_equal(model.bias, bias)
-                assert model.converged == converged
+        for l2 in (0.0, 1e-4):
+            config = LogRegConfig(l2_strength=l2)
+            model = train_logreg(X, y, k, config)
+            loss, gnorm = _objective_and_gradient_norm(model.weights, model.bias, X, y, l2)
+            assert model.converged == (gnorm <= config.tolerance)
+            weights, bias, converged = train_logreg_reference(X, y, k, config)
+            reference_loss = logreg_loss(weights, bias, X, y, l2)
+            if not converged:
+                assert loss <= reference_loss
+            elif model.converged:
+                assert abs(loss - reference_loss) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def desk_nodes():
+    """The root and two inner nodes of a desk-shaped corpus: (X, class index)."""
+    from tehier import KmerConfig, SynthSpec, featurize_batch, generate, taxonomy_from_shape
+
+    spec = SynthSpec(
+        taxonomy=taxonomy_from_shape([2, 4, 3, 5], seed=0), sequences_per_node=100,
+        length_range=(500, 500), separability=0.9, internal_label_fraction=0.15, seed=42,
+    )
+    records = generate(spec)
+    X = featurize_batch(records, KmerConfig())
+    paths = [r.label.path for r in records]
+    nodes = []
+    for prefix in [(), (1,), (2, 1, 1)]:
+        rows = [i for i, p in enumerate(paths) if len(p) > len(prefix) and p[: len(prefix)] == prefix]
+        children = sorted({paths[i][len(prefix)] for i in rows})
+        y = np.array([children.index(paths[i][len(prefix)]) for i in rows])
+        nodes.append((X[rows], y, len(children)))
+    return nodes
+
+
+def test_desk_nodes_converge_no_higher_than_reference(desk_nodes):
+    config = LogRegConfig()
+    for X, y, k in desk_nodes:
+        model = train_logreg(X, y, k, config)
+        loss, gnorm = _objective_and_gradient_norm(model.weights, model.bias, X, y, config.l2_strength)
+        assert model.converged and gnorm <= config.tolerance
+        weights, bias, _ = train_logreg_reference(X, y, k, config)
+        assert loss <= logreg_loss(weights, bias, X, y, config.l2_strength)
+
+
+def test_unbounded_objective_ends_finite_and_unconverged(rng):
+    # separable blobs without a penalty: the loss keeps falling as the weights
+    # grow, so no optimum exists; a tolerance no gradient norm reaches makes
+    # the fit run until the cap or until float precision stalls the search
+    from conftest import separable_blobs
+
+    X, y = separable_blobs(rng, 30, [(3, 0), (-3, 0), (0, 3)])
+    model = train_logreg(X, y, 3, LogRegConfig(l2_strength=0.0, tolerance=1e-300))
+    assert not model.converged
+    assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
+    far = np.vstack([X, 1e6 * X, rng.normal(size=(20, 2))])
+    probs = model.predict_proba(far)
+    assert np.isfinite(probs).all()
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert (probs[: len(y)].argmax(axis=1) == y).all()
+
+
+def test_flat_curvature_pairs_are_skipped(rng):
+    # overlapping blobs fitted to a tolerance no gradient norm reaches: near
+    # float precision an accepted step can leave the gradient unchanged
+    # (s.y = 0), and such a pair must be dropped rather than divided by
+    from conftest import separable_blobs
+
+    X, y = separable_blobs(rng, 30, [(3, 0), (-3, 0), (0, 3)], spread=1.0)
+    model = train_logreg(X, y, 3, LogRegConfig(l2_strength=0.0, tolerance=1e-300))
+    assert not model.converged
+    assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
 
 
 def test_stalled_line_search_is_not_converged():
@@ -152,4 +225,3 @@ def test_stalled_line_search_is_not_converged():
     weights, bias, converged = train_logreg_reference(X, y, 3, config)
     assert converged
     assert not model.converged
-    assert np.array_equal(model.weights, weights) and np.array_equal(model.bias, bias)

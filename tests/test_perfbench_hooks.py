@@ -10,9 +10,9 @@ with a worker process."""
 import multiprocessing
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -25,7 +25,6 @@ from tehier import (  # noqa: E402
     STRATEGIES, Grid, LogRegConfig, SvmConfig, Taxonomy, fit_multiclass,
 )
 
-import oracles  # noqa: E402
 from conftest import hl, separable_blobs  # noqa: E402
 
 SVM_SPANS = {name for names in REQUIRED.values() for name in names if name.startswith("svm.")}
@@ -76,28 +75,35 @@ def test_fitting_fires_required_svm_spans(tracer, rng, monkeypatch):
 
 def test_logreg_counts_each_trial_loss_and_each_iteration_gradient(tracer, rng, monkeypatch):
     X, y = separable_blobs(rng, 20, [(2, 0), (-2, 0), (0, 2)], spread=0.8)
+    X = 10.0 * X  # wide features: unit-length steps overshoot and backtrack
     labels = [hl(str(c + 1)) for c in y]
-    config = LogRegConfig(learning_rate=4.0, max_iterations=60)
+    config = LogRegConfig(max_iterations=60)
 
-    # the reference fit takes the same steps: one loss at the start plus one
-    # per line-search trial, and one gradient per iteration
-    reference = Counter()
-    for name in ("_logreg_loss_reference", "_logreg_gradient_reference"):
-        original = getattr(oracles, name)
+    # log every loss and gradient call with the weights it was given, on top
+    # of the tracer's own wrappers, so both see the same fit
+    calls = []
+    for name in ("logreg_loss", "logreg_gradient"):
+        traced = getattr(tehier.logreg, name)
 
-        def counted(*args, _name=name, _original=original):
-            reference[_name] += 1
-            return _original(*args)
+        def logged(weights, *args, _name=name, _traced=traced, **kwargs):
+            calls.append((_name, weights.copy()))
+            return _traced(weights, *args, **kwargs)
 
-        monkeypatch.setattr(oracles, name, counted)
-    oracles.train_logreg_reference(X, y, 3, config)
-    trials = reference["_logreg_loss_reference"] - 1
-    iterations = reference["_logreg_gradient_reference"]
-    assert trials > iterations > 1  # the line search backtracked at least once
-
+        monkeypatch.setattr(tehier.logreg, name, logged)
     fit_multiclass("logreg", X, labels, config)
+
+    # one loss at the start plus one per line-search trial; one gradient at
+    # the start plus one at each accepted trial, the loss call just before it
+    assert calls[0][0] == "logreg_loss" and not calls[0][1].any()
+    trials = sum(name == "logreg_loss" for name, _ in calls) - 1
+    accepted = sum(
+        now[0] == "logreg_gradient" and before[0] == "logreg_loss"
+        and np.array_equal(now[1], before[1])
+        for before, now in zip(calls, calls[1:])
+    ) - 1
+    assert trials > accepted > 1  # the line search backtracked at least once
     assert tracer.counts["logreg.loss_evals"] == 1 + trials
-    assert tracer.counts["logreg.gradient_evals"] == iterations
+    assert tracer.counts["logreg.gradient_evals"] == 1 + accepted
     assert "logreg.train_logreg" in fired(tracer)
     assert tracer.unpatched == set()
 

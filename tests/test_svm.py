@@ -5,15 +5,13 @@ from tehier import DegenerateDataError, DimensionError, SvmConfig, rbf_kernel, t
 import tehier.svm
 from tehier.svm import (
     _KernelColumns,
-    dual_objective,
-    kkt_violations,
     platt_calibrate,
     platt_probability,
     rbf_kernel_matrix,
     smo_solve,
 )
 
-from oracles import projected_gradient_qp, smo_reference
+from oracles import dual_objective, kkt_violations, projected_gradient_qp, smo_reference
 
 
 def blob_pair(rng, n_per_class, separation=2.0, dim=2, spread=0.4):
