@@ -16,6 +16,7 @@ tehier gridsearch train.csv --grid grid.json --folds 3 --seed 17 --out grid.csv
 echo "--- grid report ---"; cat grid.csv
 
 tehier train train.csv --base svm --C 16 --gamma 8 --seed 17 --out model.json
+echo "--- feature CSV and model file checksums ---"; cksum train.csv model.json
 
 tehier synth --shape 2,3,2 --per-node 10 --length 300 --separability 0.9 \
     --internal-fraction 0.15 --seed 18 --out held_out.fasta

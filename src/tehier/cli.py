@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage, 2 data/format problem, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -231,6 +232,7 @@ def _read_label_file(path) -> dict[str, object]:
             raise FormatError(f"{path}: {len(missing)} sequences have no label")
         return {r.id: r.label for r in records}
     out = {}
+    parse = functools.cache(parse_label)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if len(header) != 2 or header[0] != "id":
@@ -241,7 +243,7 @@ def _read_label_file(path) -> dict[str, object]:
                 continue
             ident, _, token = line.partition(",")
             try:
-                out[ident] = parse_label(token)
+                out[ident] = parse(token)
             except FormatError as exc:
                 raise FormatError(f"{path}: {exc}", line=lineno) from None
     if not out:

@@ -26,12 +26,27 @@ taxonomy and a table, so stub tables drive them as well as trained models:
   the best; ties go to the deeper node, then the smaller label. Each
   column is summed edge by edge from the root, in the order of
   ``sum(edges)``, so scores and ties are exact.
+
+``save_model`` writes schema version 2: JSON whose scalars are JSON numbers
+(``repr`` round-trips a float exactly) and whose float arrays are base64 of
+their little-endian float64 bytes. Every distinct support vector of the
+model is stored once, in one ``pool`` of ``pool_rows`` rows: a node's
+one-vs-rest SVMs share most of their support vectors, and a child node
+trains on a subset of its parent's rows. Each SVM keeps the ``pool_index``
+of its own support vectors, in order, and its ``dual_coef``. Loading
+rebuilds every SVM's support-vector matrix as ``pool[pool_index]``, so the
+model and its predictions are the ones saved, bit for bit. ``load_model``
+also reads version 1 files, which hold every array as nested JSON lists.
+Both versions are checked against themselves and the taxonomy on load;
+any inconsistency raises ``ModelFileError``.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -50,7 +65,7 @@ NLLCPN = "nllcpn"
 LCPNB = "lcpnb"
 STRATEGIES = (NLLCPN, LCPNB)
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -144,7 +159,6 @@ class HierModel:
     """Taxonomy plus one trained local classifier per populated parent node."""
 
     taxonomy: Taxonomy
-    base_kind: str
     node_models: dict[tuple[int, ...], MulticlassModel]
     base_config: SvmConfig | LogRegConfig
     kmer_config: KmerConfig | None = None
@@ -231,8 +245,11 @@ def train_hier(
     ids = taxonomy.ids(labels, "training label")
     if base_kind not in (SVM, LOGREG):
         raise ValueError(f"unknown base classifier kind {base_kind!r}")
+    config_type = SvmConfig if base_kind == SVM else LogRegConfig
     if config is None:
-        config = SvmConfig() if base_kind == SVM else LogRegConfig()
+        config = config_type()
+    elif not isinstance(config, config_type):
+        raise ValueError(f"a {base_kind} hierarchy needs a {config_type.__name__}")
     ancestors = taxonomy.ancestor_ids[ids]
     depths = taxonomy.node_depth[ids]
 
@@ -256,7 +273,6 @@ def train_hier(
     }
     return HierModel(
         taxonomy=taxonomy,
-        base_kind=base_kind,
         node_models=node_models,
         base_config=config,
         kmer_config=kmer_config,
@@ -267,16 +283,9 @@ def train_hier(
 # -- serialization -----------------------------------------------------------
 
 
-def _binary_to_dict(m: BinarySvmModel) -> dict:
-    return {
-        "support_vectors": m.support_vectors.tolist(),
-        "dual_coef": m.dual_coef.tolist(),
-        "bias": m.bias,
-        "gamma": m.gamma,
-        "platt_a": m.platt_a,
-        "platt_b": m.platt_b,
-        "converged": m.converged,
-    }
+def _encode(values: np.ndarray) -> str:
+    """Base64 of the little-endian float64 bytes of an array in C order."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _finite(where: str, *values) -> None:
@@ -285,7 +294,46 @@ def _finite(where: str, *values) -> None:
             raise ModelFileError(f"{where} holds a non-finite number")
 
 
-def _binary_from_dict(d: dict, n_features: int, where: str) -> BinarySvmModel:
+def _decode(text, shape: tuple[int, ...], where: str, name: str) -> np.ndarray:
+    """Inverse of _encode for an array of ``shape`` whose values are finite."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ModelFileError(f"{where}: {name} is not base64 text") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ModelFileError(
+            f"{where}: {name} holds {len(raw)} bytes, but {shape} float64 values "
+            f"take {8 * math.prod(shape)}"
+        )
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    _finite(f"{where} {name}", values)
+    return values
+
+
+def _svm_to_dict(binaries: list[BinarySvmModel], pool: dict[bytes, int]) -> list[dict]:
+    """A node's one-vs-rest SVMs, their support vectors added to ``pool``.
+
+    ``pool`` maps the little-endian bytes of each distinct support vector to
+    its row in the file's pool, in order of first use; a model keeps the
+    pool rows of its own support vectors, in its own order.
+    """
+    models = []
+    for m in binaries:
+        rows = np.ascontiguousarray(m.support_vectors, dtype="<f8")
+        models.append({
+            "pool_index": [pool.setdefault(row.tobytes(), len(pool)) for row in rows],
+            "dual_coef": _encode(m.dual_coef),
+            "bias": m.bias,
+            "gamma": m.gamma,
+            "platt_a": m.platt_a,
+            "platt_b": m.platt_b,
+            "converged": m.converged,
+        })
+    return models
+
+
+def _support_v1(d: dict, n_features: int, where: str):
+    """(support vectors, dual_coef) of a binary SVM in a version 1 file."""
     sv = np.array(d["support_vectors"], dtype=np.float64)
     if sv.size == 0:
         sv = sv.reshape(0, n_features)
@@ -298,30 +346,53 @@ def _binary_from_dict(d: dict, n_features: int, where: str) -> BinarySvmModel:
         raise ModelFileError(
             f"{where}: dual_coef of shape {dual_coef.shape} for {len(sv)} support vectors"
         )
+    _finite(where, sv, dual_coef)
+    return sv, dual_coef
+
+
+def _support_v2(d: dict, pool: np.ndarray, where: str):
+    """(support vectors, dual_coef) of a binary SVM indexing the file's pool."""
+    index = d["pool_index"]
+    if not isinstance(index, list) or not all(
+        type(i) is int and 0 <= i < len(pool) for i in index
+    ):
+        raise ModelFileError(
+            f"{where}: pool_index holds an entry that is not a row of the "
+            f"{len(pool)}-row pool"
+        )
+    return pool[np.array(index, dtype=np.intp)], _decode(
+        d["dual_coef"], (len(index),), where, "dual_coef"
+    )
+
+
+def _binary_from_dict(d: dict, sv: np.ndarray, dual_coef: np.ndarray, where: str):
     numbers = {k: float(d[k]) for k in ("bias", "gamma", "platt_a", "platt_b")}
-    _finite(where, sv, dual_coef, list(numbers.values()))
+    _finite(where, list(numbers.values()))
     return BinarySvmModel(
         support_vectors=sv, dual_coef=dual_coef, converged=bool(d["converged"]), **numbers
     )
 
 
-def _multiclass_to_dict(m: MulticlassModel) -> dict:
+def _multiclass_to_dict(m: MulticlassModel, pool: dict[bytes, int]) -> dict:
     out = {
         "kind": m.kind,
         "classes": [render_label(c) for c in m.classes],
         "n_features": m.n_features,
     }
     if m.kind == SVM:
-        out["binary_models"] = [_binary_to_dict(b) for b in m.binary_models]
+        out["binary_models"] = _svm_to_dict(m.binary_models, pool)
     elif m.kind == LOGREG:
-        out["weights"] = m.logreg_model.weights.tolist()
-        out["bias"] = m.logreg_model.bias.tolist()
+        out["weights"] = _encode(m.logreg_model.weights)
+        out["bias"] = _encode(m.logreg_model.bias)
         out["converged"] = m.logreg_model.converged
     return out
 
 
-def _multiclass_from_dict(d: dict, taxonomy: Taxonomy, path: tuple, n_features: int):
-    """One node's model, checked against the taxonomy and the feature width."""
+def _multiclass_from_dict(d: dict, taxonomy: Taxonomy, path: tuple, n_features: int, pool):
+    """One node's model, checked against the taxonomy and the feature width.
+
+    ``pool`` is the file's support-vector pool, or None in a version 1 file.
+    """
     where = f"node model {'.'.join(map(str, path)) or '(root)'}"
     node = taxonomy.node_index.get(path)
     if node is None or not taxonomy.child_ids[node]:
@@ -339,20 +410,32 @@ def _multiclass_from_dict(d: dict, taxonomy: Taxonomy, path: tuple, n_features: 
     kind = d["kind"]
     model = MulticlassModel(kind=kind, classes=classes, n_features=n_features)
     if kind == SVM:
-        if len(d["binary_models"]) != len(classes):
+        binaries = d["binary_models"]
+        if len(binaries) != len(classes):
             raise ModelFileError(
-                f"{where}: {len(d['binary_models'])} binary models for {len(classes)} classes"
+                f"{where}: {len(binaries)} binary models for {len(classes)} classes"
             )
-        model.binary_models = [_binary_from_dict(b, n_features, where) for b in d["binary_models"]]
+        if pool is None:
+            supports = [_support_v1(b, n_features, where) for b in binaries]
+        else:
+            supports = [_support_v2(b, pool, where) for b in binaries]
+        model.binary_models = [
+            _binary_from_dict(b, sv, coef, where) for b, (sv, coef) in zip(binaries, supports)
+        ]
     elif kind == LOGREG:
-        weights = np.array(d["weights"], dtype=np.float64)
-        bias = np.array(d["bias"], dtype=np.float64)
-        if weights.shape != (n_features, len(classes)) or bias.shape != (len(classes),):
-            raise ModelFileError(
-                f"{where}: logreg weights {weights.shape} and bias {bias.shape} do not fit "
-                f"{n_features} features and {len(classes)} classes"
-            )
-        _finite(where, weights, bias)
+        shapes = (n_features, len(classes)), (len(classes),)
+        if pool is None:
+            weights = np.array(d["weights"], dtype=np.float64)
+            bias = np.array(d["bias"], dtype=np.float64)
+            if (weights.shape, bias.shape) != shapes:
+                raise ModelFileError(
+                    f"{where}: logreg weights {weights.shape} and bias {bias.shape} do not "
+                    f"fit {n_features} features and {len(classes)} classes"
+                )
+            _finite(where, weights, bias)
+        else:
+            weights = _decode(d["weights"], shapes[0], where, "weights")
+            bias = _decode(d["bias"], shapes[1], where, "bias")
         model.logreg_model = LogRegModel(
             weights=weights, bias=bias, converged=bool(d.get("converged", True))
         )
@@ -369,18 +452,25 @@ def _config_from_dict(base_kind: str, d: dict):
     _finite("base_config", list(d.values()))
     if base_kind == SVM:
         return SvmConfig(**d)
-    return LogRegConfig(**d)
+    if base_kind == LOGREG:
+        return LogRegConfig(**d)
+    raise ModelFileError(f"unknown base classifier kind {base_kind!r}")
 
 
 def save_model(model: HierModel, sink: IO[str]) -> None:
-    """Write the model as versioned JSON; floats keep full precision."""
+    """Write the model as versioned JSON (see the module docstring)."""
     taxonomy_nodes = [
         {"path": render_label(n), "name": model.taxonomy.names.get(n, "")}
         for n in model.taxonomy.nodes()
     ]
+    pool: dict[bytes, int] = {}
+    node_models = {
+        ".".join(map(str, path)): _multiclass_to_dict(m, pool)
+        for path, m in sorted(model.node_models.items())
+    }
     payload = {
         "schema_version": _SCHEMA_VERSION,
-        "base_kind": model.base_kind,
+        "base_kind": SVM if isinstance(model.base_config, SvmConfig) else LOGREG,
         "n_features": model.n_features,
         "kmer_config": (
             {
@@ -392,10 +482,9 @@ def save_model(model: HierModel, sink: IO[str]) -> None:
         ),
         "base_config": dataclasses.asdict(model.base_config),
         "taxonomy": taxonomy_nodes,
-        "node_models": {
-            ".".join(map(str, path)): _multiclass_to_dict(m)
-            for path, m in sorted(model.node_models.items())
-        },
+        "node_models": node_models,
+        "pool_rows": len(pool),
+        "pool": _encode(np.frombuffer(b"".join(pool), dtype="<f8")),
     }
     json.dump(payload, sink, indent=1)
     sink.write("\n")
@@ -407,17 +496,19 @@ def save_model_file(model: HierModel, path) -> None:
 
 
 def load_model(source: IO[str]) -> HierModel:
-    """Inverse of save_model; raises ModelFileError for unusable files."""
+    """Inverse of save_model, for version 1 and 2 files; raises
+    ModelFileError for unusable files."""
     try:
         payload = json.load(source)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise ModelFileError("model file has no schema_version field")
-    if payload["schema_version"] != _SCHEMA_VERSION:
+    version = payload["schema_version"]
+    if version not in (1, _SCHEMA_VERSION):
         raise ModelFileError(
-            f"unsupported model schema version {payload['schema_version']!r}; "
-            f"this build reads version {_SCHEMA_VERSION}"
+            f"unsupported model schema version {version!r}; this build reads "
+            f"versions 1 and {_SCHEMA_VERSION}"
         )
     try:
         names = {}
@@ -434,17 +525,19 @@ def load_model(source: IO[str]) -> HierModel:
             if kc
             else None
         )
-        base_kind = payload["base_kind"]
         n_features = int(payload["n_features"])
+        pool = None
+        if version == _SCHEMA_VERSION:
+            shape = (int(payload["pool_rows"]), n_features)
+            pool = _decode(payload["pool"], shape, "model file", "pool")
         node_models = {}
         for key, entry in payload["node_models"].items():
             path = () if key == "" else parse_label(key).path
-            node_models[path] = _multiclass_from_dict(entry, taxonomy, path, n_features)
+            node_models[path] = _multiclass_from_dict(entry, taxonomy, path, n_features, pool)
         return HierModel(
             taxonomy=taxonomy,
-            base_kind=base_kind,
             node_models=node_models,
-            base_config=_config_from_dict(base_kind, payload["base_config"]),
+            base_config=_config_from_dict(payload["base_kind"], payload["base_config"]),
             kmer_config=kmer_config,
             n_features=n_features,
         )

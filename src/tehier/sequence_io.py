@@ -4,14 +4,20 @@ FASTA records may carry a hierarchy label as the second whitespace-delimited
 header token (``>id 1.1.1``). Feature CSV files have a mandatory header of
 canonical k-mer column names, one row per sequence, and an optional trailing
 ``label`` column. Both formats round-trip exactly.
+
+The readers take text, bytes or an open text or binary stream; a stream is
+read line by line. Each distinct label token is parsed once per read. The
+feature-CSV writer formats every distinct float bit pattern of the matrix
+once, and the reader parses the numeric block as one matrix.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -45,28 +51,36 @@ class Sequence:
             )
 
 
-def _as_text_lines(source) -> Iterable[str]:
+def _text_lines(source) -> Iterator[str]:
+    """The lines of text, bytes or a text or binary stream, without line ends.
+
+    A stream is read line by line, never whole; text is split on ``\n`` as
+    ``readlines`` would split it.
+    """
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")).readlines()
+        source = source.decode("utf-8")
     if isinstance(source, str):
-        return io.StringIO(source).readlines()
-    first = getattr(source, "read", None)
-    if first is None:
-        raise TypeError(f"cannot read FASTA from {type(source).__name__}")
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data).readlines()
+        source = source.split("\n")
+        if not source[-1]:
+            source.pop()  # the empty text after a final newline is no line
+    elif not hasattr(source, "read"):
+        raise TypeError(f"cannot read lines from {type(source).__name__}")
+    for line in source:
+        if isinstance(line, (bytes, bytearray)):
+            line = line.decode("utf-8")
+        yield line.rstrip("\r\n")
 
 
 def parse_fasta(source) -> list[Sequence]:
     """Parse FASTA text, bytes, or a readable stream into Sequence records.
 
     Multi-line bodies are concatenated, residues are uppercased, and a second
-    header token is parsed as the record's hierarchy label. Line endings may
-    be LF or CRLF. Raises FormatError (with a line number where possible) for
-    structural problems and LabelParseError for bad label tokens.
+    header token is parsed as the record's hierarchy label; records with the
+    same token share one label object. Line endings may be LF or CRLF. Raises
+    FormatError (with a line number where possible) for structural problems
+    and LabelParseError for bad label tokens.
     """
+    parse = functools.cache(parse_label)
     records: list[Sequence] = []
     header_line = 0
     seq_id = None
@@ -81,8 +95,7 @@ def parse_fasta(source) -> list[Sequence]:
             raise FormatError(f"record {seq_id!r} has no sequence lines", line=header_line)
         records.append(Sequence(id=seq_id, residues=residues, label=label))
 
-    for lineno, raw in enumerate(_as_text_lines(source), start=1):
-        line = raw.rstrip("\r\n")
+    for lineno, line in enumerate(_text_lines(source), start=1):
         if not line.strip():
             continue
         if line.startswith(">"):
@@ -95,7 +108,7 @@ def parse_fasta(source) -> list[Sequence]:
             label = None
             if len(tokens) > 1:
                 try:
-                    label = parse_label(tokens[1])
+                    label = parse(tokens[1])
                 except LabelParseError as exc:
                     raise LabelParseError(
                         f"bad label token in header of {seq_id!r}: {exc}", line=lineno
@@ -148,17 +161,22 @@ def read_feature_csv(
     K=2,3,4), optionally followed by a ``label`` column. Raises FormatError
     with the offending row number for layout or numeric problems, including
     ``nan`` and ``inf`` values, which would poison every kernel of a node.
+
+    The numbers are parsed as one matrix (``np.loadtxt``, which rounds as
+    ``float`` does) and checked for finiteness once. Input that this fast
+    path refuses is read again row by row with ``csv`` and ``float``, which
+    either names the first bad row or accepts what ``float`` accepts (quoted
+    cells, say). The vectors are rows of one matrix, and rows with the same
+    label token share one label object.
     """
     config = config or KmerConfig()
     expected = canonical_feature_order(config)
     dim = len(expected)
 
-    lines = _as_text_lines(source)
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("feature CSV is empty (missing header row)") from None
+    lines = _text_lines(source)
+    header = next(csv.reader(itertools.islice(lines, 1)), None)
+    if header is None:
+        raise FormatError("feature CSV is empty (missing header row)")
 
     labeled = bool(header) and header[-1].strip().lower() == "label"
     feature_names = header[:-1] if labeled else header
@@ -176,39 +194,50 @@ def read_feature_csv(
             line=1,
         )
 
-    records: list[tuple[np.ndarray, HierLabel | None]] = []
-    width = dim + 1 if labeled else dim
-    for rowno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise FormatError(
-                f"expected {dim} features, row has {len(row) - (1 if labeled else 0)}",
-                line=rowno,
-            )
-        try:
-            vector = np.array([float(cell) for cell in row[:dim]], dtype=np.float64)
-        except ValueError:
-            bad = next(c for c in row[:dim] if not _is_number(c))
-            raise FormatError(f"non-numeric feature value {bad!r}", line=rowno) from None
-        finite = np.isfinite(vector)
-        if not finite.all():
-            col = int(np.argmin(finite))
-            raise FormatError(
-                f"non-finite feature value {row[col]!r} in column {col + 1} "
-                f"({expected[col]!r})",
-                line=rowno,
-            )
-        label = None
-        if labeled:
-            token = row[dim].strip()
-            if token:
-                try:
-                    label = parse_label(token)
-                except LabelParseError as exc:
-                    raise LabelParseError(str(exc), line=rowno) from None
-        records.append((vector, label))
-    return records
+    rows = [(lineno, line) for lineno, line in enumerate(lines, start=2) if line]
+    if not rows:
+        return []
+    parse = functools.cache(parse_label)
+    try:
+        texts = [line for _, line in rows]
+        if any(line.count(",") != dim - 1 + labeled for line in texts):
+            raise ValueError("a row has the wrong number of cells")
+        X = np.loadtxt(texts, delimiter=",", usecols=range(dim), comments=None, ndmin=2)
+        if X.shape != (len(rows), dim) or not np.isfinite(X).all():
+            raise ValueError("a value is not a finite number")
+        tokens = [line[line.rfind(",") + 1 :].strip() if labeled else "" for line in texts]
+        labels = [parse(token) if token else None for token in tokens]
+    except (ValueError, LabelParseError):
+        return [_parse_row(lineno, line, expected, labeled, parse) for lineno, line in rows]
+    return list(zip(X, labels))
+
+
+def _parse_row(lineno: int, line: str, expected: list[str], labeled: bool, parse):
+    """One data row as (vector, label); FormatError names what is wrong."""
+    dim = len(expected)
+    row = next(csv.reader([line]))
+    if len(row) != dim + labeled:
+        raise FormatError(
+            f"expected {dim} features, row has {len(row) - labeled}", line=lineno
+        )
+    try:
+        vector = np.array([float(cell) for cell in row[:dim]], dtype=np.float64)
+    except ValueError:
+        bad = next(c for c in row[:dim] if not _is_number(c))
+        raise FormatError(f"non-numeric feature value {bad!r}", line=lineno) from None
+    finite = np.isfinite(vector)
+    if not finite.all():
+        col = int(np.argmin(finite))
+        raise FormatError(
+            f"non-finite feature value {row[col]!r} in column {col + 1} "
+            f"({expected[col]!r})",
+            line=lineno,
+        )
+    token = row[dim].strip() if labeled else ""
+    try:
+        return vector, parse(token) if token else None
+    except LabelParseError as exc:
+        raise LabelParseError(str(exc), line=lineno) from None
 
 
 def _is_number(cell: str) -> bool:
@@ -226,23 +255,27 @@ def write_feature_csv(
 ) -> None:
     """Write feature vectors (and labels, when any record carries one).
 
-    Values are written with shortest round-trip float formatting, so reading
-    the file back reproduces the vectors bit for bit.
+    Values are written with shortest round-trip float formatting
+    (``repr(float)``), so reading the file back reproduces the vectors bit
+    for bit. Each distinct bit pattern of the matrix is formatted once.
     """
     config = config or KmerConfig()
     names = canonical_feature_order(config)
     records = list(records)
     labeled = any(label is not None for _, label in records)
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(names + ["label"] if labeled else names)
-    for vector, label in records:
-        vector = np.asarray(vector, dtype=np.float64)
+    vectors = [np.asarray(vector, dtype=np.float64) for vector, _ in records]
+    for vector in vectors:
         if vector.shape != (len(names),):
             raise FormatError(
                 f"vector has {vector.shape[0] if vector.ndim == 1 else vector.shape} "
                 f"values, expected {len(names)}"
             )
-        row = [repr(float(v)) for v in vector]
+    bits = np.array(vectors).reshape(len(vectors), len(names)).view(np.uint64)
+    distinct = np.unique(bits)
+    cells = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    sink.write(",".join(names + ["label"] if labeled else names) + "\n")
+    for index, (_, label) in zip(np.searchsorted(distinct, bits), records):
+        row = cells[index].tolist()
         if labeled:
             row.append(render_label(label) if label is not None else "")
-        writer.writerow(row)
+        sink.write(",".join(row) + "\n")

@@ -31,7 +31,7 @@ class Taxonomy:
 
     def __init__(self, labels: Iterable[HierLabel], names: dict[HierLabel, str] | None = None):
         closed: set[HierLabel] = set()
-        for label in labels:
+        for label in set(labels):
             closed.add(label)
             closed.update(label.prefixes())
         if not closed:

@@ -9,12 +9,19 @@ taxonomies, ``PathScore``, ``HierMetrics``).
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import json
+
 import numpy as np
 
-from tehier.errors import TaxonomyError
+from tehier.classifiers import LOGREG, SVM
+from tehier.errors import FormatError, TaxonomyError
 from tehier.hierarchy import PathScore, ProbaTable
-from tehier.labels import HierLabel
+from tehier.kmers import KmerConfig, canonical_feature_order
+from tehier.labels import HierLabel, render_label
 from tehier.metrics import HierMetrics
+from tehier.svm import SvmConfig
 
 
 def naive_kmer_counts(residues: str, k: int) -> dict[str, int]:
@@ -543,3 +550,84 @@ def train_logreg_reference(X, y_idx, n_classes, config):
         step = trial * 2.0
 
     return weights, bias, converged
+
+
+# -- file writers of earlier versions ------------------------------------------------
+
+
+def save_model_v1(model, sink) -> None:
+    """The package's schema version 1 writer: every array as nested JSON
+    lists of full-precision floats, every support vector once per binary
+    SVM that uses it."""
+
+    def binary(m):
+        return {
+            "support_vectors": m.support_vectors.tolist(),
+            "dual_coef": m.dual_coef.tolist(),
+            "bias": m.bias,
+            "gamma": m.gamma,
+            "platt_a": m.platt_a,
+            "platt_b": m.platt_b,
+            "converged": m.converged,
+        }
+
+    def multiclass(m):
+        out = {
+            "kind": m.kind,
+            "classes": [render_label(c) for c in m.classes],
+            "n_features": m.n_features,
+        }
+        if m.kind == SVM:
+            out["binary_models"] = [binary(b) for b in m.binary_models]
+        elif m.kind == LOGREG:
+            out["weights"] = m.logreg_model.weights.tolist()
+            out["bias"] = m.logreg_model.bias.tolist()
+            out["converged"] = m.logreg_model.converged
+        return out
+
+    payload = {
+        "schema_version": 1,
+        "base_kind": SVM if isinstance(model.base_config, SvmConfig) else LOGREG,
+        "n_features": model.n_features,
+        "kmer_config": (
+            {
+                "k_values": list(model.kmer_config.k_values),
+                "normalization": model.kmer_config.normalization,
+            }
+            if model.kmer_config is not None
+            else None
+        ),
+        "base_config": dataclasses.asdict(model.base_config),
+        "taxonomy": [
+            {"path": render_label(n), "name": model.taxonomy.names.get(n, "")}
+            for n in model.taxonomy.nodes()
+        ],
+        "node_models": {
+            ".".join(map(str, path)): multiclass(m)
+            for path, m in sorted(model.node_models.items())
+        },
+    }
+    json.dump(payload, sink, indent=1)
+    sink.write("\n")
+
+
+def write_feature_csv_reference(records, sink, config=None) -> None:
+    """The package's original feature-CSV writer: ``repr(float)`` per cell
+    through ``csv.writer``, one record at a time."""
+    config = config or KmerConfig()
+    names = canonical_feature_order(config)
+    records = list(records)
+    labeled = any(label is not None for _, label in records)
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(names + ["label"] if labeled else names)
+    for vector, label in records:
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != (len(names),):
+            raise FormatError(
+                f"vector has {vector.shape[0] if vector.ndim == 1 else vector.shape} "
+                f"values, expected {len(names)}"
+            )
+        row = [repr(float(v)) for v in vector]
+        if labeled:
+            row.append(render_label(label) if label is not None else "")
+        writer.writerow(row)

@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 
@@ -27,6 +28,7 @@ from oracles import (
     greedy_chain_oracle,
     greedy_descent,
     random_stub_problem,
+    save_model_v1,
     score_all_paths,
     stub_proba_table,
 )
@@ -345,7 +347,7 @@ def test_save_load_round_trip(rng, base_kind):
     save_model(model, sink)
     loaded = load_model(io.StringIO(sink.getvalue()))
     assert loaded.taxonomy == tax
-    assert loaded.base_kind == base_kind
+    assert loaded.base_config == model.base_config
     assert loaded.kmer_config == KmerConfig()
     assert loaded.predict(queries, "lcpnb") == before
     assert loaded.predict(queries, "nllcpn") == model.predict(queries, "nllcpn")
@@ -362,7 +364,7 @@ def test_load_reads_v1_file_with_config_seed(rng, base_kind):
     config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
     model = train_hier(X, labels, tax, base_kind=base_kind, config=config)
     sink = io.StringIO()
-    save_model(model, sink)
+    save_model_v1(model, sink)
     payload = json.loads(sink.getvalue())
     assert payload["schema_version"] == 1 and "seed" not in payload["base_config"]
     payload["base_config"]["seed"] = 7
@@ -393,7 +395,8 @@ def test_load_rejects_unknown_schema_version(rng):
     model = train_hier(X, labels, tax, base_kind="logreg")
     sink = io.StringIO()
     save_model(model, sink)
-    tampered = sink.getvalue().replace('"schema_version": 1', '"schema_version": 99')
+    assert '"schema_version": 2' in sink.getvalue()
+    tampered = sink.getvalue().replace('"schema_version": 2', '"schema_version": 99')
     with pytest.raises(ModelFileError):
         load_model(io.StringIO(tampered))
 
@@ -409,11 +412,11 @@ def test_load_rejects_truncated_file(rng):
         load_model(io.StringIO("{}"))
 
 
-def saved_payload(rng, base_kind):
+def saved_payload(rng, base_kind, save=save_model):
     tax, X, labels = hier_training_setup(rng)
     config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
     sink = io.StringIO()
-    save_model(train_hier(X, labels, tax, base_kind=base_kind, config=config), sink)
+    save(train_hier(X, labels, tax, base_kind=base_kind, config=config), sink)
     return json.loads(sink.getvalue())
 
 
@@ -425,7 +428,7 @@ def set_classes(node, classes):
     node["classes"] = classes
 
 
-# (base kind, mutation of the saved JSON, words the error must name)
+# (base kind, mutation of the JSON of a version 1 file, words the error must name)
 MODEL_FILE_FAULTS = {
     "leaf node": ("logreg", lambda p: move_node(p, "1", "2"), "not the root or an internal node"),
     "unknown node": ("logreg", lambda p: move_node(p, "1", "1.7"), "not the root or an internal"),
@@ -479,16 +482,123 @@ MODEL_FILE_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(MODEL_FILE_FAULTS))
 def test_load_rejects_inconsistent_model_file(rng, fault):
     base_kind, mutate, cause = MODEL_FILE_FAULTS[fault]
-    payload = saved_payload(rng, base_kind)
+    payload = saved_payload(rng, base_kind, save_model_v1)
     mutate(payload)
     with pytest.raises(ModelFileError, match=cause):
         load_model(io.StringIO(json.dumps(payload)))
 
 
+def b64_values(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def set_pool_value(payload, value):
+    pool = np.frombuffer(base64.b64decode(payload["pool"]), dtype="<f8").copy()
+    pool[3] = value
+    payload["pool"] = b64_values(pool)
+
+
+def fill_root_dual_coef(payload, value):
+    binary = payload["node_models"][""]["binary_models"][0]
+    binary["dual_coef"] = b64_values([value] * len(binary["pool_index"]))
+
+
+# (base kind, mutation of the JSON of a version 2 file, words the error must name)
+MODEL_FILE_V2_FAULTS = {
+    "bad base64": ("svm", lambda p: p.__setitem__("pool", p["pool"][:-3] + "#=="), "base64"),
+    "pool as a list": ("svm", lambda p: p.__setitem__("pool", [0.5, 0.5]), "base64"),
+    "pool byte length": ("svm", lambda p: p.__setitem__("pool_rows", p["pool_rows"] + 1), "bytes"),
+    "pool index out of range": (
+        "svm",
+        lambda p: p["node_models"]["1"]["binary_models"][0]["pool_index"].__setitem__(
+            0, p["pool_rows"]
+        ),
+        "not a row of the",
+    ),
+    "negative pool index": (
+        "svm",
+        lambda p: p["node_models"][""]["binary_models"][1]["pool_index"].__setitem__(0, -1),
+        "not a row of the",
+    ),
+    "pool index length": (
+        "svm", lambda p: p["node_models"][""]["binary_models"][1]["pool_index"].pop(), "dual_coef"
+    ),
+    "dual_coef length": (
+        "svm",
+        lambda p: p["node_models"]["1"]["binary_models"][1].__setitem__(
+            "dual_coef", b64_values([1.0])
+        ),
+        "dual_coef",
+    ),
+    "non-finite pool value": ("svm", lambda p: set_pool_value(p, np.nan), "non-finite"),
+    "non-finite dual_coef": ("svm", lambda p: fill_root_dual_coef(p, np.inf), "non-finite"),
+    "logreg weights length": (
+        "logreg",
+        lambda p: p["node_models"][""].__setitem__("weights", b64_values([0.5])),
+        "weights",
+    ),
+    "unknown base kind": ("svm", lambda p: p.__setitem__("base_kind", "tree"), "base classifier"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MODEL_FILE_V2_FAULTS))
+def test_load_rejects_inconsistent_v2_model_file(rng, fault):
+    base_kind, mutate, cause = MODEL_FILE_V2_FAULTS[fault]
+    payload = saved_payload(rng, base_kind)
+    assert payload["schema_version"] == 2
+    mutate(payload)
+    with pytest.raises(ModelFileError, match=cause):
+        load_model(io.StringIO(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("base_kind", ["svm", "logreg"])
+def test_v1_file_resaves_as_v2_with_identical_predictions(rng, base_kind):
+    tax, X, labels = hier_training_setup(rng)
+    config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
+    model = train_hier(X, labels, tax, base_kind=base_kind, config=config)
+    v1 = io.StringIO()
+    save_model_v1(model, v1)
+    from_v1 = load_model(io.StringIO(v1.getvalue()))
+    v2 = io.StringIO()
+    save_model(from_v1, v2)
+    from_v2 = load_model(io.StringIO(v2.getvalue()))
+    resaved = io.StringIO()
+    save_model(model, resaved)
+    assert resaved.getvalue() == v2.getvalue()
+
+    queries = rng.normal(size=(80, 2))
+    tables = [m.proba_tables(queries) for m in (model, from_v1, from_v2)]
+    for table in tables[1:]:
+        assert table.edge.tobytes() == tables[0].edge.tobytes()
+        assert table.stay.tobytes() == tables[0].stay.tobytes()
+    for strategy in ("nllcpn", "lcpnb"):
+        assert from_v2.predict(queries, strategy) == model.predict(queries, strategy)
+
+
+def test_v2_pool_stores_each_support_vector_once(rng):
+    tax, X, labels = hier_training_setup(rng)
+    model = train_hier(X, labels, tax, base_kind="svm", config=SvmConfig(C=5.0, gamma=1.0))
+    sink = io.StringIO()
+    save_model(model, sink)
+    payload = json.loads(sink.getvalue())
+    rows = {
+        sv.tobytes()
+        for m in model.node_models.values()
+        for b in m.binary_models
+        for sv in b.support_vectors
+    }
+    stored = sum(
+        len(b["pool_index"])
+        for node in payload["node_models"].values()
+        for b in node.get("binary_models", [])
+    )
+    assert payload["pool_rows"] == len(rows) < stored
+
+
 def test_predict_cli_exits_2_on_inconsistent_model_file(rng, tmp_path, capsys):
     from tehier.cli import main
 
-    payload = saved_payload(rng, "svm")
+    payload = saved_payload(rng, "svm", save_model_v1)
     payload["node_models"]["1"]["binary_models"][0]["dual_coef"].pop()
     model = tmp_path / "model.json"
     model.write_text(json.dumps(payload))

@@ -16,6 +16,8 @@ from tehier import (
 )
 from tehier.kmers import canonical_feature_order
 
+from oracles import write_feature_csv_reference
+
 
 def test_single_record_with_label():
     records = parse_fasta(">s1 1.1.1\nACGT")
@@ -186,3 +188,67 @@ def test_feature_csv_without_labels_has_no_label_column():
     write_feature_csv([(np.zeros(336), None)], sink)
     header = sink.getvalue().splitlines()[0]
     assert not header.endswith("label")
+
+
+@pytest.mark.parametrize("labels", ["all", "some", "none"])
+def test_feature_csv_writer_bytes_equal_reference(labels):
+    rng = np.random.default_rng(29)
+    X = rng.random((40, 336)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 336))
+    X[rng.random(X.shape) < 0.3] = 0.0
+    specials = [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3]
+    for value in specials:
+        X[rng.integers(40), rng.integers(336)] = value
+    pick = {"all": lambda i: True, "some": lambda i: i % 3 == 0, "none": lambda i: False}[labels]
+    records = [(X[i], parse_label(f"{i % 4 + 1}.2") if pick(i) else None) for i in range(40)]
+    ours, reference = io.StringIO(), io.StringIO()
+    write_feature_csv(records, ours)
+    write_feature_csv_reference(records, reference)
+    assert ours.getvalue() == reference.getvalue()
+    loaded = read_feature_csv(ours.getvalue())
+    assert np.vstack([v for v, _ in loaded]).tobytes() == X.tobytes()
+    assert [l for _, l in loaded] == [l for _, l in records]
+
+
+def test_feature_csv_writer_rejects_wrong_width():
+    with pytest.raises(FormatError, match="expected 336"):
+        write_feature_csv([(np.zeros(336), None), (np.zeros(335), None)], io.StringIO())
+
+
+def test_read_feature_csv_sources_line_ends_and_shared_labels(tmp_path):
+    names = canonical_feature_order(KmerConfig())
+    row = ",".join(["0.25"] * 336)
+    text = ",".join(names) + ",label\n" + f"{row},1.2\n\n{row},1.2\n{row},\n"
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    with open(path, "rb") as binary, open(path, encoding="utf-8") as textfile:
+        crlf = text.replace("\n", "\r\n")
+        sources = [text, text.encode(), io.StringIO(text), crlf, binary, textfile]
+        results = [read_feature_csv(source) for source in sources]
+    for records in results:
+        assert [label for _, label in records] == [parse_label("1.2"), parse_label("1.2"), None]
+        assert np.array_equal(np.vstack([v for v, _ in records]), np.full((3, 336), 0.25))
+        assert records[0][1] is records[1][1]
+
+
+def test_read_feature_csv_accepts_what_float_accepts():
+    # quoted cells and digit separators fall back to the row-by-row reader
+    row = ['"0.5"', "1_0"] + ["0"] * 334
+    (vector, label), = read_feature_csv(_csv_text([",".join(row)]))
+    assert vector[:3].tolist() == [0.5, 10.0, 0.0] and label is None
+
+
+def test_read_feature_csv_reports_the_first_bad_row():
+    header = ",".join(canonical_feature_order(KmerConfig())) + ",label"
+    good = ",".join(["0"] * 336)
+    rows = [good + ",1", good + ",1..2", good.replace("0", "inf", 1) + ",1", good + ",x"]
+    with pytest.raises(LabelParseError) as err:
+        read_feature_csv(_csv_text(rows, header=header))
+    assert err.value.line == 3
+    with pytest.raises(FormatError, match="non-finite") as err:
+        read_feature_csv(_csv_text(rows[2:], header=header))
+    assert err.value.line == 2
+
+
+def test_fasta_records_share_label_objects():
+    records = parse_fasta(">a 1.2\nAC\n>b 1.2\nGT\n")
+    assert records[0].label is records[1].label == parse_label("1.2")
