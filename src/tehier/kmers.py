@@ -7,7 +7,11 @@ over A<C<G<T within each block; with the default K=2,3,4 the vector has
 16+64+256 = 336 coordinates and index 0 is AA, 16 is AAA, 80 is AAAA.
 
 Counting uses direct 2-bit indexing (A=0, C=1, G=2, T=3). Any window touching
-a non-ACGT character (N or another ambiguity code) is skipped entirely.
+a non-ACGT character (N or another ambiguity code, lowercase included) is
+skipped entirely. Sequences are counted a block at a time: the block's codes
+are concatenated, one rolling index serves every k, and each k takes one
+``bincount`` over (row, k-mer) pairs, so no Python loop runs per sequence or
+per residue.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence as SequenceType
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .parallel import run_tasks
 
@@ -25,7 +28,8 @@ RAW_COUNTS = "raw"
 RELATIVE_FREQUENCY = "freq"
 
 _BASES = "ACGT"
-_MAX_K = 12
+_MAX_K = 12  # the rolling k-mer index is uint32, 2 bits per base
+_BLOCK_RESIDUES = 100_000
 
 _ENCODE = np.full(256, 4, dtype=np.uint8)
 for _i, _b in enumerate(b"ACGT"):
@@ -76,45 +80,20 @@ def canonical_feature_order(config: KmerConfig | None = None) -> list[str]:
     return names
 
 
-def _encode(residues: str) -> np.ndarray:
-    raw = np.frombuffer(residues.encode("ascii", errors="replace"), dtype=np.uint8)
-    return _ENCODE[raw]
-
-
 def count_kmers(residues, k: int) -> np.ndarray:
     """Exact counts of every 4^k k-mer in a sequence (int64 vector).
 
     Windows containing a non-ACGT character count for nothing; sequences
-    shorter than k give all zeros.
+    shorter than k give all zeros. k must be in 1..12, as in ``KmerConfig``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    residues = getattr(residues, "residues", residues)
-    enc = _encode(residues)
-    if enc.size < k:
-        return np.zeros(4**k, dtype=np.int64)
-    windows = sliding_window_view(enc, k)
-    valid = (windows < 4).all(axis=1)
-    if not valid.any():
-        return np.zeros(4**k, dtype=np.int64)
-    powers = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    idx = windows[valid].astype(np.int64) @ powers
-    return np.bincount(idx, minlength=4**k).astype(np.int64)
+    if not 1 <= k <= _MAX_K:
+        raise ValueError(f"k must be in 1..{_MAX_K}, got {k}")
+    return _count_block([getattr(residues, "residues", residues)], (k,))[0][0]
 
 
 def featurize(sequence, config: KmerConfig | None = None) -> np.ndarray:
     """Feature vector of one sequence (accepts a Sequence record or a str)."""
-    config = config or KmerConfig()
-    residues = getattr(sequence, "residues", sequence)
-    blocks = []
-    for k in config.k_values:
-        counts = count_kmers(residues, k).astype(np.float64)
-        if config.normalization == RELATIVE_FREQUENCY:
-            total = counts.sum()
-            if total > 0:
-                counts /= total
-        blocks.append(counts)
-    return np.concatenate(blocks)
+    return _features([getattr(sequence, "residues", sequence)], config or KmerConfig())[0]
 
 
 def featurize_batch(
@@ -127,14 +106,81 @@ def featurize_batch(
     (``parallel.run_tasks``); the result is identical for any worker count.
     """
     config = config or KmerConfig()
-    sequences = list(sequences)
-    if not sequences:
+    residues = [getattr(s, "residues", s) for s in sequences]
+    if not residues:
         return np.zeros((0, config.dimension), dtype=np.float64)
-    size = -(-len(sequences) // max(threads, 1))
+    size = -(-len(residues) // max(threads, 1))
 
-    def chunk(i: int) -> list[np.ndarray]:
-        return [featurize(s, config) for s in sequences[i * size : (i + 1) * size]]
+    def chunk(i: int) -> np.ndarray:
+        return _features(residues[i * size : (i + 1) * size], config)
 
-    chunks = run_tasks(chunk, -(-len(sequences) // size), threads)
-    return np.vstack([row for rows in chunks for row in rows])
+    return np.vstack(run_tasks(chunk, -(-len(residues) // size), threads))
 
+
+def _features(residues: list[str], config: KmerConfig) -> np.ndarray:
+    """Feature rows of ``residues``, counted a block of rows at a time.
+
+    A block holds whole sequences up to ``_BLOCK_RESIDUES`` residues (or one
+    longer sequence alone), so the transient arrays stay a few MB whatever
+    the input size. Each row of a block is divided by its own total, as a
+    row counted alone would be.
+    """
+    out = np.empty((len(residues), config.dimension), dtype=np.float64)
+    for start, stop in _blocks([len(r) for r in residues]):
+        counts = _count_block(residues[start:stop], config.k_values)
+        for columns, block in zip(config.block_slices(), counts):
+            rows = out[start:stop, columns]
+            rows[...] = block
+            if config.normalization == RELATIVE_FREQUENCY:
+                totals = block.sum(axis=1, keepdims=True)
+                np.divide(rows, totals, out=rows, where=totals > 0)
+    return out
+
+
+def _blocks(lengths: list[int]):
+    """(start, stop) row ranges of at most ``_BLOCK_RESIDUES`` residues each,
+    except that a longer row makes a block of its own."""
+    start, size = 0, 0
+    for i, length in enumerate(lengths):
+        if size and size + length > _BLOCK_RESIDUES:
+            yield start, i
+            start, size = i, 0
+        size += length
+    yield start, len(lengths)
+
+
+def _count_block(residues: list[str], k_values) -> list[np.ndarray]:
+    """One ``(len(residues), 4**k)`` int64 count matrix per k.
+
+    The 2-bit codes of all sequences are concatenated, and one rolling index
+    for the largest k is built in uint32: bits 2j..2j+1 at position p hold
+    the code at p - j, so each smaller k masks out its index. The window
+    ending at p counts for k when the run of ACGT characters ending at p,
+    inside p's own sequence, is at least k long. Each k then takes one
+    bincount over ``row * 4**k + index``.
+    """
+    text = "".join(residues).encode("ascii", errors="replace")
+    codes = _ENCODE[np.frombuffer(text, dtype=np.uint8)]
+    lengths = np.array([len(r) for r in residues], dtype=np.int64)
+    positions = np.arange(codes.size)
+    # first position of the ACGT run ending at each position: after the last
+    # non-ACGT character, and never before the sequence's own start
+    run_start = np.where(codes < 4, 0, positions + 1)
+    starts = (np.cumsum(lengths) - lengths)[lengths > 0]
+    run_start[starts] = np.maximum(run_start[starts], starts)
+    run_length = positions + 1 - np.maximum.accumulate(run_start)
+    row = np.repeat(np.arange(len(residues)), lengths)
+
+    bits = (codes & 3).astype(np.uint32)
+    index = bits.copy()
+    for j in range(1, min(max(k_values), codes.size)):
+        index[j:] |= bits[: codes.size - j] << (2 * j)
+
+    counts = []
+    for k in k_values:
+        valid = run_length >= k
+        keys = row[valid] * 4**k + (index[valid] & (4**k - 1))
+        counts.append(
+            np.bincount(keys, minlength=len(residues) * 4**k).reshape(len(residues), 4**k)
+        )
+    return counts

@@ -8,7 +8,7 @@ canonical k-mer column names, one row per sequence, and an optional trailing
 The readers take text, bytes or an open text or binary stream; a stream is
 read line by line. Each distinct label token is parsed once per read. The
 feature-CSV writer formats every distinct float bit pattern of the matrix
-once, and the reader parses the numeric block as one matrix.
+once, and the reader parses each block of about 1 MB of rows as one matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .labels import HierLabel, parse_label, render_label
 NUCLEOTIDE_ALPHABET = frozenset("ACGTNRYSWKMBDHV")
 
 _FASTA_WRAP = 70
+_CSV_BLOCK_CHARS = 1 << 20  # text of the data rows parsed per np.loadtxt call
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,15 @@ def read_feature_csv(
     with the offending row number for layout or numeric problems, including
     ``nan`` and ``inf`` values, which would poison every kernel of a node.
 
-    The numbers are parsed as one matrix (``np.loadtxt``, which rounds as
-    ``float`` does) and checked for finiteness once. Input that this fast
-    path refuses is read again row by row with ``csv`` and ``float``, which
+    The data rows are read in blocks of about 1 MB of text, so the text
+    held at once stays bounded whatever the file size. Each block's numbers
+    are parsed as one matrix (``np.loadtxt``, which rounds as ``float``
+    does) and checked for finiteness once. A block that this fast path
+    refuses is read again row by row with ``csv`` and ``float``, which
     either names the first bad row or accepts what ``float`` accepts (quoted
-    cells, say). The vectors are rows of one matrix, and rows with the same
-    label token share one label object.
+    cells, say); blocks are parsed in file order, so the first bad row of
+    the file is the one reported. The vectors are rows of the block
+    matrices, and rows with the same label token share one label object.
     """
     config = config or KmerConfig()
     expected = canonical_feature_order(config)
@@ -194,10 +198,31 @@ def read_feature_csv(
             line=1,
         )
 
-    rows = [(lineno, line) for lineno, line in enumerate(lines, start=2) if line]
-    if not rows:
-        return []
+    numbered = ((lineno, line) for lineno, line in enumerate(lines, start=2) if line)
     parse = functools.cache(parse_label)
+    records: list[tuple[np.ndarray, HierLabel | None]] = []
+    for rows in _line_blocks(numbered):
+        records.extend(_parse_rows(rows, expected, labeled, parse))
+    return records
+
+
+def _line_blocks(numbered: Iterator[tuple[int, str]]) -> Iterator[list[tuple[int, str]]]:
+    """Consecutive (line number, line) lists of about ``_CSV_BLOCK_CHARS``."""
+    block, size = [], 0
+    for item in numbered:
+        block.append(item)
+        size += len(item[1])
+        if size >= _CSV_BLOCK_CHARS:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _parse_rows(rows: list[tuple[int, str]], expected: list[str], labeled: bool, parse):
+    """(vector, label) records of one block of data rows, parsed as one
+    matrix, or row by row when the fast path refuses the block."""
+    dim = len(expected)
     try:
         texts = [line for _, line in rows]
         if any(line.count(",") != dim - 1 + labeled for line in texts):

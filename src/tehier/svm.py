@@ -291,8 +291,8 @@ def platt_calibrate(decision_values, labels) -> tuple[float, float]:
 
     def objective(a, b):
         z = a * f + b
-        # log(1 + exp(z)) evaluated stably on both tails
-        softplus = np.where(z >= 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
+        # log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|)), which cannot overflow
+        softplus = np.where(z >= 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
         return float(np.sum(t * z + softplus - z))
         # note: -t*log(p) - (1-t)*log(1-p) == t*z + log(1+exp(-z)) == t*z + softplus(z) - z
 
@@ -300,8 +300,7 @@ def platt_calibrate(decision_values, labels) -> tuple[float, float]:
     a, b = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
     fval = objective(a, b)
     for _ in range(100):
-        z = a * f + b
-        p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+        p = _platt_sigmoid(a * f + b)
         d1 = t - p
         d2 = p * (1.0 - p)
         g1 = float(np.dot(f, d1))
@@ -332,5 +331,14 @@ def platt_calibrate(decision_values, labels) -> tuple[float, float]:
 
 def platt_probability(decision_values, a: float, b: float) -> np.ndarray:
     """P(y=1 | f) = 1 / (1 + exp(a*f + b)), numerically stable."""
-    z = a * np.asarray(decision_values, dtype=np.float64) + b
-    return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+    return _platt_sigmoid(a * np.asarray(decision_values, dtype=np.float64) + b)
+
+
+def _platt_sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)), as exp(-z) / (1 + exp(-z)) where z >= 0.
+
+    Only exp(-|z|) is evaluated, which is exp(-z) on one side and exp(z) on
+    the other, so no branch overflows and no warning is printed.
+    """
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, e, 1.0) / (1.0 + e)

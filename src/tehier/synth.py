@@ -11,6 +11,11 @@ The sample budget is ``sequences_per_node * node_count``, split so that the
 configured fraction of samples carries internal-node labels (exercising
 non-mandatory leaf prediction and the replicated-self classes); the rest is
 divided evenly among the leaves.
+
+A node's sequences take their random draws one sequence after another from
+the node's own generator (the first base, then one uniform per transition),
+and are then walked through the chain together, one position per step for a
+block of rows, so no Python loop runs per residue.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from .labels import HierLabel
 from .sequence_io import Sequence
 from .taxonomy import Taxonomy
 
-_BASES = "ACGT"
+_LETTERS = np.frombuffer(b"ACGT", dtype=np.uint8)
+_BLOCK_CELLS = 1 << 20  # positions walked at once; the draws take 8 bytes each
 _CHILD_DRIFT = 0.6  # how far a child's random matrix moves from its parent's
 _DIRICHLET_ALPHA = 1.5
 
@@ -107,14 +113,33 @@ def _node_chain(
     )
 
 
-def _sample_sequence(rng: np.random.Generator, chain: np.ndarray, length: int) -> str:
+def _sample_sequences(rng: np.random.Generator, chain: np.ndarray, lengths) -> list[str]:
+    """Markov-chain sequences of the given lengths, walked in lockstep.
+
+    The draws are taken per sequence, in order: the first base
+    (``rng.integers(4)``), then ``length - 1`` uniforms for the transitions.
+    All sequences of a block of rows then advance one position per step; the
+    next state is the number of cumulative transition probabilities at or
+    below the draw (``searchsorted(side="right")``), clamped to T, since a row
+    whose sum rounds below 1 can leave a draw above its last entry.
+    """
     cumulative = np.cumsum(chain, axis=1)
-    out = np.empty(length, dtype=np.int64)
-    out[0] = rng.integers(4)
-    draws = rng.random(length - 1)
-    for i in range(1, length):
-        out[i] = np.searchsorted(cumulative[out[i - 1]], draws[i - 1], side="right")
-    return "".join(_BASES[min(b, 3)] for b in out)
+    width = int(max(lengths))
+    rows_per_block = max(1, _BLOCK_CELLS // width)
+    sequences: list[str] = []
+    for start in range(0, len(lengths), rows_per_block):
+        block = lengths[start : start + rows_per_block]
+        states = np.empty((len(block), width), dtype=np.uint8)
+        draws = np.zeros((len(block), width - 1))
+        for i, length in enumerate(block):
+            states[i, 0] = rng.integers(4)
+            draws[i, : length - 1] = rng.random(length - 1)
+        for j in range(1, width):
+            below = cumulative[states[:, j - 1]] <= draws[:, j - 1, None]
+            states[:, j] = np.minimum(below.sum(axis=1), 3)
+        letters = _LETTERS[states]
+        sequences.extend(letters[i, :length].tobytes().decode() for i, length in enumerate(block))
+    return sequences
 
 
 def node_allocation(spec: SynthSpec) -> dict[HierLabel, int]:
@@ -148,12 +173,9 @@ def generate(spec: SynthSpec) -> list[Sequence]:
         chain = _node_chain(spec, base, random_parts, node)
         rng = np.random.default_rng([spec.seed, 11, *node.path])
         lengths = rng.integers(lo, hi + 1, size=count)
-        for i in range(count):
-            records.append(
-                Sequence(
-                    id=f"synth-{node}-{i:04d}",
-                    residues=_sample_sequence(rng, chain, int(lengths[i])),
-                    label=node,
-                )
-            )
+        residues = _sample_sequences(rng, chain, lengths)
+        records.extend(
+            Sequence(id=f"synth-{node}-{i:04d}", residues=r, label=node)
+            for i, r in enumerate(residues)
+        )
     return records

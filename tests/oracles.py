@@ -18,10 +18,12 @@ import numpy as np
 from tehier.classifiers import LOGREG, SVM
 from tehier.errors import FormatError, TaxonomyError
 from tehier.hierarchy import PathScore, ProbaTable
-from tehier.kmers import KmerConfig, canonical_feature_order
+from tehier.kmers import RELATIVE_FREQUENCY, KmerConfig, canonical_feature_order
 from tehier.labels import HierLabel, render_label
 from tehier.metrics import HierMetrics
+from tehier.sequence_io import Sequence
 from tehier.svm import SvmConfig
+from tehier.synth import _DIRICHLET_ALPHA, _node_chain, node_allocation
 
 
 def naive_kmer_counts(residues: str, k: int) -> dict[str, int]:
@@ -55,6 +57,81 @@ def naive_feature_vector(residues: str, k_values, normalization: str) -> np.ndar
                 block = block / total
         blocks.append(block)
     return np.concatenate(blocks)
+
+
+_ENCODE = np.full(256, 4, dtype=np.uint8)
+for _i, _b in enumerate(b"ACGT"):
+    _ENCODE[_b] = _i
+
+
+def count_kmers_reference(residues: str, k: int) -> np.ndarray:
+    """The package's original per-sequence counter: a sliding window over
+    the 2-bit codes, windows with a non-ACGT code dropped, one bincount."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    raw = np.frombuffer(residues.encode("ascii", errors="replace"), dtype=np.uint8)
+    enc = _ENCODE[raw]
+    if enc.size < k:
+        return np.zeros(4**k, dtype=np.int64)
+    windows = sliding_window_view(enc, k)
+    valid = (windows < 4).all(axis=1)
+    if not valid.any():
+        return np.zeros(4**k, dtype=np.int64)
+    powers = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    idx = windows[valid].astype(np.int64) @ powers
+    return np.bincount(idx, minlength=4**k).astype(np.int64)
+
+
+def featurize_reference(residues: str, config: KmerConfig) -> np.ndarray:
+    """The package's original per-sequence, per-k feature vector."""
+    blocks = []
+    for k in config.k_values:
+        counts = count_kmers_reference(residues, k).astype(np.float64)
+        if config.normalization == RELATIVE_FREQUENCY:
+            total = counts.sum()
+            if total > 0:
+                counts /= total
+        blocks.append(counts)
+    return np.concatenate(blocks)
+
+
+# -- synthetic sequences -------------------------------------------------------
+
+
+def sample_sequence_reference(rng: np.random.Generator, chain: np.ndarray, length: int) -> str:
+    """The package's original one-residue-at-a-time Markov walk."""
+    cumulative = np.cumsum(chain, axis=1)
+    out = np.empty(length, dtype=np.int64)
+    out[0] = rng.integers(4)
+    draws = rng.random(length - 1)
+    for i in range(1, length):
+        out[i] = np.searchsorted(cumulative[out[i - 1]], draws[i - 1], side="right")
+    return "".join("ACGT"[min(b, 3)] for b in out)
+
+
+def generate_reference(spec) -> list[Sequence]:
+    """``synth.generate`` with one sequence sampled at a time; the chains and
+    the per-node counts come from the package, only the walk is the old one."""
+    rng_base = np.random.default_rng([spec.seed, 3])
+    base = rng_base.dirichlet([_DIRICHLET_ALPHA] * 4, size=4)
+    random_parts: dict[tuple, np.ndarray] = {}
+    records: list[Sequence] = []
+    lo, hi = spec.length_range
+    for node, count in node_allocation(spec).items():
+        if count == 0:
+            continue
+        chain = _node_chain(spec, base, random_parts, node)
+        rng = np.random.default_rng([spec.seed, 11, *node.path])
+        lengths = rng.integers(lo, hi + 1, size=count)
+        for i in range(count):
+            records.append(
+                Sequence(
+                    id=f"synth-{node}-{i:04d}",
+                    residues=sample_sequence_reference(rng, chain, int(lengths[i])),
+                    label=node,
+                )
+            )
+    return records
 
 
 # -- hierarchical metrics ------------------------------------------------------
@@ -488,6 +565,60 @@ def smo_reference(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int)
 
 
 # -- logistic regression -----------------------------------------------------------
+
+
+def platt_calibrate_reference(decision_values, labels) -> tuple[float, float]:
+    """The package's original Platt fit, whose sigmoid and softplus take both
+    ``np.where`` branches (and so overflow in one of them for large |z|)."""
+    f = np.asarray(decision_values, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n_pos = int((y > 0).sum())
+    n_neg = int((y <= 0).sum())
+    hi = (n_pos + 1.0) / (n_pos + 2.0)
+    lo = 1.0 / (n_neg + 2.0)
+    t = np.where(y > 0, hi, lo)
+
+    def objective(a, b):
+        z = a * f + b
+        softplus = np.where(z >= 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
+        return float(np.sum(t * z + softplus - z))
+
+    sigma = 1e-12
+    a, b = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
+    fval = objective(a, b)
+    for _ in range(100):
+        p = platt_probability_reference(f, a, b)
+        d1 = t - p
+        d2 = p * (1.0 - p)
+        g1 = float(np.dot(f, d1))
+        g2 = float(np.sum(d1))
+        if abs(g1) < 1e-5 and abs(g2) < 1e-5:
+            break
+        h11 = float(np.dot(f * f, d2)) + sigma
+        h22 = float(np.sum(d2)) + sigma
+        h21 = float(np.dot(f, d2))
+        det = h11 * h22 - h21 * h21
+        da = -(h22 * g1 - h21 * g2) / det
+        db = -(-h21 * g1 + h11 * g2) / det
+        gd = g1 * da + g2 * db
+
+        stepsize = 1.0
+        while stepsize >= 1e-10:
+            new_a = a + stepsize * da
+            new_b = b + stepsize * db
+            new_f = objective(new_a, new_b)
+            if new_f < fval + 1e-4 * stepsize * gd:
+                a, b, fval = new_a, new_b, new_f
+                break
+            stepsize /= 2.0
+        else:
+            break
+    return float(a), float(b)
+
+
+def platt_probability_reference(decision_values, a: float, b: float) -> np.ndarray:
+    z = a * np.asarray(decision_values, dtype=np.float64) + b
+    return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
 
 
 def _logreg_loss_reference(weights, bias, X, y_idx, l2_strength) -> float:

@@ -3,10 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
+import tehier.kmers
 from tehier import KmerConfig, canonical_feature_order, count_kmers, featurize, featurize_batch
-from tehier.kmers import RAW_COUNTS, RELATIVE_FREQUENCY
+from tehier.kmers import RAW_COUNTS, RELATIVE_FREQUENCY, _blocks
 
-from oracles import naive_feature_vector, naive_kmer_counts, valid_window_count
+from oracles import (
+    count_kmers_reference,
+    featurize_reference,
+    naive_feature_vector,
+    naive_kmer_counts,
+    valid_window_count,
+)
 
 
 def random_sequences(rng, count, max_len=2000, ambiguity=0.05):
@@ -74,6 +81,21 @@ def test_count_kmers_skips_ambiguous_windows():
 def test_count_kmers_short_sequence_is_zero():
     assert not count_kmers("AC", 3).any()
     assert not count_kmers("", 2).any()
+
+
+def test_count_kmers_rejects_k_outside_the_index_width():
+    for k in (0, 13):
+        with pytest.raises(ValueError):
+            count_kmers("ACGT", k)
+
+
+def test_count_kmers_equals_per_sequence_reference():
+    rng = np.random.default_rng(21)
+    for residues in random_sequences(rng, 40, max_len=120) + ["", "ACG", "NNNN"]:
+        for k in (1, 2, 5):
+            counts = count_kmers(residues, k)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, count_kmers_reference(residues, k))
 
 
 def test_featurize_raw_counts_positions():
@@ -150,3 +172,53 @@ def test_featurize_batch_thread_count_independent():
     serial = featurize_batch(sequences, threads=1)
     threaded = featurize_batch(sequences, threads=8)
     assert np.array_equal(serial, threaded)
+
+
+def _messy_sequences(rng, count, max_len):
+    """ACGTN strings with lowercase, non-ASCII and a few empty or tiny ones."""
+    alphabet = np.array(list("ACGTNacgtn") + ["\u00e9", "\u2192"])
+    weights = np.array([20, 20, 20, 20, 4, 2, 2, 2, 2, 1, 1, 1]) / 95
+    out = [
+        "".join(rng.choice(alphabet, size=int(rng.integers(0, max_len + 1)), p=weights))
+        for _ in range(count)
+    ]
+    return out + ["", "A", "AC", "ACGTA", "N", "ACGTACGTACGT"]
+
+
+@pytest.mark.parametrize("normalization", [RAW_COUNTS, RELATIVE_FREQUENCY])
+@pytest.mark.parametrize("k_values", [(2, 3, 4), (1, 5, 6), (1,), (6,), (1, 2, 3, 4, 5, 6)])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_featurize_batch_bit_identical_to_references(normalization, k_values, threads):
+    rng = np.random.default_rng(sum(k_values) + threads)
+    sequences = _messy_sequences(rng, 60, 200)
+    config = KmerConfig(k_values=k_values, normalization=normalization)
+    batch = featurize_batch(sequences, config, threads=threads)
+    per_sequence = np.vstack([featurize_reference(s, config) for s in sequences])
+    assert np.array_equal(batch.view(np.uint64), per_sequence.view(np.uint64))
+    for row, residues in zip(batch[::7], sequences[::7]):
+        naive = naive_feature_vector(residues, k_values, normalization)
+        assert np.array_equal(row.view(np.uint64), naive.view(np.uint64))
+
+
+def test_row_blocks_cut_by_residue_count(monkeypatch):
+    monkeypatch.setattr(tehier.kmers, "_BLOCK_RESIDUES", 50)
+    assert list(_blocks([20, 30, 10, 120, 5, 0])) == [(0, 2), (2, 3), (3, 4), (4, 6)]
+    assert list(_blocks([0, 0, 51])) == [(0, 3)]
+    assert list(_blocks([])) == [(0, 0)]
+
+
+@pytest.mark.parametrize("block_residues", [50, 100_000])
+def test_block_edges_keep_rows_bit_identical(monkeypatch, block_residues):
+    monkeypatch.setattr(tehier.kmers, "_BLOCK_RESIDUES", block_residues)
+    rng = np.random.default_rng(block_residues)
+    # with a 50-residue limit the second sequence ends exactly at the limit
+    # and the fourth is longer than a whole block; with the default limit
+    # the same holds at 100,000
+    scale = block_residues / 50
+    lengths = [int(20 * scale), int(30 * scale), int(10 * scale), int(120 * scale), 5, 0, 7]
+    weights = [0.24] * 4 + [0.04]
+    sequences = ["".join(rng.choice(list("ACGTN"), size=n, p=weights)) for n in lengths]
+    config = KmerConfig()
+    batch = featurize_batch(sequences, config)
+    per_sequence = np.vstack([featurize_reference(s, config) for s in sequences])
+    assert np.array_equal(batch.view(np.uint64), per_sequence.view(np.uint64))

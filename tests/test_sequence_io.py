@@ -14,6 +14,7 @@ from tehier import (
     write_fasta,
     write_feature_csv,
 )
+import tehier.sequence_io
 from tehier.kmers import canonical_feature_order
 
 from oracles import write_feature_csv_reference
@@ -252,3 +253,36 @@ def test_read_feature_csv_reports_the_first_bad_row():
 def test_fasta_records_share_label_objects():
     records = parse_fasta(">a 1.2\nAC\n>b 1.2\nGT\n")
     assert records[0].label is records[1].label == parse_label("1.2")
+
+
+@pytest.mark.parametrize("block_chars", [1, 2000, 5000])
+def test_read_feature_csv_blocks_equal_one_matrix(monkeypatch, rng, block_chars):
+    X = rng.random((13, 336))
+    X[4] = 0.0
+    labels = [parse_label("1.2"), None, parse_label("2")] * 4 + [parse_label("1.2")]
+    sink = io.StringIO()
+    write_feature_csv(list(zip(X, labels)), sink)
+    whole = read_feature_csv(sink.getvalue())
+    monkeypatch.setattr(tehier.sequence_io, "_CSV_BLOCK_CHARS", block_chars)
+    blocked = read_feature_csv(io.StringIO(sink.getvalue()))
+    assert np.array_equal(np.vstack([v for v, _ in blocked]).view(np.uint64), X.view(np.uint64))
+    assert [label for _, label in blocked] == [label for _, label in whole] == labels
+    assert blocked[0][1] is blocked[-1][1]
+
+
+def test_read_feature_csv_first_bad_row_across_blocks(monkeypatch):
+    header = ",".join(canonical_feature_order(KmerConfig())) + ",label"
+    good = ",".join(["0"] * 336) + ",1"
+    bad_label = ",".join(["0"] * 336) + ",1..2"
+    bad_value = ",".join(["nan"] + ["0"] * 335) + ",1"
+    # a block holds about three rows: the bad value (line 6) is in a later
+    # block than the bad label (line 4) of the same file
+    monkeypatch.setattr(tehier.sequence_io, "_CSV_BLOCK_CHARS", 2 * len(good) + 1)
+    text = _csv_text([good, good, bad_label, good, bad_value, good], header=header)
+    with pytest.raises(LabelParseError) as err:
+        read_feature_csv(text)
+    assert err.value.line == 4
+    text = _csv_text([good, good, good, good, bad_value, bad_label], header=header)
+    with pytest.raises(FormatError, match="non-finite") as err:
+        read_feature_csv(text)
+    assert err.value.line == 6

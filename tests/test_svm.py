@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,14 @@ from tehier.svm import (
     smo_solve,
 )
 
-from oracles import dual_objective, kkt_violations, projected_gradient_qp, smo_reference
+from oracles import (
+    dual_objective,
+    kkt_violations,
+    platt_calibrate_reference,
+    platt_probability_reference,
+    projected_gradient_qp,
+    smo_reference,
+)
 
 
 def blob_pair(rng, n_per_class, separation=2.0, dim=2, spread=0.4):
@@ -240,3 +249,30 @@ def test_platt_beats_random_probes(rng):
 def test_platt_single_class_rejected():
     with pytest.raises(DegenerateDataError):
         platt_calibrate(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+
+
+def test_platt_large_decision_values_raise_no_overflow_warning():
+    # separated values far apart drive |a * f + b| past log(DBL_MAX) ~ 709
+    f = np.array([-900.0, -800.0, -2.0, 3.0, 800.0, 1000.0])
+    y = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = platt_calibrate(f, y)
+        probs = platt_probability(np.array([-1e6, -800.0, 0.0, 800.0, 1e6]), 1.0, 0.5)
+    assert np.isfinite([a, b]).all()
+    assert probs[0] == 1.0 and probs[-1] == 0.0
+    assert (np.diff(probs) <= 0).all()
+
+
+def test_platt_bit_identical_to_both_branch_expressions(rng):
+    for n, scale in [(40, 1.0), (200, 3.0), (15, 0.2)]:
+        f = np.concatenate([rng.normal(scale, 1.0, n), rng.normal(-scale, 1.0, n)])
+        y = np.concatenate([np.ones(n), -np.ones(n)])
+        y[rng.random(2 * n) < 0.1] *= -1.0  # some overlap, so (A, B) stay moderate
+        a, b = platt_calibrate(f, y)
+        assert (a, b) == platt_calibrate_reference(f, y)
+        probe = rng.normal(0.0, 50.0, 500)
+        assert np.array_equal(
+            platt_probability(probe, a, b).view(np.uint64),
+            platt_probability_reference(probe, a, b).view(np.uint64),
+        )

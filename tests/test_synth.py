@@ -11,9 +11,11 @@ from tehier import (
     generate,
     taxonomy_from_shape,
 )
-from tehier.synth import node_allocation
+import tehier.synth
+from tehier.synth import _sample_sequences, node_allocation
 
 from conftest import hl
+from oracles import generate_reference, sample_sequence_reference
 
 
 def test_taxonomy_from_shape_counts():
@@ -106,3 +108,43 @@ def test_spec_validation():
         SynthSpec(taxonomy=tax, separability=1.5)
     with pytest.raises(ValueError):
         taxonomy_from_shape([])
+
+
+@pytest.mark.parametrize("shape", [[1], [2, 2], [3, 1, 4], [2, 4, 3, 5]])
+@pytest.mark.parametrize("length_range", [(1, 90), (1, 1), (37, 37)])
+@pytest.mark.parametrize("separability", [0.0, 0.5, 1.0])
+def test_generate_equals_one_sequence_at_a_time_reference(shape, length_range, separability):
+    spec = SynthSpec(
+        taxonomy=taxonomy_from_shape(shape, seed=3), sequences_per_node=5,
+        length_range=length_range, separability=separability, seed=8,
+    )
+    assert generate(spec) == generate_reference(spec)
+
+
+def test_lockstep_blocks_of_rows_equal_reference(monkeypatch):
+    spec = SynthSpec(
+        taxonomy=taxonomy_from_shape([2, 2], seed=0), sequences_per_node=9,
+        length_range=(1, 60), seed=4,
+    )
+    expected = generate_reference(spec)
+    for cells in (1, 59, 60, 61, 200):  # down to one row per block
+        monkeypatch.setattr(tehier.synth, "_BLOCK_CELLS", cells)
+        assert generate(spec) == expected
+
+
+def test_draw_above_a_row_sum_below_one_walks_to_t():
+    # every row sums to 0.4, so each draw >= 0.4 finds no cumulative entry
+    # above it; the one-at-a-time walk then indexes a fifth state and fails
+    chain = np.full((4, 4), 0.1)
+    lengths = np.array([1, 7, 30, 2])
+    with pytest.raises(IndexError):
+        sample_sequence_reference(np.random.default_rng(5), chain, 30)
+    walked = _sample_sequences(np.random.default_rng(5), chain, lengths)
+    replay = np.random.default_rng(5)
+    cumulative = np.cumsum(chain[0])
+    for residues, length in zip(walked, lengths):
+        first = "ACGT"[replay.integers(4)]
+        draws = replay.random(length - 1)
+        steps = np.minimum(np.searchsorted(cumulative, draws, side="right"), 3)
+        assert residues == first + "".join("ACGT"[s] for s in steps)
+    assert walked[2].count("T") > 10
