@@ -6,6 +6,8 @@ vectors, then emit a probability distribution over the local class set
 Platt-calibrated binary SVM per class; all of a node's binary SVMs share one
 kernel provider (the Gram matrix, or the column cache above the full-Gram
 limit), and each fits Platt on the decision values from its SMO gradient.
+A hierarchy passes each node a slice of its training set's one Gram; on
+its own, ``fit_multiclass`` builds the node's provider.
 Logistic regression is a single softmax model. Single-class data yields a
 constant classifier so parent nodes with degenerate subsets still produce a
 probability.
@@ -68,11 +70,15 @@ def fit_multiclass(
     X: np.ndarray,
     labels: list[HierLabel],
     config: SvmConfig | LogRegConfig | None = None,
+    columns: _KernelColumns | None = None,
 ) -> MulticlassModel:
     """Train a local classifier of the requested kind.
 
     Classes are the distinct labels observed in ``labels``, sorted; a single
-    observed class produces a constant model regardless of kind.
+    observed class produces a constant model regardless of kind. ``columns``
+    is an SVM kernel provider for this ``X`` and ``config.gamma``, such as
+    a slice of the training set's Gram (``_KernelColumns.subset``); by
+    default one is built here.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -87,7 +93,8 @@ def fit_multiclass(
         config = config or SvmConfig()
         index = {c: i for i, c in enumerate(classes)}
         y_idx = np.array([index[l] for l in labels])
-        columns = _KernelColumns(X, config.gamma)
+        if columns is None:
+            columns = _KernelColumns(X, config.gamma)
         binaries = [
             train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
             for c in range(len(classes))

@@ -16,11 +16,10 @@ Exit codes: 0 success, 1 usage, 2 data/format problem, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
-
-import numpy as np
 
 from .errors import (
     DegenerateDataError,
@@ -107,14 +106,12 @@ def _echo_seed(args):
 
 def _load_labeled_features(path, config: KmerConfig):
     with open(path, "r", encoding="utf-8") as fh:
-        records = read_feature_csv(fh, config)
-    if not records:
+        X, labels = read_feature_csv(fh, config)
+    if not labels:
         raise FormatError(f"{path}: no feature rows")
-    unlabeled = sum(1 for _, label in records if label is None)
+    unlabeled = labels.count(None)
     if unlabeled:
         raise FormatError(f"{path}: {unlabeled} rows have no label; training needs labels")
-    X = np.vstack([vector for vector, _ in records])
-    labels = [label for _, label in records]
     return X, labels
 
 
@@ -199,11 +196,10 @@ def _read_prediction_inputs(path, model):
         X = featurize_batch(records, config)
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = read_feature_csv(fh, config)
-        if not rows:
+            X, _ = read_feature_csv(fh, config)
+        if not len(X):
             raise FormatError(f"{path}: no feature rows")
-        ids = [f"row{i + 1}" for i in range(len(rows))]
-        X = np.vstack([vector for vector, _ in rows])
+        ids = [f"row{i + 1}" for i in range(len(X))]
     return ids, X
 
 
@@ -523,7 +519,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_free_heap() -> None:
+    """Return the C heap's free memory to the OS (glibc's ``malloc_trim``).
+
+    glibc keeps freed heap memory resident, up to twice the largest block
+    freed so far (a Gram matrix, here), and how much depends on the order
+    of earlier frees, which depends on the grid cells and folds this
+    process happened to run. So where ``main`` runs several commands in
+    one process, a command's peak resident memory would vary by a Gram
+    from run to run; released first, it no longer depends on what ran
+    before. Without glibc this does nothing.
+    """
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return
+    malloc_trim(0)
+
+
 def main(argv=None) -> int:
+    _release_free_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

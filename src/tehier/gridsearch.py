@@ -85,10 +85,14 @@ def grid_search(
     Failed cells are recorded and excluded from selection; ties go to the
     smaller C, then the smaller gamma. The cells are the tasks that
     ``threads`` worker processes share (``parallel.run_tasks``); the result
-    is the same for any worker count.
+    is the same for any worker count. Cells are handed out dearest first:
+    larger gamma, then larger C, the order of their cost on the desk corpus.
+    So no worker is left alone with the slowest cell at the end.
+    ``GridResult.cells`` is still in lattice order.
     """
     grid = grid or Grid()
     lattice = [(c, g) for c in grid.c_values for g in grid.gamma_values]
+    dearest_first = sorted(range(len(lattice)), key=lambda k: (-lattice[k][1], -lattice[k][0]))
 
     def evaluate(index: int) -> GridCell:
         c_value, gamma = lattice[index]
@@ -108,7 +112,9 @@ def grid_search(
             return GridCell(c_value, gamma, None, None, "failed", str(exc))
         return GridCell(c_value, gamma, result.mean_hf, result.std_hf, "ok")
 
-    cells = run_tasks(evaluate, len(lattice), threads)
+    evaluated = run_tasks(lambda t: evaluate(dearest_first[t]), len(lattice), threads)
+    by_index = dict(zip(dearest_first, evaluated))
+    cells = [by_index[k] for k in range(len(lattice))]
     selected = None
     best = -1.0
     for cell in cells:  # lattice order makes ">" implement the tie-break

@@ -6,7 +6,11 @@ children plus the node itself (the replicated-self class that lets a
 prediction stop early). The root has no self class. A sample labeled exactly
 at an internal node trains that node's self class; a sample labeled deeper
 trains the child its path passes through. A node's rows are one mask over
-the training labels' ancestor ids (``Taxonomy.ancestor_ids``).
+the training labels' ancestor ids (``Taxonomy.ancestor_ids``). An SVM
+hierarchy has one kernel provider per training set: the RBF Gram matrix of
+all training rows is computed once, and every node's one-vs-rest SVMs solve
+on the slice of it for the node's rows (above the full-Gram limit, where
+no Gram is kept, each node builds its own provider).
 
 Prediction works on taxonomy node ids (0 is the root, the rest preorder).
 ``HierModel.proba_tables`` runs every local model once over the batch and
@@ -58,7 +62,7 @@ from .kmers import KmerConfig
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig, LogRegModel
 from .parallel import run_tasks
-from .svm import BinarySvmModel, SvmConfig
+from .svm import BinarySvmModel, SvmConfig, _KernelColumns
 from .taxonomy import Taxonomy
 
 NLLCPN = "nllcpn"
@@ -232,11 +236,14 @@ def train_hier(
 
     Every label must be a taxonomy node, and every feature value finite
     (FormatError otherwise). Parent nodes whose training subset is empty are
-    left untrained; prediction treats them as terminals. The parent nodes are
-    the tasks that ``threads`` worker processes share
+    left untrained; prediction treats them as terminals. An SVM hierarchy
+    builds one kernel provider for the training set and hands each parent
+    node the slice of it for the node's rows (``_KernelColumns.subset``);
+    above the full-Gram limit each node builds its own. The parent nodes
+    are the tasks that ``threads`` worker processes share
     (``parallel.run_tasks``); the model is the same for any worker count.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # the root node trains on X itself
     if X.ndim != 2 or X.shape[0] == 0:
         raise TaxonomyError("training data must be nonempty")
     if X.shape[0] != len(labels):
@@ -254,6 +261,8 @@ def train_hier(
     depths = taxonomy.node_depth[ids]
 
     parents = [v for v, kids in enumerate(taxonomy.child_ids) if kids]
+    # one kernel provider for the training set; each node's rows are a subset
+    kernel = _KernelColumns(X, config.gamma) if base_kind == SVM else None
 
     def train_node(index: int):
         # rows under the parent; a label at the parent is its self class,
@@ -265,7 +274,9 @@ def train_hier(
             return None
         local = np.where(depths[rows] == depth, parent, ancestors[rows, depth + 1])
         classes = [taxonomy.node_labels[c] for c in local.tolist()]
-        return fit_multiclass(base_kind, X[rows], classes, config)
+        X_rows = X if len(rows) == len(X) else X[rows]  # the root's rows need no copy
+        columns = kernel.subset(rows, X_rows) if kernel is not None else None
+        return fit_multiclass(base_kind, X_rows, classes, config, columns)
 
     trained = run_tasks(train_node, len(parents), threads)
     node_models = {

@@ -155,8 +155,9 @@ def save_fasta(sequences: Iterable[Sequence], path) -> None:
 
 def read_feature_csv(
     source, config: KmerConfig | None = None
-) -> list[tuple[np.ndarray, HierLabel | None]]:
-    """Read a feature CSV into (vector, optional label) records.
+) -> tuple[np.ndarray, list[HierLabel | None]]:
+    """Read a feature CSV into an (n_rows, n_features) matrix and a list of
+    n_rows optional labels.
 
     The header must list the canonical k-mer names for ``config`` (default
     K=2,3,4), optionally followed by a ``label`` column. Raises FormatError
@@ -170,8 +171,10 @@ def read_feature_csv(
     refuses is read again row by row with ``csv`` and ``float``, which
     either names the first bad row or accepts what ``float`` accepts (quoted
     cells, say); blocks are parsed in file order, so the first bad row of
-    the file is the one reported. The vectors are rows of the block
-    matrices, and rows with the same label token share one label object.
+    the file is the one reported. Each block is copied onto the end of the
+    one result matrix, which grows in place (``ndarray.resize``), so no
+    second copy of the matrix is ever held. Rows with the same label token
+    share one label object.
     """
     config = config or KmerConfig()
     expected = canonical_feature_order(config)
@@ -200,10 +203,16 @@ def read_feature_csv(
 
     numbered = ((lineno, line) for lineno, line in enumerate(lines, start=2) if line)
     parse = functools.cache(parse_label)
-    records: list[tuple[np.ndarray, HierLabel | None]] = []
+    X = np.empty((0, dim))
+    labels: list[HierLabel | None] = []
     for rows in _line_blocks(numbered):
-        records.extend(_parse_rows(rows, expected, labeled, parse))
-    return records
+        block, block_labels = _parse_rows(rows, expected, labeled, parse)
+        start = len(labels)
+        labels.extend(block_labels)
+        # X has no views, so resize() may grow it in place (realloc)
+        X.resize((len(labels), dim), refcheck=False)
+        X[start:] = block
+    return X, labels
 
 
 def _line_blocks(numbered: Iterator[tuple[int, str]]) -> Iterator[list[tuple[int, str]]]:
@@ -220,8 +229,8 @@ def _line_blocks(numbered: Iterator[tuple[int, str]]) -> Iterator[list[tuple[int
 
 
 def _parse_rows(rows: list[tuple[int, str]], expected: list[str], labeled: bool, parse):
-    """(vector, label) records of one block of data rows, parsed as one
-    matrix, or row by row when the fast path refuses the block."""
+    """(matrix, labels) of one block of data rows, parsed as one matrix, or
+    row by row when the fast path refuses the block."""
     dim = len(expected)
     try:
         texts = [line for _, line in rows]
@@ -233,8 +242,9 @@ def _parse_rows(rows: list[tuple[int, str]], expected: list[str], labeled: bool,
         tokens = [line[line.rfind(",") + 1 :].strip() if labeled else "" for line in texts]
         labels = [parse(token) if token else None for token in tokens]
     except (ValueError, LabelParseError):
-        return [_parse_row(lineno, line, expected, labeled, parse) for lineno, line in rows]
-    return list(zip(X, labels))
+        parsed = [_parse_row(lineno, line, expected, labeled, parse) for lineno, line in rows]
+        return np.array([vector for vector, _ in parsed]), [label for _, label in parsed]
+    return X, labels
 
 
 def _parse_row(lineno: int, line: str, expected: list[str], labeled: bool, parse):

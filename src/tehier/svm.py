@@ -75,9 +75,14 @@ def rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise DimensionError(f"kernel matrices disagree: {X.shape[1]} vs {Y.shape[1]} features")
-    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
+    # exp(-gamma * max(|x|^2 + |y|^2 - 2 x.y, 0)), computed in place: one
+    # (n_X, n_Y) temporary beside the result instead of two
+    sq = X @ Y.T
+    sq *= 2.0
+    np.subtract((X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :], sq, out=sq)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 class _KernelColumns:
@@ -85,19 +90,32 @@ class _KernelColumns:
 
     Full matrix when the problem is small, otherwise an LRU cache of
     individual columns. Columns depend only on X and gamma, so one provider
-    serves every binary problem on the same rows.
+    serves every binary problem on the same rows, and a full Gram also
+    serves every subset of its rows (``subset``).
     """
 
-    def __init__(self, X: np.ndarray, gamma: float):
+    def __init__(self, X: np.ndarray, gamma: float, full: np.ndarray | None = None):
         self._X = X
         self._gamma = gamma
-        n = X.shape[0]
-        if n <= _FULL_GRAM_LIMIT:
-            self._full = rbf_kernel_matrix(X, X, gamma)
-            self._cache = None
-        else:
-            self._full = None
-            self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        if full is None and X.shape[0] <= _FULL_GRAM_LIMIT:
+            full = rbf_kernel_matrix(X, X, gamma)
+        self._full = full
+        self._cache: OrderedDict[int, np.ndarray] = OrderedDict() if full is None else None
+
+    def subset(self, rows: np.ndarray, X_rows: np.ndarray) -> _KernelColumns:
+        """The provider for ``X_rows``, which is ``X[rows]`` for ascending rows.
+
+        A full Gram is shared when ``rows`` is every row and sliced,
+        ``K[np.ix_(rows, rows)]``, otherwise. Without one (above
+        ``_FULL_GRAM_LIMIT``) the rows get a provider of their own, built
+        from ``X_rows``, so this provider's cache never fills.
+        """
+        if self._full is None:
+            return _KernelColumns(X_rows, self._gamma)
+        full = self._full
+        if len(rows) < len(full):
+            full = full.take(rows, axis=0).take(rows, axis=1)  # C-contiguous rows
+        return _KernelColumns(X_rows, self._gamma, full)
 
     def column(self, i: int) -> np.ndarray:
         if self._full is not None:
@@ -151,37 +169,31 @@ def smo_solve(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int):
     """
     column = K_columns.column if hasattr(K_columns, "column") else K_columns
     n = y.shape[0]
-    alpha = np.zeros(n)
+    labels = y.tolist()
+    alpha = [0.0] * n
     # v = -y * grad, and the optimal bias lies between max v over I_up and
     # min v over I_low. v_up / v_low hold v on those index sets and -inf / +inf
-    # elsewhere; they are updated in place, and their membership only at the
-    # two indices an iteration changes. With y = +-1 every update is exact,
-    # so this is the same arithmetic as recomputing -y * grad each time.
-    v = y.astype(np.float64)  # grad = -1 at alpha = 0
-    v_up = np.where(y > 0, v, -np.inf)
-    v_low = np.where(y < 0, v, np.inf)
+    # elsewhere, and are updated in place. Every index is in at least one set
+    # (0 < alpha < C: both; alpha at a bound: one), so v is the finite entry
+    # of the two and needs no array of its own. With y = +-1 every update is
+    # exact, so this is the same arithmetic as recomputing -y * grad.
+    v_up = np.where(y > 0, y, -np.inf)  # grad = -1 at alpha = 0
+    v_low = np.where(y < 0, y, np.inf)
+    argmax, argmin = v_up.argmax, v_low.argmin
+    change, other = np.empty(n), np.empty(n)
+    inf = np.inf
+    to_zero, to_c = _SNAP * C, C * (1.0 - _SNAP)
     converged = False
     bias = 0.0
 
-    def select_pair():
-        i = int(np.argmax(v_up))
-        j = int(np.argmin(v_low))
-        if v_up[i] == -np.inf or v_low[j] == np.inf:
-            return None  # I_up or I_low is empty
-        return i, j, v_up[i], v_low[j]
-
-    def refresh(k):
-        up = alpha[k] < C if y[k] > 0 else alpha[k] > 0
-        low = alpha[k] > 0 if y[k] > 0 else alpha[k] < C
-        v_up[k] = v[k] if up else -np.inf
-        v_low[k] = v[k] if low else np.inf
-
     for _ in range(max_iter):
-        selected = select_pair()
-        if selected is None:
-            converged = True
+        i = argmax()
+        j = argmin()
+        v_hi = v_up.item(i)
+        v_lo = v_low.item(j)
+        if v_hi == -inf or v_lo == inf:
+            converged = True  # I_up or I_low is empty
             break
-        i, j, v_hi, v_lo = selected
         gap = v_hi - v_lo
         bias = 0.5 * (v_hi + v_lo)
         if gap <= tol:
@@ -190,45 +202,49 @@ def smo_solve(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int):
 
         col_i = column(i)
         col_j = column(j)
-        quad = col_i[i] + col_j[j] - 2.0 * col_i[j]
+        quad = col_i.item(i) + col_j.item(j) - 2.0 * col_i.item(j)
         if quad <= 1e-12:
             quad = 1e-12
-        step = gap / quad
 
         # feasible step length preserving the box constraints
-        limit_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-        limit_j = alpha[j] if y[j] > 0 else (C - alpha[j])
-        step = min(step, limit_i, limit_j)
-
-        new_i = alpha[i] + y[i] * step
-        new_j = alpha[j] - y[j] * step
-        if new_i < _SNAP * C:
+        a_i, a_j, y_i, y_j = alpha[i], alpha[j], labels[i], labels[j]
+        step = min(gap / quad, (C - a_i) if y_i > 0 else a_i, a_j if y_j > 0 else (C - a_j))
+        new_i = a_i + y_i * step
+        new_j = a_j - y_j * step
+        if new_i < to_zero:
             new_i = 0.0
-        elif new_i > C * (1.0 - _SNAP):
+        elif new_i > to_c:
             new_i = C
-        if new_j < _SNAP * C:
+        if new_j < to_zero:
             new_j = 0.0
-        elif new_j > C * (1.0 - _SNAP):
+        elif new_j > to_c:
             new_j = C
-
-        delta_i = new_i - alpha[i]
-        delta_j = new_j - alpha[j]
         alpha[i] = new_i
         alpha[j] = new_j
+
         # grad += y * change  <=>  v -= change
-        change = y[i] * delta_i * col_i + y[j] * delta_j * col_j
-        v -= change
+        np.multiply(col_i, y_i * (new_i - a_i), out=change)
+        np.multiply(col_j, y_j * (new_j - a_j), out=other)
+        change += other
         v_up -= change
         v_low -= change
-        refresh(i)
-        refresh(j)
+        # i was in I_up and j in I_low, so those entries hold the new v;
+        # then both indices move to the sets their new alphas put them in
+        v = v_up.item(i)
+        v_up[i] = v if (new_i < C if y_i > 0 else new_i > 0) else -inf
+        v_low[i] = v if (new_i > 0 if y_i > 0 else new_i < C) else inf
+        v = v_low.item(j)
+        v_up[j] = v if (new_j < C if y_j > 0 else new_j > 0) else -inf
+        v_low[j] = v if (new_j > 0 if y_j > 0 else new_j < C) else inf
     else:
         # iteration budget exhausted: refresh the bias for the final alphas
-        selected = select_pair()
-        if selected is not None:
-            bias = 0.5 * (selected[2] + selected[3])
+        v_hi = v_up.item(argmax())
+        v_lo = v_low.item(argmin())
+        if v_hi != -inf and v_lo != inf:
+            bias = 0.5 * (v_hi + v_lo)
 
-    return alpha, float(bias), converged, -y * v
+    v = np.where(v_up == -inf, v_low, v_up)
+    return np.array(alpha), bias, converged, -y * v
 
 
 def train_binary_svm(

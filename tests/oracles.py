@@ -15,9 +15,9 @@ import json
 
 import numpy as np
 
-from tehier.classifiers import LOGREG, SVM
+from tehier.classifiers import LOGREG, SVM, fit_multiclass
 from tehier.errors import FormatError, TaxonomyError
-from tehier.hierarchy import PathScore, ProbaTable
+from tehier.hierarchy import HierModel, PathScore, ProbaTable
 from tehier.kmers import RELATIVE_FREQUENCY, KmerConfig, canonical_feature_order
 from tehier.labels import HierLabel, render_label
 from tehier.metrics import HierMetrics
@@ -483,6 +483,35 @@ def kkt_violations(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, bias: float,
     return viol
 
 
+def rbf_kernel_matrix_reference(X, Y, gamma: float) -> np.ndarray:
+    """The RBF kernel matrix as one expression, which makes two (n_X, n_Y)
+    temporaries beside the result; ``svm.rbf_kernel_matrix`` must equal it
+    bit for bit."""
+    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
+
+
+def train_hier_per_node_reference(X, labels, taxonomy, base_kind, config) -> HierModel:
+    """``train_hier`` as it was before a training set shared one Gram matrix:
+    every parent node calls ``fit_multiclass`` on its own rows, which builds
+    the node's own kernel provider. Serial, and without the input checks."""
+    ids = taxonomy.ids(labels, "training label")
+    ancestors = taxonomy.ancestor_ids[ids]
+    depths = taxonomy.node_depth[ids]
+    node_models = {}
+    for parent, kids in enumerate(taxonomy.child_ids):
+        depth = taxonomy.node_depth[parent]
+        rows = np.flatnonzero(ancestors[:, depth] == parent)
+        if not kids or not rows.size:
+            continue
+        local = np.where(depths[rows] == depth, parent, ancestors[rows, depth + 1])
+        classes = [taxonomy.node_labels[c] for c in local.tolist()]
+        model = fit_multiclass(base_kind, X[rows], classes, config)
+        node_models[taxonomy.node_paths[parent]] = model
+    return HierModel(taxonomy, node_models, config, None, X.shape[1])
+
+
 # -- SMO -------------------------------------------------------------------------
 
 _SNAP = 1e-12
@@ -562,6 +591,96 @@ def smo_reference(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int)
             bias = 0.5 * (selected[2] + selected[3])
 
     return alpha, float(bias), converged
+
+
+def smo_inplace_reference(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int):
+    """The in-place SMO loop that ``svm.smo_solve`` replaced, kept verbatim
+    as a bit-for-bit oracle for it.
+
+    Returns (alpha, bias, converged, grad), where grad is the dual gradient
+    Q alpha - 1 at the returned alpha. ``K_columns`` is either a callable
+    i -> column or an object with a ``column`` method.
+    """
+    column = K_columns.column if hasattr(K_columns, "column") else K_columns
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    # v = -y * grad, and the optimal bias lies between max v over I_up and
+    # min v over I_low. v_up / v_low hold v on those index sets and -inf / +inf
+    # elsewhere; they are updated in place, and their membership only at the
+    # two indices an iteration changes. With y = +-1 every update is exact,
+    # so this is the same arithmetic as recomputing -y * grad each time.
+    v = y.astype(np.float64)  # grad = -1 at alpha = 0
+    v_up = np.where(y > 0, v, -np.inf)
+    v_low = np.where(y < 0, v, np.inf)
+    converged = False
+    bias = 0.0
+
+    def select_pair():
+        i = int(np.argmax(v_up))
+        j = int(np.argmin(v_low))
+        if v_up[i] == -np.inf or v_low[j] == np.inf:
+            return None  # I_up or I_low is empty
+        return i, j, v_up[i], v_low[j]
+
+    def refresh(k):
+        up = alpha[k] < C if y[k] > 0 else alpha[k] > 0
+        low = alpha[k] > 0 if y[k] > 0 else alpha[k] < C
+        v_up[k] = v[k] if up else -np.inf
+        v_low[k] = v[k] if low else np.inf
+
+    for _ in range(max_iter):
+        selected = select_pair()
+        if selected is None:
+            converged = True
+            break
+        i, j, v_hi, v_lo = selected
+        gap = v_hi - v_lo
+        bias = 0.5 * (v_hi + v_lo)
+        if gap <= tol:
+            converged = True
+            break
+
+        col_i = column(i)
+        col_j = column(j)
+        quad = col_i[i] + col_j[j] - 2.0 * col_i[j]
+        if quad <= 1e-12:
+            quad = 1e-12
+        step = gap / quad
+
+        # feasible step length preserving the box constraints
+        limit_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
+        limit_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        step = min(step, limit_i, limit_j)
+
+        new_i = alpha[i] + y[i] * step
+        new_j = alpha[j] - y[j] * step
+        if new_i < _SNAP * C:
+            new_i = 0.0
+        elif new_i > C * (1.0 - _SNAP):
+            new_i = C
+        if new_j < _SNAP * C:
+            new_j = 0.0
+        elif new_j > C * (1.0 - _SNAP):
+            new_j = C
+
+        delta_i = new_i - alpha[i]
+        delta_j = new_j - alpha[j]
+        alpha[i] = new_i
+        alpha[j] = new_j
+        # grad += y * change  <=>  v -= change
+        change = y[i] * delta_i * col_i + y[j] * delta_j * col_j
+        v -= change
+        v_up -= change
+        v_low -= change
+        refresh(i)
+        refresh(j)
+    else:
+        # iteration budget exhausted: refresh the bias for the final alphas
+        selected = select_pair()
+        if selected is not None:
+            bias = 0.5 * (selected[2] + selected[3])
+
+    return alpha, float(bias), converged, -y * v
 
 
 # -- logistic regression -----------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import tehier.cli
 from tehier.cli import main
 
 
@@ -173,3 +174,17 @@ def test_outputs_byte_identical_across_reruns_and_threads(tmp_path):
         ]
     assert outputs["a"] == outputs["b"]  # rerun, same seed
     assert outputs["a"] == outputs["c"]  # different thread count
+
+
+@pytest.mark.parametrize("error", [OSError, AttributeError])
+def test_commands_run_without_malloc_trim(tmp_path, monkeypatch, error):
+    """Each command first returns free heap memory with glibc's malloc_trim;
+    without that C library, or without the function, it runs all the same."""
+    def no_malloc_trim(*args, **kwargs):
+        raise error("no malloc_trim")
+
+    monkeypatch.setattr(tehier.cli.ctypes, "CDLL", no_malloc_trim)
+    out = tmp_path / "data.fasta"
+    assert run(["synth", "--shape", "2", "--per-node", "2", "--length", "50",
+                "--seed", "1", "--out", out]) == 0
+    assert out.read_text().count(">") == 4

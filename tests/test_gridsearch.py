@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tehier.gridsearch
 from tehier import Grid, GridSearchError, build_from_labels, grid_search, train_final
 from tehier.gridsearch import GridResult, GridCell
 
@@ -56,6 +57,43 @@ def test_tie_break_smaller_c_then_smaller_gamma():
             best = cell.mean_hf
             result.selected = (cell.C, cell.gamma)
     assert result.selected == (1.0, 1.0)
+
+
+def fake_crossval(calls, scores):
+    """A crossval stand-in that records its (C, gamma) and scores it from ``scores``."""
+
+    class Result:
+        std_hf = 0.0
+
+    def crossval(X, labels, taxonomy, config, **kwargs):
+        calls.append((config.C, config.gamma))
+        result = Result()
+        result.mean_hf = scores(config.C, config.gamma)
+        return result
+
+    return crossval
+
+
+@pytest.mark.parametrize(
+    "scores, selected",
+    [
+        (lambda c, g: 0.9, (1.0, 0.25)),  # all tied: smallest C, then smallest gamma
+        (lambda c, g: 0.9 if g > 1 else 0.5, (1.0, 2.0)),
+        (lambda c, g: 0.9 if c > 1 and g < 1 else 0.5, (2.0, 0.25)),
+    ],
+)
+def test_cells_run_dearest_first_and_report_in_lattice_order(monkeypatch, scores, selected):
+    calls = []
+    monkeypatch.setattr(tehier.gridsearch, "crossval", fake_crossval(calls, scores))
+    tax = build_from_labels([hl("1"), hl("2")])
+    grid = Grid(c_values=(1.0, 2.0, 8.0), gamma_values=(0.25, 0.5, 2.0), folds=3)
+    result = grid_search(np.zeros((6, 2)), [hl("1"), hl("2")] * 3, tax, grid, threads=1)
+    lattice = [(c, g) for c in grid.c_values for g in grid.gamma_values]
+    assert calls[0] == (8.0, 2.0)  # the largest gamma, then the largest C
+    assert calls == sorted(lattice, key=lambda cell: (-cell[1], -cell[0]))
+    assert [(cell.C, cell.gamma) for cell in result.cells] == lattice
+    assert [cell.mean_hf for cell in result.cells] == [scores(c, g) for c, g in lattice]
+    assert result.selected == selected
 
 
 def test_grid_determinism_and_threads(rng):

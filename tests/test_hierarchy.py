@@ -1,6 +1,8 @@
 import base64
 import io
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from tehier import (
     save_model,
     train_hier,
 )
+import tehier.metrics
+import tehier.svm
+import tehier.synth
 from tehier.hierarchy import HierModel, decode_lcpnb, decode_nllcpn, score_paths
 from tehier.labels import HierLabel
 
@@ -31,6 +36,7 @@ from oracles import (
     save_model_v1,
     score_all_paths,
     stub_proba_table,
+    train_hier_per_node_reference,
 )
 
 
@@ -321,6 +327,74 @@ def test_predict_thread_count_independent(rng):
     assert model.predict(queries, "nllcpn", threads=1) == model.predict(
         queries, "nllcpn", threads=8
     )
+
+
+def four_level_setup(rng):
+    """Blobs labeled at every node of a 2, 2, 2 taxonomy below the root."""
+    tax = tehier.synth.taxonomy_from_shape([2, 2, 2], seed=0)
+    nodes = tax.node_labels[1:]
+    X, y = separable_blobs(rng, 12, [rng.normal(0, 2.0, 3) for _ in nodes], spread=0.7)
+    return tax, X, [nodes[c] for c in y]
+
+
+def model_text(model) -> str:
+    sink = io.StringIO()
+    save_model(model, sink)
+    return sink.getvalue()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_train_hier_same_model_at_one_and_four_workers(rng, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    tax, X, labels = four_level_setup(rng)
+    config = SvmConfig(C=4.0, gamma=0.5)
+    serial = train_hier(X, labels, tax, config=config, threads=1)
+    forked = train_hier(X, labels, tax, config=config, threads=4)
+    assert model_text(serial) == model_text(forked)
+
+
+def test_crossval_fold_model_equals_train_hier_on_the_fold_rows(rng, monkeypatch):
+    tax, X, labels = four_level_setup(rng)
+    config = SvmConfig(C=8.0, gamma=0.5)
+    fold_models = []
+
+    def keep(X_train, *args, **kwargs):
+        fold_models.append(train_hier(X_train, *args, **kwargs))
+        return fold_models[-1]
+
+    monkeypatch.setattr(tehier.metrics, "train_hier", keep)
+    tehier.metrics.crossval_strategies(X, labels, tax, config=config, k=3, seed=5)
+    plan = tehier.metrics.stratified_kfold(labels, 3, 5)
+    for fold, model in enumerate(fold_models):
+        rows = plan.train_indices(fold)
+        alone = train_hier(X[rows], [labels[i] for i in rows], tax, config=config)
+        assert model_text(model) == model_text(alone)
+
+
+def test_nodes_above_the_gram_limit_build_their_own_providers(rng, monkeypatch):
+    tax, X, labels = four_level_setup(rng)
+    config = SvmConfig(C=8.0, gamma=0.5)
+    sizes = []
+    original = tehier.svm.rbf_kernel_matrix
+
+    def full_grams(A, B, gamma):
+        if A is B:
+            sizes.append(len(A))
+        return original(A, B, gamma)
+
+    monkeypatch.setattr(tehier.svm, "rbf_kernel_matrix", full_grams)
+    model = train_hier(X, labels, tax, config=config)
+    assert sizes == [len(X)]  # one Gram for the training set, sliced per node
+    # below n the root keeps no Gram: each node builds its own provider, as
+    # every node did before the training set shared one
+    monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", len(X) // 2)
+    sizes.clear()
+    model = train_hier(X, labels, tax, config=config)
+    assert len(sizes) == len(model.node_models) - 1 and max(sizes) <= len(X) // 2
+    reference = train_hier_per_node_reference(X, labels, tax, "svm", config)
+    assert model_text(model) == model_text(reference)
 
 
 def test_unknown_strategy_rejected(rng):

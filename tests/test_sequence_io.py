@@ -116,12 +116,10 @@ def test_read_feature_csv_zero_row_with_label():
         [",".join(["0"] * 336) + ",1"],
         header=",".join(canonical_feature_order(KmerConfig())) + ",label",
     )
-    records = read_feature_csv(text)
-    assert len(records) == 1
-    vector, label = records[0]
-    assert vector.shape == (336,)
-    assert not vector.any()
-    assert label == parse_label("1")
+    X, labels = read_feature_csv(text)
+    assert X.shape == (1, 336)
+    assert not X.any()
+    assert labels == [parse_label("1")]
 
 
 def test_read_feature_csv_wrong_column_count():
@@ -140,7 +138,8 @@ def test_read_feature_csv_wrong_row_width():
 
 
 def test_read_feature_csv_header_only_gives_empty_list():
-    assert read_feature_csv(_csv_text([])) == []
+    X, labels = read_feature_csv(_csv_text([]))
+    assert X.shape == (0, 336) and labels == []
 
 
 def test_read_feature_csv_rejects_non_numeric():
@@ -177,9 +176,9 @@ def test_feature_csv_round_trip_exact():
     ]
     sink = io.StringIO()
     write_feature_csv(records, sink)
-    loaded = read_feature_csv(sink.getvalue())
-    assert len(loaded) == len(records)
-    for (v1, l1), (v2, l2) in zip(records, loaded):
+    X, labels = read_feature_csv(sink.getvalue())
+    assert X.shape == (len(records), 336)
+    for (v1, l1), v2, l2 in zip(records, X, labels):
         assert np.array_equal(v1, v2)  # bit-exact via repr round-trip
         assert l1 == l2
 
@@ -205,9 +204,9 @@ def test_feature_csv_writer_bytes_equal_reference(labels):
     write_feature_csv(records, ours)
     write_feature_csv_reference(records, reference)
     assert ours.getvalue() == reference.getvalue()
-    loaded = read_feature_csv(ours.getvalue())
-    assert np.vstack([v for v, _ in loaded]).tobytes() == X.tobytes()
-    assert [l for _, l in loaded] == [l for _, l in records]
+    loaded, loaded_labels = read_feature_csv(ours.getvalue())
+    assert loaded.tobytes() == X.tobytes()
+    assert loaded_labels == [l for _, l in records]
 
 
 def test_feature_csv_writer_rejects_wrong_width():
@@ -225,16 +224,16 @@ def test_read_feature_csv_sources_line_ends_and_shared_labels(tmp_path):
         crlf = text.replace("\n", "\r\n")
         sources = [text, text.encode(), io.StringIO(text), crlf, binary, textfile]
         results = [read_feature_csv(source) for source in sources]
-    for records in results:
-        assert [label for _, label in records] == [parse_label("1.2"), parse_label("1.2"), None]
-        assert np.array_equal(np.vstack([v for v, _ in records]), np.full((3, 336), 0.25))
-        assert records[0][1] is records[1][1]
+    for X, labels in results:
+        assert labels == [parse_label("1.2"), parse_label("1.2"), None]
+        assert np.array_equal(X, np.full((3, 336), 0.25))
+        assert labels[0] is labels[1]
 
 
 def test_read_feature_csv_accepts_what_float_accepts():
     # quoted cells and digit separators fall back to the row-by-row reader
     row = ['"0.5"', "1_0"] + ["0"] * 334
-    (vector, label), = read_feature_csv(_csv_text([",".join(row)]))
+    (vector,), (label,) = read_feature_csv(_csv_text([",".join(row)]))
     assert vector[:3].tolist() == [0.5, 10.0, 0.0] and label is None
 
 
@@ -262,12 +261,14 @@ def test_read_feature_csv_blocks_equal_one_matrix(monkeypatch, rng, block_chars)
     labels = [parse_label("1.2"), None, parse_label("2")] * 4 + [parse_label("1.2")]
     sink = io.StringIO()
     write_feature_csv(list(zip(X, labels)), sink)
-    whole = read_feature_csv(sink.getvalue())
+    whole, whole_labels = read_feature_csv(sink.getvalue())
     monkeypatch.setattr(tehier.sequence_io, "_CSV_BLOCK_CHARS", block_chars)
-    blocked = read_feature_csv(io.StringIO(sink.getvalue()))
-    assert np.array_equal(np.vstack([v for v, _ in blocked]).view(np.uint64), X.view(np.uint64))
-    assert [label for _, label in blocked] == [label for _, label in whole] == labels
-    assert blocked[0][1] is blocked[-1][1]
+    blocked, blocked_labels = read_feature_csv(io.StringIO(sink.getvalue()))
+    assert blocked.flags.c_contiguous and blocked.flags.owndata
+    assert np.array_equal(blocked.view(np.uint64), X.view(np.uint64))
+    assert np.array_equal(whole.view(np.uint64), X.view(np.uint64))
+    assert blocked_labels == whole_labels == labels
+    assert blocked_labels[0] is blocked_labels[-1]
 
 
 def test_read_feature_csv_first_bad_row_across_blocks(monkeypatch):

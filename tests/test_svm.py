@@ -19,6 +19,8 @@ from oracles import (
     platt_calibrate_reference,
     platt_probability_reference,
     projected_gradient_qp,
+    rbf_kernel_matrix_reference,
+    smo_inplace_reference,
     smo_reference,
 )
 
@@ -54,6 +56,14 @@ def test_rbf_kernel_symmetric_random_pairs(rng):
 def test_rbf_kernel_dimension_mismatch():
     with pytest.raises(DimensionError):
         rbf_kernel(np.zeros(3), np.zeros(4), 1.0)
+
+
+def test_rbf_kernel_matrix_matches_reference_bit_for_bit(rng):
+    X = rng.normal(size=(60, 9)) * rng.choice([1e-3, 1.0, 30.0], size=(60, 9))
+    for A, B in [(X, X), (X[:20], X[5:]), (X[7:8], X)]:
+        for gamma in (0.01, 1.0, 64.0):
+            got = rbf_kernel_matrix(A, B, gamma).view(np.uint64)
+            assert got.tolist() == rbf_kernel_matrix_reference(A, B, gamma).view(np.uint64).tolist()
 
 
 def test_separable_four_points():
@@ -128,11 +138,17 @@ def test_duplicated_dataset_keeps_decision_function(rng):
 
 
 def _assert_matches_reference(provider, y, C, tol, max_iter):
-    alpha, bias, converged, _ = smo_solve(provider, y, C, tol, max_iter)
+    """smo_solve equals both oracles bit for bit; the in-place one also on grad,
+    which Platt reads its decision values from."""
+    alpha, bias, converged, grad = smo_solve(provider, y, C, tol, max_iter)
     ref_alpha, ref_bias, ref_converged = smo_reference(provider, y, C, tol, max_iter)
     assert np.array_equal(alpha, ref_alpha)
     assert bias == ref_bias
     assert converged == ref_converged
+    in_place = smo_inplace_reference(provider, y, C, tol, max_iter)
+    assert alpha.view(np.uint64).tolist() == in_place[0].view(np.uint64).tolist()
+    assert (bias, converged) == in_place[1:3] and type(bias) is float
+    assert grad.view(np.uint64).tolist() == in_place[3].view(np.uint64).tolist()
     return alpha, converged
 
 
@@ -151,6 +167,46 @@ def test_smo_matches_reference_bit_for_bit(rng):
             _KernelColumns(X, gamma), y, C, 1e-3, 200 * len(y)
         )
         assert converged
+
+
+@pytest.mark.parametrize("C", [0.5, 16.0, 256.0])
+def test_smo_matches_in_place_oracle_on_random_blobs(rng, C):
+    for _ in range(4):
+        X, y = blob_pair(rng, int(rng.integers(20, 60)), separation=float(rng.uniform(0.5, 2.0)))
+        order = rng.permutation(len(y))
+        _assert_matches_reference(_KernelColumns(X[order], 2.0), y[order], C, 1e-3, 200 * len(y))
+
+
+def test_smo_matches_reference_with_snapped_alphas(rng, monkeypatch):
+    import oracles
+
+    # a snap threshold of 1e-3 * C makes snapping to 0 common; these
+    # separable blobs keep every alpha far below C = 100
+    X, y = blob_pair(rng, 40, separation=2.0)
+    provider = _KernelColumns(X, 1.0)
+    default = smo_solve(provider, y, 100.0, 1e-3, 4000)[0]
+    monkeypatch.setattr(tehier.svm, "_SNAP", 1e-3)
+    monkeypatch.setattr(oracles, "_SNAP", 1e-3)
+    snapped, _ = _assert_matches_reference(provider, y, 100.0, 1e-3, 4000)
+    assert not np.array_equal(snapped, default) and snapped.max() < 50.0
+    monkeypatch.undo()
+
+    # two orthogonal points: the first step is 1.0, which only the snap to C
+    # turns into C
+    C = 1.0 + 1e-13
+    alpha, _ = _assert_matches_reference(lambda i: np.eye(2)[i], np.array([1.0, -1.0]), C, 1e-3, 10)
+    assert alpha.tolist() == [C, C]
+
+
+def test_smo_matches_reference_on_exactly_tied_values(rng):
+    # every row and column twice: twins have the same v bit for bit, so the
+    # pair selection keeps meeting ties that argmax / argmin break by index
+    X, y = blob_pair(rng, 15, separation=0.8, spread=0.6)
+    twice = np.repeat(np.arange(len(y)), 2)
+    K = rbf_kernel_matrix(X, X, 1.0)[np.ix_(twice, twice)]
+    alpha, _ = _assert_matches_reference(lambda i: K[i], y[twice], 4.0, 1e-4, 200 * len(twice))
+    _, _, _, grad = smo_solve(lambda i: K[i], y[twice], 4.0, 1e-4, 200 * len(twice))
+    assert np.array_equal(grad[0::2], grad[1::2])
 
 
 def test_smo_matches_reference_with_alphas_at_c(rng):
@@ -176,6 +232,27 @@ def test_smo_matches_reference_on_column_cache(rng, monkeypatch):
     monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
     X, y = blob_pair(rng, 40, separation=1.2)
     _assert_matches_reference(_KernelColumns(X, 0.7), y, 2.0, 1e-3, 200 * len(y))
+
+
+def test_subset_slices_the_training_set_gram(rng, monkeypatch):
+    X = rng.normal(size=(30, 3))
+    K = rbf_kernel_matrix(X, X, 0.7)
+    root = _KernelColumns(X, 0.7)
+    rows = np.flatnonzero(rng.random(30) < 0.5)
+    sliced = root.subset(rows, X[rows])
+    for i in range(len(rows)):
+        assert np.array_equal(sliced.column(i), K[np.ix_(rows, rows)][i])
+    every = root.subset(np.arange(30), X)
+    assert all(np.array_equal(every.column(i), K[i]) for i in range(30))
+
+    # above the full-Gram limit the rows get a cache of their own
+    monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
+    root = _KernelColumns(X, 0.7)
+    own = root.subset(rows, X[rows])
+    for i in range(len(rows)):
+        expected = rbf_kernel_matrix(X[rows], X[rows][i : i + 1], 0.7)[:, 0]
+        assert np.array_equal(own.column(i), expected)
+    assert not root._cache
 
 
 @pytest.mark.parametrize(
