@@ -7,7 +7,9 @@ Platt-calibrated binary SVM per class; all of a node's binary SVMs share one
 kernel provider (the Gram matrix, or the column cache above the full-Gram
 limit), and each fits Platt on the decision values from its SMO gradient.
 A hierarchy passes each node a slice of its training set's one Gram; on
-its own, ``fit_multiclass`` builds the node's provider.
+its own, ``fit_multiclass`` builds the node's provider. To predict, a node
+pools the distinct support vectors of its SVMs once (``_svm_bank``), so one
+kernel block and one matrix product give all of its decision values.
 Logistic regression is a single softmax model. Single-class data yields a
 constant classifier so parent nodes with degenerate subsets still produce a
 probability.
@@ -16,6 +18,7 @@ probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +56,7 @@ class MulticlassModel:
             return out
         if self.kind == LOGREG:
             return self.logreg_model.predict_proba(X)
-        scores = np.column_stack(
-            [m.predict_proba_positive(X) for m in self.binary_models]
-        )
+        scores = self._svm_bank.predict_proba_positive(X)
         totals = scores.sum(axis=1, keepdims=True)
         degenerate = totals[:, 0] <= _ZERO_SUM
         safe = np.where(totals <= _ZERO_SUM, 1.0, totals)
@@ -63,6 +64,45 @@ class MulticlassModel:
         if degenerate.any():
             probs[degenerate] = 1.0 / len(self.classes)
         return probs
+
+    @cached_property
+    def _svm_bank(self) -> BinarySvmModel:
+        """The node's one-vs-rest SVMs as one model over their pooled support
+        vectors, so prediction builds one kernel block per node.
+
+        The pool holds each distinct support vector once, by its bytes, in
+        order of first use in class order; column c of the (n_pool, k) dual
+        coefficients is class c's, 0 where the class does not use a vector.
+        Bias and Platt (A, B) are length-k arrays. The bank is derived from
+        ``binary_models`` alone, so a loaded model predicts as the trained
+        one did, bit for bit.
+        """
+        binaries = self.binary_models
+        pool: dict[bytes, int] = {}
+        rows = [np.array(pool_rows(m.support_vectors, pool), dtype=np.intp) for m in binaries]
+        vectors = np.empty((len(pool), self.n_features))
+        coef = np.zeros((len(pool), len(binaries)))
+        for c, (m, used) in enumerate(zip(binaries, rows)):
+            vectors[used] = m.support_vectors
+            np.add.at(coef[:, c], used, m.dual_coef)  # a vector may recur in one SVM
+        return BinarySvmModel(
+            support_vectors=vectors,
+            dual_coef=coef,
+            bias=np.array([m.bias for m in binaries]),
+            gamma=binaries[0].gamma,
+            platt_a=np.array([m.platt_a for m in binaries]),
+            platt_b=np.array([m.platt_b for m in binaries]),
+        )
+
+
+def pool_rows(vectors: np.ndarray, pool: dict[bytes, int]) -> list[int]:
+    """The row of each of ``vectors`` in ``pool``, adding the new ones.
+
+    ``pool`` maps the little-endian float64 bytes of each distinct vector to
+    its row, in order of first use.
+    """
+    rows = np.ascontiguousarray(vectors, dtype="<f8")
+    return [pool.setdefault(row.tobytes(), len(pool)) for row in rows]
 
 
 def fit_multiclass(

@@ -115,13 +115,13 @@ def grid_search(
     evaluated = run_tasks(lambda t: evaluate(dearest_first[t]), len(lattice), threads)
     by_index = dict(zip(dearest_first, evaluated))
     cells = [by_index[k] for k in range(len(lattice))]
-    selected = None
-    best = -1.0
-    for cell in cells:  # lattice order makes ">" implement the tie-break
-        if cell.status == "ok" and cell.mean_hf > best:
-            best = cell.mean_hf
-            selected = (cell.C, cell.gamma)
-    return GridResult(cells=cells, selected=selected)
+    # by value, not by position: a grid file may list its axes in any order
+    best = min(
+        (cell for cell in cells if cell.status == "ok"),
+        key=lambda cell: (-cell.mean_hf, cell.C, cell.gamma),
+        default=None,
+    )
+    return GridResult(cells=cells, selected=None if best is None else (best.C, best.gamma))
 
 
 def train_final(

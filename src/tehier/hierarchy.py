@@ -56,7 +56,7 @@ from typing import IO
 
 import numpy as np
 
-from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass
+from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, pool_rows
 from .errors import DimensionError, FormatError, ModelFileError, TaxonomyError
 from .kmers import KmerConfig
 from .labels import HierLabel, parse_label, render_label
@@ -328,19 +328,18 @@ def _svm_to_dict(binaries: list[BinarySvmModel], pool: dict[bytes, int]) -> list
     its row in the file's pool, in order of first use; a model keeps the
     pool rows of its own support vectors, in its own order.
     """
-    models = []
-    for m in binaries:
-        rows = np.ascontiguousarray(m.support_vectors, dtype="<f8")
-        models.append({
-            "pool_index": [pool.setdefault(row.tobytes(), len(pool)) for row in rows],
+    return [
+        {
+            "pool_index": pool_rows(m.support_vectors, pool),
             "dual_coef": _encode(m.dual_coef),
             "bias": m.bias,
             "gamma": m.gamma,
             "platt_a": m.platt_a,
             "platt_b": m.platt_b,
             "converged": m.converged,
-        })
-    return models
+        }
+        for m in binaries
+    ]
 
 
 def _support_v1(d: dict, n_features: int, where: str):
@@ -433,6 +432,8 @@ def _multiclass_from_dict(d: dict, taxonomy: Taxonomy, path: tuple, n_features: 
         model.binary_models = [
             _binary_from_dict(b, sv, coef, where) for b, (sv, coef) in zip(binaries, supports)
         ]
+        if len({m.gamma for m in model.binary_models}) > 1:  # prediction shares one kernel
+            raise ModelFileError(f"{where}: its binary models disagree on gamma")
     elif kind == LOGREG:
         shapes = (n_features, len(classes)), (len(classes),)
         if pool is None:

@@ -7,8 +7,9 @@ canonical k-mer column names, one row per sequence, and an optional trailing
 
 The readers take text, bytes or an open text or binary stream; a stream is
 read line by line. Each distinct label token is parsed once per read. The
-feature-CSV writer formats every distinct float bit pattern of the matrix
-once, and the reader parses each block of about 1 MB of rows as one matrix.
+feature-CSV writer works in blocks of rows and formats every distinct float
+bit pattern of a block once, and the reader parses each block of about 1 MB
+of rows as one matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ NUCLEOTIDE_ALPHABET = frozenset("ACGTNRYSWKMBDHV")
 
 _FASTA_WRAP = 70
 _CSV_BLOCK_CHARS = 1 << 20  # text of the data rows parsed per np.loadtxt call
+_CSV_WRITE_BLOCK_ROWS = 128  # rows formatted per block by write_feature_csv
 
 
 @dataclass(frozen=True)
@@ -292,25 +294,28 @@ def write_feature_csv(
 
     Values are written with shortest round-trip float formatting
     (``repr(float)``), so reading the file back reproduces the vectors bit
-    for bit. Each distinct bit pattern of the matrix is formatted once.
+    for bit. Rows are written in blocks of ``_CSV_WRITE_BLOCK_ROWS``, and each
+    distinct bit pattern of a block is formatted once; memory beyond the
+    records is one block's.
     """
     config = config or KmerConfig()
     names = canonical_feature_order(config)
     records = list(records)
     labeled = any(label is not None for _, label in records)
-    vectors = [np.asarray(vector, dtype=np.float64) for vector, _ in records]
-    for vector in vectors:
+    for vector, _ in records:
+        vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (len(names),):
             raise FormatError(
                 f"vector has {vector.shape[0] if vector.ndim == 1 else vector.shape} "
                 f"values, expected {len(names)}"
             )
-    bits = np.array(vectors).reshape(len(vectors), len(names)).view(np.uint64)
-    distinct = np.unique(bits)
-    cells = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     sink.write(",".join(names + ["label"] if labeled else names) + "\n")
-    for index, (_, label) in zip(np.searchsorted(distinct, bits), records):
-        row = cells[index].tolist()
-        if labeled:
-            row.append(render_label(label) if label is not None else "")
-        sink.write(",".join(row) + "\n")
+    for start in range(0, len(records), _CSV_WRITE_BLOCK_ROWS):
+        block = records[start : start + _CSV_WRITE_BLOCK_ROWS]
+        bits = np.array([vector for vector, _ in block], dtype=np.float64).view(np.uint64)
+        distinct, index = np.unique(bits, return_inverse=True)
+        text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+        for row, (_, label) in zip(text[index.reshape(bits.shape)].tolist(), block):
+            if labeled:
+                row.append(render_label(label) if label is not None else "")
+            sink.write(",".join(row) + "\n")

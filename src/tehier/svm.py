@@ -11,6 +11,9 @@ The kernel comes from one provider per training set (``_KernelColumns``):
 the full Gram matrix up to ``_FULL_GRAM_LIMIT`` rows, otherwise an LRU cache
 of columns. A one-vs-rest caller builds it once and shares it across all of
 its binary problems, which see the same rows and differ only in labels.
+``rbf_kernel_matrix`` takes each squared row norm as one dot product and
+builds the kernel in the result's buffer, so a Gram build or a column
+holds no other array of the result's size.
 
 Decision values are mapped to probabilities with Platt's sigmoid
 P(y=1|f) = 1 / (1 + exp(A f + B)), fitted by smoothed-target maximum
@@ -75,11 +78,15 @@ def rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise DimensionError(f"kernel matrices disagree: {X.shape[1]} vs {Y.shape[1]} features")
-    # exp(-gamma * max(|x|^2 + |y|^2 - 2 x.y, 0)), computed in place: one
-    # (n_X, n_Y) temporary beside the result instead of two
+    # exp(-gamma * max(-2 x.y + |x|^2 + |y|^2, 0)), built in the result's
+    # buffer: the squared norms are one dot product per row, and no (n_X, n_Y)
+    # or (n, d) temporary is held beside the result
+    x_norms = np.einsum("ij,ij->i", X, X)
+    y_norms = x_norms if Y is X else np.einsum("ij,ij->i", Y, Y)
     sq = X @ Y.T
-    sq *= 2.0
-    np.subtract((X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :], sq, out=sq)
+    sq *= -2.0
+    sq += x_norms[:, None]
+    sq += y_norms
     np.maximum(sq, 0.0, out=sq)
     sq *= -gamma
     return np.exp(sq, out=sq)
@@ -134,14 +141,20 @@ class _KernelColumns:
 @dataclass
 class BinarySvmModel:
     """Support vectors (alpha > 0 only), dual coefficients alpha*y, bias,
-    kernel width, and the Platt sigmoid (A, B)."""
+    kernel width, and the Platt sigmoid (A, B).
+
+    Several SVMs of one width can share one model: with ``dual_coef`` of
+    shape (n_sv, k) and length-k ``bias``, ``platt_a`` and ``platt_b``, every
+    output gains a last axis of k, and the kernel block over the support
+    vectors is built once for all k.
+    """
 
     support_vectors: np.ndarray
     dual_coef: np.ndarray
-    bias: float
+    bias: float | np.ndarray
     gamma: float
-    platt_a: float
-    platt_b: float
+    platt_a: float | np.ndarray
+    platt_b: float | np.ndarray
     converged: bool = True
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -152,7 +165,7 @@ class BinarySvmModel:
                 f"{self.support_vectors.shape[1]}"
             )
         if self.support_vectors.shape[0] == 0:
-            return np.full(X.shape[0], self.bias)
+            return np.full((X.shape[0], *np.shape(self.bias)), self.bias)
         K = rbf_kernel_matrix(X, self.support_vectors, self.gamma)
         return K @ self.dual_coef + self.bias
 

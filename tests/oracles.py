@@ -484,12 +484,14 @@ def kkt_violations(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, bias: float,
 
 
 def rbf_kernel_matrix_reference(X, Y, gamma: float) -> np.ndarray:
-    """The RBF kernel matrix as one expression, which makes two (n_X, n_Y)
-    temporaries beside the result; ``svm.rbf_kernel_matrix`` must equal it
-    bit for bit."""
-    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    """The RBF kernel matrix as one expression in the package's order of
+    operations, -2 x.y + |x|^2 + |y|^2 with one dot product per row norm; it
+    holds (n_X, n_Y) temporaries beside the result, and
+    ``svm.rbf_kernel_matrix`` must equal it bit for bit."""
+    x_norms = np.einsum("ij,ij->i", X, X)
+    y_norms = np.einsum("ij,ij->i", Y, Y)
+    sq = -2.0 * (X @ Y.T) + x_norms[:, None] + y_norms[None, :]
+    return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
 def train_hier_per_node_reference(X, labels, taxonomy, base_kind, config) -> HierModel:
@@ -859,6 +861,32 @@ def save_model_v1(model, sink) -> None:
     }
     json.dump(payload, sink, indent=1)
     sink.write("\n")
+
+
+def write_feature_csv_matrix_reference(records, sink, config=None) -> None:
+    """The whole-matrix feature-CSV writer: stack every vector into one
+    matrix, format each distinct bit pattern of it once, and map every cell
+    to its text through a sorted index of the distinct patterns."""
+    config = config or KmerConfig()
+    names = canonical_feature_order(config)
+    records = list(records)
+    labeled = any(label is not None for _, label in records)
+    vectors = [np.asarray(vector, dtype=np.float64) for vector, _ in records]
+    for vector in vectors:
+        if vector.shape != (len(names),):
+            raise FormatError(
+                f"vector has {vector.shape[0] if vector.ndim == 1 else vector.shape} "
+                f"values, expected {len(names)}"
+            )
+    bits = np.array(vectors).reshape(len(vectors), len(names)).view(np.uint64)
+    distinct = np.unique(bits)
+    cells = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    sink.write(",".join(names + ["label"] if labeled else names) + "\n")
+    for index, (_, label) in zip(np.searchsorted(distinct, bits), records):
+        row = cells[index].tolist()
+        if labeled:
+            row.append(render_label(label) if label is not None else "")
+        sink.write(",".join(row) + "\n")
 
 
 def write_feature_csv_reference(records, sink, config=None) -> None:

@@ -120,3 +120,64 @@ def test_empty_data_rejected():
 def test_unknown_kind_rejected(rng):
     with pytest.raises(ValueError):
         fit_multiclass("forest", rng.normal(size=(4, 2)), [hl("1"), hl("2")] * 2)
+
+
+def three_class_node(rng, monkeypatch):
+    X, y = separable_blobs(rng, 30, [(2, 0), (-2, 0), (0, 2)], spread=0.8)
+    return X, [hl(str(c + 1)) for c in y]
+
+
+def lru_node(rng, monkeypatch):
+    monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
+    return three_class_node(rng, monkeypatch)
+
+
+def two_class_node(rng, monkeypatch):
+    X, y = separable_blobs(rng, 30, [(1, 0), (-1, 0)], spread=0.8)
+    return X, [hl(str(c + 1)) for c in y]
+
+
+def duplicated_rows_node(rng, monkeypatch):
+    X, labels = three_class_node(rng, monkeypatch)
+    return np.vstack([X, X]), labels + labels  # support vectors recur within one SVM
+
+
+@pytest.mark.parametrize(
+    "node", [three_class_node, lru_node, two_class_node, duplicated_rows_node]
+)
+def test_bank_matches_each_binary_svm(rng, monkeypatch, node):
+    X, labels = node(rng, monkeypatch)
+    model = fit_multiclass("svm", X, labels, SvmConfig(C=5.0, gamma=1.0))
+    bank = model._svm_bank
+    query = rng.normal(0.0, 1.5, size=(40, 2))
+    decisions = bank.decision_function(query)
+    positives = bank.predict_proba_positive(query)
+    assert decisions.shape == positives.shape == (len(query), len(model.classes))
+    for c, binary in enumerate(model.binary_models):
+        assert np.allclose(decisions[:, c], binary.decision_function(query), rtol=0, atol=1e-12)
+        assert np.allclose(
+            positives[:, c], binary.predict_proba_positive(query), rtol=0, atol=1e-12
+        )
+    # the pool holds each support vector of the node once
+    used = {sv.tobytes() for m in model.binary_models for sv in m.support_vectors}
+    assert sorted(sv.tobytes() for sv in bank.support_vectors) == sorted(used)
+    scores = np.column_stack([m.predict_proba_positive(query) for m in model.binary_models])
+    expected = scores / scores.sum(axis=1, keepdims=True)
+    assert np.allclose(model.predict_proba(query), expected, rtol=0, atol=1e-12)
+
+
+def test_node_prediction_builds_one_kernel_block(rng, monkeypatch):
+    X, labels = three_class_node(rng, monkeypatch)
+    model = fit_multiclass("svm", X, labels, SvmConfig(C=5.0, gamma=1.0))
+    calls = []
+    original = tehier.svm.rbf_kernel_matrix
+
+    def counting(X, Y, gamma):
+        calls.append(len(Y))
+        return original(X, Y, gamma)
+
+    monkeypatch.setattr(tehier.svm, "rbf_kernel_matrix", counting)
+    model.predict_proba(rng.normal(size=(7, 2)))
+    model.predict_proba(rng.normal(size=(5, 2)))
+    assert calls == [len(model._svm_bank.support_vectors)] * 2
+    assert calls[0] < sum(len(m.support_vectors) for m in model.binary_models)

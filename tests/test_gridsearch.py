@@ -3,7 +3,7 @@ import pytest
 
 import tehier.gridsearch
 from tehier import Grid, GridSearchError, build_from_labels, grid_search, train_final
-from tehier.gridsearch import GridResult, GridCell
+from tehier.gridsearch import GridResult
 
 from conftest import hl
 
@@ -44,21 +44,6 @@ def test_selected_cell_is_argmax_and_good(rng):
     assert chosen.mean_hf >= 0.9
 
 
-def test_tie_break_smaller_c_then_smaller_gamma():
-    cells = [
-        GridCell(1.0, 1.0, 0.9, 0.0, "ok"),
-        GridCell(1.0, 2.0, 0.9, 0.0, "ok"),
-        GridCell(2.0, 1.0, 0.9, 0.0, "ok"),
-    ]
-    result = GridResult(cells=cells, selected=None)
-    best = -1.0
-    for cell in cells:
-        if cell.mean_hf > best:
-            best = cell.mean_hf
-            result.selected = (cell.C, cell.gamma)
-    assert result.selected == (1.0, 1.0)
-
-
 def fake_crossval(calls, scores):
     """A crossval stand-in that records its (C, gamma) and scores it from ``scores``."""
 
@@ -94,6 +79,22 @@ def test_cells_run_dearest_first_and_report_in_lattice_order(monkeypatch, scores
     assert [(cell.C, cell.gamma) for cell in result.cells] == lattice
     assert [cell.mean_hf for cell in result.cells] == [scores(c, g) for c, g in lattice]
     assert result.selected == selected
+
+
+def test_tie_break_smaller_c_then_smaller_gamma(monkeypatch):
+    # compared by value: a grid file may list its axes in any order
+    tax = build_from_labels([hl("1"), hl("2")])
+    grid = Grid(c_values=(1.0, 8.0, 2.0), gamma_values=(0.5, 2.0, 0.25), folds=3)
+    for scores, selected in [
+        (lambda c, g: 0.9, (1.0, 0.25)),  # all tied: smallest C, then smallest gamma
+        (lambda c, g: 0.9 if c > 1 and g < 1 else 0.5, (2.0, 0.25)),
+    ]:
+        monkeypatch.setattr(tehier.gridsearch, "crossval", fake_crossval([], scores))
+        result = grid_search(np.zeros((6, 2)), [hl("1"), hl("2")] * 3, tax, grid, threads=1)
+        assert [(cell.C, cell.gamma) for cell in result.cells] == [
+            (c, g) for c in grid.c_values for g in grid.gamma_values
+        ]
+        assert result.selected == selected
 
 
 def test_grid_determinism_and_threads(rng):

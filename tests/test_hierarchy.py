@@ -425,6 +425,9 @@ def test_save_load_round_trip(rng, base_kind):
     assert loaded.kmer_config == KmerConfig()
     assert loaded.predict(queries, "lcpnb") == before
     assert loaded.predict(queries, "nllcpn") == model.predict(queries, "nllcpn")
+    trained_table, loaded_table = model.proba_tables(queries), loaded.proba_tables(queries)
+    assert loaded_table.edge.tobytes() == trained_table.edge.tobytes()
+    assert loaded_table.stay.tobytes() == trained_table.stay.tobytes()
 
     resaved = io.StringIO()
     save_model(loaded, resaved)
@@ -606,6 +609,11 @@ MODEL_FILE_V2_FAULTS = {
     ),
     "non-finite pool value": ("svm", lambda p: set_pool_value(p, np.nan), "non-finite"),
     "non-finite dual_coef": ("svm", lambda p: fill_root_dual_coef(p, np.inf), "non-finite"),
+    "gamma differs within a node": (
+        "svm",
+        lambda p: p["node_models"]["1"]["binary_models"][1].__setitem__("gamma", 0.125),
+        "disagree on gamma",
+    ),
     "logreg weights length": (
         "logreg",
         lambda p: p["node_models"][""].__setitem__("weights", b64_values([0.5])),

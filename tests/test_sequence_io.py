@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from tehier import (
 import tehier.sequence_io
 from tehier.kmers import canonical_feature_order
 
-from oracles import write_feature_csv_reference
+from oracles import write_feature_csv_matrix_reference, write_feature_csv_reference
 
 
 def test_single_record_with_label():
@@ -200,13 +201,46 @@ def test_feature_csv_writer_bytes_equal_reference(labels):
         X[rng.integers(40), rng.integers(336)] = value
     pick = {"all": lambda i: True, "some": lambda i: i % 3 == 0, "none": lambda i: False}[labels]
     records = [(X[i], parse_label(f"{i % 4 + 1}.2") if pick(i) else None) for i in range(40)]
-    ours, reference = io.StringIO(), io.StringIO()
+    ours, reference, matrix = io.StringIO(), io.StringIO(), io.StringIO()
     write_feature_csv(records, ours)
     write_feature_csv_reference(records, reference)
-    assert ours.getvalue() == reference.getvalue()
+    write_feature_csv_matrix_reference(records, matrix)
+    assert ours.getvalue() == reference.getvalue() == matrix.getvalue()
     loaded, loaded_labels = read_feature_csv(ours.getvalue())
     assert loaded.tobytes() == X.tobytes()
     assert loaded_labels == [l for _, l in records]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 40, 128])
+def test_feature_csv_writer_blocks_equal_the_matrix_writer(monkeypatch, block_rows):
+    monkeypatch.setattr(tehier.sequence_io, "_CSV_WRITE_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(31)
+    X = rng.integers(0, 50, size=(45, 336)) / 997.0  # values recur within and across blocks
+    X[rng.random(X.shape) < 0.2] = -0.0
+    records = [(X[i], parse_label(f"{i % 3 + 1}") if i % 4 else None) for i in range(45)]
+    ours, matrix = io.StringIO(), io.StringIO()
+    write_feature_csv(records, ours)
+    write_feature_csv_matrix_reference(records, matrix)
+    assert ours.getvalue() == matrix.getvalue()
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_feature_csv_writer_memory_is_one_block():
+    rng = np.random.default_rng(37)
+    X = rng.integers(0, 50, size=(6000, 336)) / 997.0
+    records = [(row, parse_label("1.2")) for row in X]
+    tracemalloc.start()
+    try:
+        write_feature_csv(records, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-matrix writer peaks above twice the matrix
+    assert peak <= X.nbytes / 4
 
 
 def test_feature_csv_writer_rejects_wrong_width():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -64,6 +65,30 @@ def test_rbf_kernel_matrix_matches_reference_bit_for_bit(rng):
         for gamma in (0.01, 1.0, 64.0):
             got = rbf_kernel_matrix(A, B, gamma).view(np.uint64)
             assert got.tolist() == rbf_kernel_matrix_reference(A, B, gamma).view(np.uint64).tolist()
+
+
+def test_rbf_kernel_matrix_close_to_direct_differences(rng):
+    X = rng.normal(size=(60, 9)) * rng.choice([1e-3, 1.0, 30.0], size=(60, 9))
+    for A, B in [(X, X), (X[:20], X[5:]), (X[7:8], X)]:
+        # -2 x.y + |x|^2 + |y|^2 cancels: its rounding error scales with the norms
+        norms = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
+        for gamma in (0.01, 1.0, 64.0):
+            direct = np.exp(-gamma * ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
+            error = np.abs(rbf_kernel_matrix(A, B, gamma) - direct)
+            assert (error <= gamma * 8 * np.finfo(float).eps * norms + 1e-15).all()
+    assert np.abs(np.diag(rbf_kernel_matrix(X, X, 0.01)) - 1.0).max() <= 1e-12
+
+
+def test_rbf_kernel_matrix_peak_is_the_result_plus_rows(rng):
+    X = rng.normal(size=(600, 40))
+    tracemalloc.start()
+    try:
+        K = rbf_kernel_matrix(X, X, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, plus a few arrays of n or n x d values: no (n, n) temporary
+    assert peak <= K.nbytes + 4 * X.nbytes
 
 
 def test_separable_four_points():
