@@ -62,7 +62,7 @@ from .sequence_io import (
     write_fasta,
     write_feature_csv,
 )
-from .svm import SvmConfig, platt_calibrate, rbf_kernel, train_binary_svm
+from .svm import SvmConfig, platt_calibrate, train_binary_svm
 from .synth import SynthSpec, generate, taxonomy_from_shape
 from .taxonomy import (
     Taxonomy,

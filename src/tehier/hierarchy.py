@@ -31,18 +31,21 @@ taxonomy and a table, so stub tables drive them as well as trained models:
   column is summed edge by edge from the root, in the order of
   ``sum(edges)``, so scores and ties are exact.
 
-``save_model`` writes schema version 2: JSON whose scalars are JSON numbers
+``save_model`` writes schema version 3: JSON whose scalars are JSON numbers
 (``repr`` round-trips a float exactly) and whose float arrays are base64 of
 their little-endian float64 bytes. Every distinct support vector of the
 model is stored once, in one ``pool`` of ``pool_rows`` rows: a node's
 one-vs-rest SVMs share most of their support vectors, and a child node
-trains on a subset of its parent's rows. Each SVM keeps the ``pool_index``
-of its own support vectors, in order, and its ``dual_coef``. Loading
-rebuilds every SVM's support-vector matrix as ``pool[pool_index]``, so the
-model and its predictions are the ones saved, bit for bit. ``load_model``
-also reads version 1 files, which hold every array as nested JSON lists.
-Both versions are checked against themselves and the taxonomy on load;
-any inconsistency raises ``ModelFileError``.
+trains on a subset of its parent's rows. An SVM node is stored as its bank
+(``classifiers.svm_bank``): the ``pool_index`` of the bank's rows, its
+(n, k) ``dual_coef``, ``gamma``, and lists of k ``bias``, ``platt_a``,
+``platt_b`` and ``converged`` values. Loading takes the bank's rows as
+``pool[pool_index]``, so the model and its predictions are the ones saved,
+bit for bit. ``load_model`` also reads version 2 files, which list each
+binary SVM of a node apart with the ``pool_index`` and ``dual_coef`` of its
+own support vectors; it pools them into the bank as training does. Version 1
+files are refused: retrain the model. Files are checked against themselves
+and the taxonomy on load; any inconsistency raises ``ModelFileError``.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from typing import IO
 
 import numpy as np
 
-from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, pool_rows
-from .errors import DimensionError, FormatError, ModelFileError, TaxonomyError
+from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, pool_rows, svm_bank
+from .errors import DimensionError, FormatError, LabelParseError, ModelFileError, TaxonomyError
 from .kmers import KmerConfig
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig, LogRegModel
@@ -69,7 +72,7 @@ NLLCPN = "nllcpn"
 LCPNB = "lcpnb"
 STRATEGIES = (NLLCPN, LCPNB)
 
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -299,10 +302,9 @@ def _encode(values: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _finite(where: str, *values) -> None:
-    for value in values:
-        if not np.isfinite(value).all():
-            raise ModelFileError(f"{where} holds a non-finite number")
+def _finite(where: str, values) -> None:
+    if not np.isfinite(values).all():
+        raise ModelFileError(f"{where} holds a non-finite number")
 
 
 def _decode(text, shape: tuple[int, ...], where: str, name: str) -> np.ndarray:
@@ -321,48 +323,26 @@ def _decode(text, shape: tuple[int, ...], where: str, name: str) -> np.ndarray:
     return values
 
 
-def _svm_to_dict(binaries: list[BinarySvmModel], pool: dict[bytes, int]) -> list[dict]:
-    """A node's one-vs-rest SVMs, their support vectors added to ``pool``.
-
-    ``pool`` maps the little-endian bytes of each distinct support vector to
-    its row in the file's pool, in order of first use; a model keeps the
-    pool rows of its own support vectors, in its own order.
-    """
-    return [
-        {
-            "pool_index": pool_rows(m.support_vectors, pool),
-            "dual_coef": _encode(m.dual_coef),
-            "bias": m.bias,
-            "gamma": m.gamma,
-            "platt_a": m.platt_a,
-            "platt_b": m.platt_b,
-            "converged": m.converged,
-        }
-        for m in binaries
-    ]
+def _object(value, name: str) -> dict:
+    """``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ModelFileError(f"model file: {name} is not a JSON object")
+    return value
 
 
-def _support_v1(d: dict, n_features: int, where: str):
-    """(support vectors, dual_coef) of a binary SVM in a version 1 file."""
-    sv = np.array(d["support_vectors"], dtype=np.float64)
-    if sv.size == 0:
-        sv = sv.reshape(0, n_features)
-    dual_coef = np.array(d["dual_coef"], dtype=np.float64)
-    if sv.ndim != 2 or sv.shape[1] != n_features:
+def _listed(values, k: int, where: str, name: str, flags: bool = False) -> np.ndarray:
+    """A list of k finite JSON numbers, or with ``flags`` k JSON booleans."""
+    types = (bool,) if flags else (int, float)
+    if not (isinstance(values, list) and len(values) == k and all(type(v) in types for v in values)):
         raise ModelFileError(
-            f"{where}: support vectors of shape {sv.shape} are not {n_features} features wide"
+            f"{where}: {name} is not a list of {k} {'booleans' if flags else 'numbers'}"
         )
-    if dual_coef.shape != (len(sv),):
-        raise ModelFileError(
-            f"{where}: dual_coef of shape {dual_coef.shape} for {len(sv)} support vectors"
-        )
-    _finite(where, sv, dual_coef)
-    return sv, dual_coef
+    out = np.array(values, dtype=bool if flags else np.float64)
+    _finite(f"{where} {name}", out)
+    return out
 
 
-def _support_v2(d: dict, pool: np.ndarray, where: str):
-    """(support vectors, dual_coef) of a binary SVM indexing the file's pool."""
-    index = d["pool_index"]
+def _pool_index(index, pool: np.ndarray, where: str) -> np.ndarray:
     if not isinstance(index, list) or not all(
         type(i) is int and 0 <= i < len(pool) for i in index
     ):
@@ -370,17 +350,58 @@ def _support_v2(d: dict, pool: np.ndarray, where: str):
             f"{where}: pool_index holds an entry that is not a row of the "
             f"{len(pool)}-row pool"
         )
-    return pool[np.array(index, dtype=np.intp)], _decode(
-        d["dual_coef"], (len(index),), where, "dual_coef"
-    )
+    return np.array(index, dtype=np.intp)
 
 
-def _binary_from_dict(d: dict, sv: np.ndarray, dual_coef: np.ndarray, where: str):
-    numbers = {k: float(d[k]) for k in ("bias", "gamma", "platt_a", "platt_b")}
-    _finite(where, list(numbers.values()))
+def _svm_to_dict(bank: BinarySvmModel, pool: dict[bytes, int]) -> dict:
+    """A node bank, its support vectors added to ``pool``.
+
+    ``pool`` maps the little-endian bytes of each distinct support vector to
+    its row in the file's pool, in order of first use; the bank keeps the
+    pool rows of its own support vectors, in its own order.
+    """
+    return {
+        "pool_index": pool_rows(bank.support_vectors, pool),
+        "dual_coef": _encode(bank.dual_coef),
+        "gamma": bank.gamma,
+        "bias": bank.bias.tolist(),
+        "platt_a": bank.platt_a.tolist(),
+        "platt_b": bank.platt_b.tolist(),
+        "converged": bank.converged.tolist(),
+    }
+
+
+def _svm_from_dict(d: dict, pool: np.ndarray, k: int, where: str) -> BinarySvmModel:
+    """The bank of a version 3 node with k classes."""
+    index = _pool_index(d["pool_index"], pool, where)
     return BinarySvmModel(
-        support_vectors=sv, dual_coef=dual_coef, converged=bool(d["converged"]), **numbers
+        support_vectors=pool[index],
+        dual_coef=_decode(d["dual_coef"], (len(index), k), where, "dual_coef"),
+        bias=_listed(d["bias"], k, where, "bias"),
+        gamma=_listed([d["gamma"]], 1, where, "gamma").item(),
+        platt_a=_listed(d["platt_a"], k, where, "platt_a"),
+        platt_b=_listed(d["platt_b"], k, where, "platt_b"),
+        converged=_listed(d["converged"], k, where, "converged", flags=True),
     )
+
+
+def _svm_from_v2(binaries, pool: np.ndarray, k: int, where: str) -> BinarySvmModel:
+    """The bank of a version 2 node, which lists its k binary SVMs apart."""
+    if not isinstance(binaries, list) or len(binaries) != k:
+        raise ModelFileError(f"{where}: binary_models is not a list of {k} models")
+    models = []
+    for d in binaries:
+        index = _pool_index(d["pool_index"], pool, where)
+        keys = ("bias", "gamma", "platt_a", "platt_b")
+        numbers = _listed([d[key] for key in keys], 4, where, ", ".join(keys)).tolist()
+        coef = _decode(d["dual_coef"], (len(index),), where, "dual_coef")
+        converged = _listed([d["converged"]], 1, where, "converged", flags=True).item()
+        models.append(
+            BinarySvmModel(pool[index], coef, converged=converged, **dict(zip(keys, numbers)))
+        )
+    if len({m.gamma for m in models}) > 1:  # the bank shares one kernel
+        raise ModelFileError(f"{where}: its binary models disagree on gamma")
+    return svm_bank(models)
 
 
 def _multiclass_to_dict(m: MulticlassModel, pool: dict[bytes, int]) -> dict:
@@ -390,7 +411,7 @@ def _multiclass_to_dict(m: MulticlassModel, pool: dict[bytes, int]) -> dict:
         "n_features": m.n_features,
     }
     if m.kind == SVM:
-        out["binary_models"] = _svm_to_dict(m.binary_models, pool)
+        out.update(_svm_to_dict(m.svm, pool))
     elif m.kind == LOGREG:
         out["weights"] = _encode(m.logreg_model.weights)
         out["bias"] = _encode(m.logreg_model.bias)
@@ -398,11 +419,10 @@ def _multiclass_to_dict(m: MulticlassModel, pool: dict[bytes, int]) -> dict:
     return out
 
 
-def _multiclass_from_dict(d: dict, taxonomy: Taxonomy, path: tuple, n_features: int, pool):
-    """One node's model, checked against the taxonomy and the feature width.
-
-    ``pool`` is the file's support-vector pool, or None in a version 1 file.
-    """
+def _multiclass_from_dict(
+    d: dict, taxonomy: Taxonomy, path: tuple, n_features: int, pool: np.ndarray, version: int
+):
+    """One node's model, checked against the taxonomy and the feature width."""
     where = f"node model {'.'.join(map(str, path)) or '(root)'}"
     node = taxonomy.node_index.get(path)
     if node is None or not taxonomy.child_ids[node]:
@@ -419,37 +439,15 @@ def _multiclass_from_dict(d: dict, taxonomy: Taxonomy, path: tuple, n_features: 
         raise ModelFileError(f"{where} has {d['n_features']} features, not {n_features}")
     kind = d["kind"]
     model = MulticlassModel(kind=kind, classes=classes, n_features=n_features)
-    if kind == SVM:
-        binaries = d["binary_models"]
-        if len(binaries) != len(classes):
-            raise ModelFileError(
-                f"{where}: {len(binaries)} binary models for {len(classes)} classes"
-            )
-        if pool is None:
-            supports = [_support_v1(b, n_features, where) for b in binaries]
-        else:
-            supports = [_support_v2(b, pool, where) for b in binaries]
-        model.binary_models = [
-            _binary_from_dict(b, sv, coef, where) for b, (sv, coef) in zip(binaries, supports)
-        ]
-        if len({m.gamma for m in model.binary_models}) > 1:  # prediction shares one kernel
-            raise ModelFileError(f"{where}: its binary models disagree on gamma")
+    if kind == SVM and version == 2:
+        model.svm = _svm_from_v2(d["binary_models"], pool, len(classes), where)
+    elif kind == SVM:
+        model.svm = _svm_from_dict(d, pool, len(classes), where)
     elif kind == LOGREG:
-        shapes = (n_features, len(classes)), (len(classes),)
-        if pool is None:
-            weights = np.array(d["weights"], dtype=np.float64)
-            bias = np.array(d["bias"], dtype=np.float64)
-            if (weights.shape, bias.shape) != shapes:
-                raise ModelFileError(
-                    f"{where}: logreg weights {weights.shape} and bias {bias.shape} do not "
-                    f"fit {n_features} features and {len(classes)} classes"
-                )
-            _finite(where, weights, bias)
-        else:
-            weights = _decode(d["weights"], shapes[0], where, "weights")
-            bias = _decode(d["bias"], shapes[1], where, "bias")
         model.logreg_model = LogRegModel(
-            weights=weights, bias=bias, converged=bool(d.get("converged", True))
+            weights=_decode(d["weights"], (n_features, len(classes)), where, "weights"),
+            bias=_decode(d["bias"], (len(classes),), where, "bias"),
+            converged=_listed([d["converged"]], 1, where, "converged", flags=True).item(),
         )
     elif kind != "constant":
         raise ModelFileError(f"{where}: unknown local model kind {kind!r}")
@@ -458,10 +456,8 @@ def _multiclass_from_dict(d: dict, taxonomy: Taxonomy, path: tuple, n_features: 
     return model
 
 
-def _config_from_dict(base_kind: str, d: dict):
-    # older model files carry a config seed and a logreg step size no fit reads
-    d = {key: value for key, value in d.items() if key not in ("seed", "learning_rate")}
-    _finite("base_config", list(d.values()))
+def _config_from_dict(base_kind: str, d) -> SvmConfig | LogRegConfig:
+    _finite("base_config", list(_object(d, "base_config").values()))
     if base_kind == SVM:
         return SvmConfig(**d)
     if base_kind == LOGREG:
@@ -470,7 +466,7 @@ def _config_from_dict(base_kind: str, d: dict):
 
 
 def save_model(model: HierModel, sink: IO[str]) -> None:
-    """Write the model as versioned JSON (see the module docstring)."""
+    """Write the model as schema version 3 JSON (see the module docstring)."""
     taxonomy_nodes = [
         {"path": render_label(n), "name": model.taxonomy.names.get(n, "")}
         for n in model.taxonomy.nodes()
@@ -508,7 +504,7 @@ def save_model_file(model: HierModel, path) -> None:
 
 
 def load_model(source: IO[str]) -> HierModel:
-    """Inverse of save_model, for version 1 and 2 files; raises
+    """Inverse of save_model, for version 2 and 3 files; raises
     ModelFileError for unusable files."""
     try:
         payload = json.load(source)
@@ -517,10 +513,15 @@ def load_model(source: IO[str]) -> HierModel:
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise ModelFileError("model file has no schema_version field")
     version = payload["schema_version"]
-    if version not in (1, _SCHEMA_VERSION):
+    if version == 1:
+        raise ModelFileError(
+            "model schema version 1 is no longer read; retrain the model to write "
+            f"a version {_SCHEMA_VERSION} file"
+        )
+    if version not in (2, _SCHEMA_VERSION):
         raise ModelFileError(
             f"unsupported model schema version {version!r}; this build reads "
-            f"versions 1 and {_SCHEMA_VERSION}"
+            f"versions 2 and {_SCHEMA_VERSION}"
         )
     try:
         names = {}
@@ -538,14 +539,14 @@ def load_model(source: IO[str]) -> HierModel:
             else None
         )
         n_features = int(payload["n_features"])
-        pool = None
-        if version == _SCHEMA_VERSION:
-            shape = (int(payload["pool_rows"]), n_features)
-            pool = _decode(payload["pool"], shape, "model file", "pool")
+        shape = (int(payload["pool_rows"]), n_features)
+        pool = _decode(payload["pool"], shape, "model file", "pool")
         node_models = {}
-        for key, entry in payload["node_models"].items():
+        for key, entry in _object(payload["node_models"], "node_models").items():
             path = () if key == "" else parse_label(key).path
-            node_models[path] = _multiclass_from_dict(entry, taxonomy, path, n_features, pool)
+            node_models[path] = _multiclass_from_dict(
+                entry, taxonomy, path, n_features, pool, version
+            )
         return HierModel(
             taxonomy=taxonomy,
             node_models=node_models,
@@ -555,8 +556,14 @@ def load_model(source: IO[str]) -> HierModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"model file is truncated or malformed: {exc}") from None
+    except (LabelParseError, TaxonomyError) as exc:
+        raise ModelFileError(f"model file: {exc}") from None
 
 
 def load_model_file(path) -> HierModel:
+    """load_model on the file at ``path``; a ModelFileError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh)
+        try:
+            return load_model(fh)
+        except ModelFileError as exc:
+            raise ModelFileError(f"{path}: {exc}") from None

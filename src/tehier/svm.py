@@ -60,18 +60,6 @@ class SvmConfig:
             raise ValueError("max_passes must be >= 1")
 
 
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2) for a single pair of equal-length vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError(f"kernel arguments have shapes {x.shape} and {y.shape}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    diff = x - y
-    return float(np.exp(-gamma * np.dot(diff, diff)))
-
-
 def rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     """Pairwise RBF kernel, rows of X against rows of Y."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -144,9 +132,9 @@ class BinarySvmModel:
     kernel width, and the Platt sigmoid (A, B).
 
     Several SVMs of one width can share one model: with ``dual_coef`` of
-    shape (n_sv, k) and length-k ``bias``, ``platt_a`` and ``platt_b``, every
-    output gains a last axis of k, and the kernel block over the support
-    vectors is built once for all k.
+    shape (n_sv, k) and length-k ``bias``, ``platt_a``, ``platt_b`` and
+    ``converged``, every output gains a last axis of k, and the kernel block
+    over the support vectors is built once for all k.
     """
 
     support_vectors: np.ndarray
@@ -155,7 +143,7 @@ class BinarySvmModel:
     gamma: float
     platt_a: float | np.ndarray
     platt_b: float | np.ndarray
-    converged: bool = True
+    converged: bool | np.ndarray = True
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

@@ -10,19 +10,16 @@ taxonomies, ``PathScore``, ``HierMetrics``).
 from __future__ import annotations
 
 import csv
-import dataclasses
-import json
 
 import numpy as np
 
-from tehier.classifiers import LOGREG, SVM, fit_multiclass
-from tehier.errors import FormatError, TaxonomyError
+from tehier.classifiers import fit_multiclass
+from tehier.errors import DimensionError, FormatError, TaxonomyError
 from tehier.hierarchy import HierModel, PathScore, ProbaTable
 from tehier.kmers import RELATIVE_FREQUENCY, KmerConfig, canonical_feature_order
 from tehier.labels import HierLabel, render_label
 from tehier.metrics import HierMetrics
 from tehier.sequence_io import Sequence
-from tehier.svm import SvmConfig
 from tehier.synth import _DIRICHLET_ALPHA, _node_chain, node_allocation
 
 
@@ -483,6 +480,18 @@ def kkt_violations(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, bias: float,
     return viol
 
 
+def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
+    """exp(-gamma * ||x - y||^2) for a single pair of equal-length vectors."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise DimensionError(f"kernel arguments have shapes {x.shape} and {y.shape}")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    diff = x - y
+    return float(np.exp(-gamma * np.dot(diff, diff)))
+
+
 def rbf_kernel_matrix_reference(X, Y, gamma: float) -> np.ndarray:
     """The RBF kernel matrix as one expression in the package's order of
     operations, -2 x.y + |x|^2 + |y|^2 with one dot product per row norm; it
@@ -802,65 +811,6 @@ def train_logreg_reference(X, y_idx, n_classes, config):
         step = trial * 2.0
 
     return weights, bias, converged
-
-
-# -- file writers of earlier versions ------------------------------------------------
-
-
-def save_model_v1(model, sink) -> None:
-    """The package's schema version 1 writer: every array as nested JSON
-    lists of full-precision floats, every support vector once per binary
-    SVM that uses it."""
-
-    def binary(m):
-        return {
-            "support_vectors": m.support_vectors.tolist(),
-            "dual_coef": m.dual_coef.tolist(),
-            "bias": m.bias,
-            "gamma": m.gamma,
-            "platt_a": m.platt_a,
-            "platt_b": m.platt_b,
-            "converged": m.converged,
-        }
-
-    def multiclass(m):
-        out = {
-            "kind": m.kind,
-            "classes": [render_label(c) for c in m.classes],
-            "n_features": m.n_features,
-        }
-        if m.kind == SVM:
-            out["binary_models"] = [binary(b) for b in m.binary_models]
-        elif m.kind == LOGREG:
-            out["weights"] = m.logreg_model.weights.tolist()
-            out["bias"] = m.logreg_model.bias.tolist()
-            out["converged"] = m.logreg_model.converged
-        return out
-
-    payload = {
-        "schema_version": 1,
-        "base_kind": SVM if isinstance(model.base_config, SvmConfig) else LOGREG,
-        "n_features": model.n_features,
-        "kmer_config": (
-            {
-                "k_values": list(model.kmer_config.k_values),
-                "normalization": model.kmer_config.normalization,
-            }
-            if model.kmer_config is not None
-            else None
-        ),
-        "base_config": dataclasses.asdict(model.base_config),
-        "taxonomy": [
-            {"path": render_label(n), "name": model.taxonomy.names.get(n, "")}
-            for n in model.taxonomy.nodes()
-        ],
-        "node_models": {
-            ".".join(map(str, path)): multiclass(m)
-            for path, m in sorted(model.node_models.items())
-        },
-    }
-    json.dump(payload, sink, indent=1)
-    sink.write("\n")
 
 
 def write_feature_csv_matrix_reference(records, sink, config=None) -> None:

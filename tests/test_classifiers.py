@@ -9,6 +9,7 @@ from tehier import (
     SvmConfig,
     fit_multiclass,
     parse_label,
+    train_binary_svm,
 )
 
 from conftest import hl, separable_blobs
@@ -60,16 +61,21 @@ def test_classes_sorted(rng):
     assert model.classes == [hl("1"), hl("2"), hl("3")]
 
 
+BANK_FIELDS = ("support_vectors", "dual_coef", "bias", "platt_a", "platt_b", "converged")
+
+
+def assert_same_bank(first, second):
+    for name in BANK_FIELDS:
+        assert np.array_equal(getattr(first.svm, name), getattr(second.svm, name)), name
+
+
 def test_svm_model_is_deterministic(rng):
     X, y = separable_blobs(rng, 30, [(2, 0), (-2, 0), (0, 2)])
     labels = [hl(str(c + 1)) for c in y]
     config = SvmConfig(C=5.0, gamma=1.0)
     first = fit_multiclass("svm", X, labels, config)
     second = fit_multiclass("svm", X, labels, config)
-    for m1, m2 in zip(first.binary_models, second.binary_models):
-        assert np.array_equal(m1.dual_coef, m2.dual_coef)
-        assert m1.bias == m2.bias
-        assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)
+    assert_same_bank(first, second)
     query = rng.normal(size=(20, 2))
     assert np.array_equal(first.predict_proba(query), second.predict_proba(query))
 
@@ -85,7 +91,7 @@ def test_one_gram_per_node(rng, monkeypatch):
     monkeypatch.setattr(tehier.svm, "rbf_kernel_matrix", counting)
     X, y = separable_blobs(rng, 20, [(2, 0), (-2, 0), (0, 2)])
     model = fit_multiclass("svm", X, [hl(str(c + 1)) for c in y], SvmConfig(C=5.0))
-    assert len(model.binary_models) == 3
+    assert model.svm.dual_coef.shape[1] == 3
     assert calls == [(True, len(X))]
 
 
@@ -98,10 +104,7 @@ def test_column_cache_eviction_does_not_change_svm_model(rng, monkeypatch):
     kept = fit_multiclass("svm", X, labels, config)
     monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", 8)  # columns are evicted and rebuilt
     evicted = fit_multiclass("svm", X, labels, config)
-    for m1, m2 in zip(kept.binary_models, evicted.binary_models):
-        assert np.array_equal(m1.dual_coef, m2.dual_coef)
-        assert m1.bias == m2.bias
-        assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)
+    assert_same_bank(kept, evicted)
 
 
 def test_dimension_mismatch(rng):
@@ -120,6 +123,9 @@ def test_empty_data_rejected():
 def test_unknown_kind_rejected(rng):
     with pytest.raises(ValueError):
         fit_multiclass("forest", rng.normal(size=(4, 2)), [hl("1"), hl("2")] * 2)
+    # also where one observed class would make a constant model
+    with pytest.raises(ValueError, match="tree"):
+        fit_multiclass("tree", rng.normal(size=(3, 2)), [hl("1")] * 3)
 
 
 def three_class_node(rng, monkeypatch):
@@ -147,21 +153,30 @@ def duplicated_rows_node(rng, monkeypatch):
 )
 def test_bank_matches_each_binary_svm(rng, monkeypatch, node):
     X, labels = node(rng, monkeypatch)
-    model = fit_multiclass("svm", X, labels, SvmConfig(C=5.0, gamma=1.0))
-    bank = model._svm_bank
+    config = SvmConfig(C=5.0, gamma=1.0)
+    model = fit_multiclass("svm", X, labels, config)
+    binaries = [
+        train_binary_svm(X, np.array([1.0 if l == c else -1.0 for l in labels]), config)
+        for c in model.classes
+    ]
+    bank = model.svm
     query = rng.normal(0.0, 1.5, size=(40, 2))
     decisions = bank.decision_function(query)
     positives = bank.predict_proba_positive(query)
     assert decisions.shape == positives.shape == (len(query), len(model.classes))
-    for c, binary in enumerate(model.binary_models):
+    for c, binary in enumerate(binaries):
         assert np.allclose(decisions[:, c], binary.decision_function(query), rtol=0, atol=1e-12)
         assert np.allclose(
             positives[:, c], binary.predict_proba_positive(query), rtol=0, atol=1e-12
         )
+    assert bank.bias.tolist() == [m.bias for m in binaries]
+    assert bank.platt_a.tolist() == [m.platt_a for m in binaries]
+    assert bank.platt_b.tolist() == [m.platt_b for m in binaries]
+    assert bank.converged.tolist() == [m.converged for m in binaries]
     # the pool holds each support vector of the node once
-    used = {sv.tobytes() for m in model.binary_models for sv in m.support_vectors}
+    used = {sv.tobytes() for m in binaries for sv in m.support_vectors}
     assert sorted(sv.tobytes() for sv in bank.support_vectors) == sorted(used)
-    scores = np.column_stack([m.predict_proba_positive(query) for m in model.binary_models])
+    scores = np.column_stack([m.predict_proba_positive(query) for m in binaries])
     expected = scores / scores.sum(axis=1, keepdims=True)
     assert np.allclose(model.predict_proba(query), expected, rtol=0, atol=1e-12)
 
@@ -179,5 +194,6 @@ def test_node_prediction_builds_one_kernel_block(rng, monkeypatch):
     monkeypatch.setattr(tehier.svm, "rbf_kernel_matrix", counting)
     model.predict_proba(rng.normal(size=(7, 2)))
     model.predict_proba(rng.normal(size=(5, 2)))
-    assert calls == [len(model._svm_bank.support_vectors)] * 2
-    assert calls[0] < sum(len(m.support_vectors) for m in model.binary_models)
+    assert calls == [len(model.svm.support_vectors)] * 2
+    # fewer rows than the SVMs use together: they share support vectors
+    assert calls[0] < np.count_nonzero(model.svm.dual_coef)

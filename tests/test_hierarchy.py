@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from tehier import (
     TaxonomyError,
     featurize_batch,
     load_model,
+    load_model_file,
+    read_feature_csv,
     save_model,
     train_hier,
 )
@@ -33,7 +36,6 @@ from oracles import (
     greedy_chain_oracle,
     greedy_descent,
     random_stub_problem,
-    save_model_v1,
     score_all_paths,
     stub_proba_table,
     train_hier_per_node_reference,
@@ -434,37 +436,11 @@ def test_save_load_round_trip(rng, base_kind):
     assert resaved.getvalue() == sink.getvalue()  # stable serialization
 
 
-@pytest.mark.parametrize("base_kind", ["svm", "logreg"])
-def test_load_reads_v1_file_with_config_seed(rng, base_kind):
-    # older builds wrote an unused "seed" into base_config; those files still load
-    tax, X, labels = hier_training_setup(rng)
-    config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
-    model = train_hier(X, labels, tax, base_kind=base_kind, config=config)
-    sink = io.StringIO()
-    save_model_v1(model, sink)
-    payload = json.loads(sink.getvalue())
-    assert payload["schema_version"] == 1 and "seed" not in payload["base_config"]
-    payload["base_config"]["seed"] = 7
-    loaded = load_model(io.StringIO(json.dumps(payload)))
-    assert loaded.base_config == model.base_config
-    queries = rng.normal(size=(50, 2))
-    assert loaded.predict(queries, "lcpnb") == model.predict(queries, "lcpnb")
-
-
-def test_load_reads_logreg_file_with_learning_rate(rng):
-    # logreg model files from before L-BFGS carry the old step-size knob
-    tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="logreg")
-    sink = io.StringIO()
-    save_model(model, sink)
-    payload = json.loads(sink.getvalue())
-    assert "learning_rate" not in payload["base_config"]
-    payload["base_config"]["learning_rate"] = 1.0
-    loaded = load_model(io.StringIO(json.dumps(payload)))
-    assert loaded.base_config == model.base_config
-    queries = rng.normal(size=(50, 2))
-    assert loaded.predict(queries, "lcpnb") == model.predict(queries, "lcpnb")
-    assert loaded.predict(queries, "nllcpn") == model.predict(queries, "nllcpn")
+def test_load_refuses_schema_1_file(rng):
+    payload = saved_payload(rng, "logreg")
+    payload["schema_version"] = 1
+    with pytest.raises(ModelFileError, match="version 1 is no longer read; retrain"):
+        load_model(io.StringIO(json.dumps(payload)))
 
 
 def test_load_rejects_unknown_schema_version(rng):
@@ -472,8 +448,8 @@ def test_load_rejects_unknown_schema_version(rng):
     model = train_hier(X, labels, tax, base_kind="logreg")
     sink = io.StringIO()
     save_model(model, sink)
-    assert '"schema_version": 2' in sink.getvalue()
-    tampered = sink.getvalue().replace('"schema_version": 2', '"schema_version": 99')
+    assert '"schema_version": 3' in sink.getvalue()
+    tampered = sink.getvalue().replace('"schema_version": 3', '"schema_version": 99')
     with pytest.raises(ModelFileError):
         load_model(io.StringIO(tampered))
 
@@ -489,11 +465,11 @@ def test_load_rejects_truncated_file(rng):
         load_model(io.StringIO("{}"))
 
 
-def saved_payload(rng, base_kind, save=save_model):
+def saved_payload(rng, base_kind):
     tax, X, labels = hier_training_setup(rng)
     config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
     sink = io.StringIO()
-    save(train_hier(X, labels, tax, base_kind=base_kind, config=config), sink)
+    save_model(train_hier(X, labels, tax, base_kind=base_kind, config=config), sink)
     return json.loads(sink.getvalue())
 
 
@@ -505,10 +481,32 @@ def set_classes(node, classes):
     node["classes"] = classes
 
 
-# (base kind, mutation of the JSON of a version 1 file, words the error must name)
+def b64_values(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def edit_b64(node, key, edit):
+    """Replace ``node[key]``, a base64 array, by ``edit`` of its flat values."""
+    values = np.frombuffer(base64.b64decode(node[key]), dtype="<f8").copy()
+    node[key] = b64_values(edit(values))
+
+
+def set_at(index, value):
+    def edit(values):
+        values[index] = value
+        return values
+
+    return edit
+
+
+# (base kind, mutation of the JSON of a version 3 file, words the error must name)
 MODEL_FILE_FAULTS = {
     "leaf node": ("logreg", lambda p: move_node(p, "1", "2"), "not the root or an internal node"),
     "unknown node": ("logreg", lambda p: move_node(p, "1", "1.7"), "not the root or an internal"),
+    "unparsable node key": ("logreg", lambda p: move_node(p, "1", "1.x"), "model file: non-numeric"),
+    "unparsable taxonomy path": (
+        "svm", lambda p: p["taxonomy"][0].__setitem__("path", "0.1"), "model file: component 0"
+    ),
     "unsorted classes": (
         "logreg", lambda p: set_classes(p["node_models"]["1"], ["1.1", "1"]), "not sorted"
     ),
@@ -521,35 +519,53 @@ MODEL_FILE_FAULTS = {
     "self class at the root": (
         "logreg", lambda p: set_classes(p["node_models"][""], ["1.1", "2"]), "node's children"
     ),
-    "support vector width": (
-        "svm",
-        lambda p: [
-            row.append(0.5) for row in p["node_models"]["1"]["binary_models"][0]["support_vectors"]
-        ],
-        "not 2 features wide",
+    "node_models as a list": (
+        "svm", lambda p: p.__setitem__("node_models", []), "node_models is not a JSON object"
     ),
+    "base_config as a list": (
+        "svm", lambda p: p.__setitem__("base_config", [1]), "base_config is not a JSON object"
+    ),
+    "unknown config key": (
+        "logreg", lambda p: p["base_config"].__setitem__("learning_rate", 1.0), "learning_rate"
+    ),
+    # the pool's rows, the support vectors, are n_features wide
+    "support vector width": ("svm", lambda p: p.__setitem__("n_features", 3), "pool holds"),
     "dual_coef length": (
-        "svm", lambda p: p["node_models"][""]["binary_models"][1]["dual_coef"].pop(), "dual_coef"
+        "svm", lambda p: edit_b64(p["node_models"][""], "dual_coef", lambda v: v[:-1]), "dual_coef"
+    ),
+    "pool index out of range": (
+        "svm", lambda p: p["node_models"]["1"]["pool_index"].__setitem__(0, p["pool_rows"]),
+        "not a row of the",
+    ),
+    "bias length": ("svm", lambda p: p["node_models"][""]["bias"].pop(), "bias is not a list of 2"),
+    "platt_b as text": (
+        "svm", lambda p: p["node_models"]["1"].__setitem__("platt_b", ["0.5", "0.5"]), "platt_b"
+    ),
+    "converged as text": (
+        "svm",
+        lambda p: p["node_models"]["1"]["converged"].__setitem__(0, "false"),
+        "converged is not a list of 2 booleans",
+    ),
+    "logreg converged as text": (
+        "logreg",
+        lambda p: p["node_models"]["1"].__setitem__("converged", "false"),
+        "converged is not a list of 1 booleans",
     ),
     "logreg weights shape": (
-        "logreg", lambda p: [row.pop() for row in p["node_models"][""]["weights"]], "weights"
+        "logreg", lambda p: edit_b64(p["node_models"][""], "weights", lambda v: v[:-1]), "weights"
     ),
     "logreg bias shape": (
-        "logreg", lambda p: p["node_models"]["1"]["bias"].append(0.0), "bias"
+        "logreg", lambda p: edit_b64(p["node_models"]["1"], "bias", lambda v: [*v, 0.0]), "bias"
     ),
     "non-finite dual_coef": (
-        "svm",
-        lambda p: p["node_models"][""]["binary_models"][0]["dual_coef"].__setitem__(0, np.nan),
+        "svm", lambda p: edit_b64(p["node_models"][""], "dual_coef", set_at(0, np.nan)),
         "non-finite",
     ),
     "non-finite platt_a": (
-        "svm",
-        lambda p: p["node_models"]["1"]["binary_models"][1].__setitem__("platt_a", np.inf),
-        "non-finite",
+        "svm", lambda p: p["node_models"]["1"]["platt_a"].__setitem__(1, np.inf), "non-finite"
     ),
     "non-finite logreg weight": (
-        "logreg",
-        lambda p: p["node_models"]["1"]["weights"][0].__setitem__(1, -np.inf),
+        "logreg", lambda p: edit_b64(p["node_models"]["1"], "weights", set_at(0, -np.inf)),
         "non-finite",
     ),
     "non-finite config": ("svm", lambda p: p["base_config"].__setitem__("C", np.nan), "non-finite"),
@@ -559,25 +575,23 @@ MODEL_FILE_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(MODEL_FILE_FAULTS))
 def test_load_rejects_inconsistent_model_file(rng, fault):
     base_kind, mutate, cause = MODEL_FILE_FAULTS[fault]
-    payload = saved_payload(rng, base_kind, save_model_v1)
+    payload = saved_payload(rng, base_kind)
+    assert payload["schema_version"] == 3
     mutate(payload)
     with pytest.raises(ModelFileError, match=cause):
         load_model(io.StringIO(json.dumps(payload)))
 
 
-def b64_values(values) -> str:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+DATA = pathlib.Path(__file__).parent / "data"
 
 
-def set_pool_value(payload, value):
-    pool = np.frombuffer(base64.b64decode(payload["pool"]), dtype="<f8").copy()
-    pool[3] = value
-    payload["pool"] = b64_values(pool)
+def v2_payload(base_kind):
+    """The committed version 2 file of ``base_kind`` (see data/README.md)."""
+    return json.loads((DATA / f"model_v2_{base_kind}.json").read_text())
 
 
-def fill_root_dual_coef(payload, value):
-    binary = payload["node_models"][""]["binary_models"][0]
-    binary["dual_coef"] = b64_values([value] * len(binary["pool_index"]))
+def v2_binary(payload, node, c):
+    return payload["node_models"][node]["binary_models"][c]
 
 
 # (base kind, mutation of the JSON of a version 2 file, words the error must name)
@@ -587,32 +601,30 @@ MODEL_FILE_V2_FAULTS = {
     "pool byte length": ("svm", lambda p: p.__setitem__("pool_rows", p["pool_rows"] + 1), "bytes"),
     "pool index out of range": (
         "svm",
-        lambda p: p["node_models"]["1"]["binary_models"][0]["pool_index"].__setitem__(
-            0, p["pool_rows"]
-        ),
+        lambda p: v2_binary(p, "2", 0)["pool_index"].__setitem__(0, p["pool_rows"]),
         "not a row of the",
     ),
     "negative pool index": (
-        "svm",
-        lambda p: p["node_models"][""]["binary_models"][1]["pool_index"].__setitem__(0, -1),
-        "not a row of the",
+        "svm", lambda p: v2_binary(p, "", 1)["pool_index"].__setitem__(0, -1), "not a row of the"
     ),
-    "pool index length": (
-        "svm", lambda p: p["node_models"][""]["binary_models"][1]["pool_index"].pop(), "dual_coef"
-    ),
+    "pool index length": ("svm", lambda p: v2_binary(p, "", 1)["pool_index"].pop(), "dual_coef"),
     "dual_coef length": (
-        "svm",
-        lambda p: p["node_models"]["1"]["binary_models"][1].__setitem__(
-            "dual_coef", b64_values([1.0])
-        ),
+        "svm", lambda p: v2_binary(p, "2", 1).__setitem__("dual_coef", b64_values([1.0])),
         "dual_coef",
     ),
-    "non-finite pool value": ("svm", lambda p: set_pool_value(p, np.nan), "non-finite"),
-    "non-finite dual_coef": ("svm", lambda p: fill_root_dual_coef(p, np.inf), "non-finite"),
+    "binary model count": (
+        "svm", lambda p: p["node_models"]["3"]["binary_models"].pop(), "not a list of 2 models"
+    ),
+    "converged as text": (
+        "svm", lambda p: v2_binary(p, "3", 0).__setitem__("converged", "false"), "converged"
+    ),
+    "non-finite pool value": ("svm", lambda p: edit_b64(p, "pool", set_at(3, np.nan)), "non-finite"),
+    "non-finite dual_coef": (
+        "svm", lambda p: edit_b64(v2_binary(p, "", 0), "dual_coef", set_at(0, np.inf)),
+        "non-finite",
+    ),
     "gamma differs within a node": (
-        "svm",
-        lambda p: p["node_models"]["1"]["binary_models"][1].__setitem__("gamma", 0.125),
-        "disagree on gamma",
+        "svm", lambda p: v2_binary(p, "2", 1).__setitem__("gamma", 0.125), "disagree on gamma"
     ),
     "logreg weights length": (
         "logreg",
@@ -624,37 +636,46 @@ MODEL_FILE_V2_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", sorted(MODEL_FILE_V2_FAULTS))
-def test_load_rejects_inconsistent_v2_model_file(rng, fault):
+def test_load_rejects_inconsistent_v2_model_file(fault):
     base_kind, mutate, cause = MODEL_FILE_V2_FAULTS[fault]
-    payload = saved_payload(rng, base_kind)
+    payload = v2_payload(base_kind)
     assert payload["schema_version"] == 2
+    load_model(io.StringIO(json.dumps(payload)))  # unmutated, the file loads
     mutate(payload)
     with pytest.raises(ModelFileError, match=cause):
         load_model(io.StringIO(json.dumps(payload)))
 
 
+@pytest.mark.parametrize("strategy", ["nllcpn", "lcpnb"])
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
-def test_v1_file_resaves_as_v2_with_identical_predictions(rng, base_kind):
-    tax, X, labels = hier_training_setup(rng)
-    config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
-    model = train_hier(X, labels, tax, base_kind=base_kind, config=config)
-    v1 = io.StringIO()
-    save_model_v1(model, v1)
-    from_v1 = load_model(io.StringIO(v1.getvalue()))
-    v2 = io.StringIO()
-    save_model(from_v1, v2)
-    from_v2 = load_model(io.StringIO(v2.getvalue()))
-    resaved = io.StringIO()
-    save_model(model, resaved)
-    assert resaved.getvalue() == v2.getvalue()
+def test_v2_file_predicts_as_when_written(tmp_path, base_kind, strategy):
+    from tehier.cli import main
 
-    queries = rng.normal(size=(80, 2))
-    tables = [m.proba_tables(queries) for m in (model, from_v1, from_v2)]
-    for table in tables[1:]:
-        assert table.edge.tobytes() == tables[0].edge.tobytes()
-        assert table.stay.tobytes() == tables[0].stay.tobytes()
+    out = tmp_path / "pred.csv"
+    model = DATA / f"model_v2_{base_kind}.json"
+    argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--strategy", strategy]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"predict_v2_{base_kind}_{strategy}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("base_kind", ["svm", "logreg"])
+def test_v2_file_resaves_as_v3_with_identical_predictions(base_kind):
+    from_v2 = load_model_file(DATA / f"model_v2_{base_kind}.json")
+    v3 = io.StringIO()
+    save_model(from_v2, v3)
+    assert json.loads(v3.getvalue())["schema_version"] == 3
+    from_v3 = load_model(io.StringIO(v3.getvalue()))
+    resaved = io.StringIO()
+    save_model(from_v3, resaved)
+    assert resaved.getvalue() == v3.getvalue()
+
+    with open(DATA / "query.csv", encoding="utf-8") as fh:
+        queries, _ = read_feature_csv(fh, from_v2.kmer_config)
+    tables = [m.proba_tables(queries) for m in (from_v2, from_v3)]
+    assert tables[1].edge.tobytes() == tables[0].edge.tobytes()
+    assert tables[1].stay.tobytes() == tables[0].stay.tobytes()
     for strategy in ("nllcpn", "lcpnb"):
-        assert from_v2.predict(queries, strategy) == model.predict(queries, strategy)
+        assert from_v3.predict(queries, strategy) == from_v2.predict(queries, strategy)
 
 
 def test_v2_pool_stores_each_support_vector_once(rng):
@@ -663,31 +684,23 @@ def test_v2_pool_stores_each_support_vector_once(rng):
     sink = io.StringIO()
     save_model(model, sink)
     payload = json.loads(sink.getvalue())
-    rows = {
-        sv.tobytes()
-        for m in model.node_models.values()
-        for b in m.binary_models
-        for sv in b.support_vectors
-    }
-    stored = sum(
-        len(b["pool_index"])
-        for node in payload["node_models"].values()
-        for b in node.get("binary_models", [])
-    )
+    rows = {sv.tobytes() for m in model.node_models.values() for sv in m.svm.support_vectors}
+    stored = sum(len(node["pool_index"]) for node in payload["node_models"].values())
     assert payload["pool_rows"] == len(rows) < stored
 
 
 def test_predict_cli_exits_2_on_inconsistent_model_file(rng, tmp_path, capsys):
     from tehier.cli import main
 
-    payload = saved_payload(rng, "svm", save_model_v1)
-    payload["node_models"]["1"]["binary_models"][0]["dual_coef"].pop()
+    payload = saved_payload(rng, "svm")
+    edit_b64(payload["node_models"]["1"], "dual_coef", lambda values: values[:-1])
     model = tmp_path / "model.json"
     model.write_text(json.dumps(payload))
     queries = tmp_path / "q.csv"
     queries.write_text("a,b\n0.5,0.5\n")
     assert main(["predict", str(queries), "--model", str(model), "--out", str(tmp_path / "p.csv")]) == 2
-    assert "dual_coef" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(model) in err and "dual_coef" in err  # the message names the file
 
 
 def test_feature_width_fingerprint_checked_at_predict(rng):

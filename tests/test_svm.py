@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tehier import DegenerateDataError, DimensionError, SvmConfig, rbf_kernel, train_binary_svm
+from tehier import DegenerateDataError, DimensionError, SvmConfig, train_binary_svm
 import tehier.svm
 from tehier.svm import (
     _KernelColumns,
@@ -20,6 +20,7 @@ from oracles import (
     platt_calibrate_reference,
     platt_probability_reference,
     projected_gradient_qp,
+    rbf_kernel,
     rbf_kernel_matrix_reference,
     smo_inplace_reference,
     smo_reference,
