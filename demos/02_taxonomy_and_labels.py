@@ -10,8 +10,8 @@ print(f"label {copia}: depth {copia.depth}, ancestors {[str(a) for a in copia.pr
 labels = [parse_label(t) for t in ["1.1.1", "1.1.2", "1.2", "2.1", "2.1.1"]]
 taxonomy = build_from_labels(labels)
 print(f"\ninduced taxonomy: {taxonomy}")
-for path in taxonomy.enumerate_paths():
-    print("  " + " -> ".join(str(n) for n in path))
+for node in taxonomy.nodes():
+    print("  " + " -> ".join(str(n) for n in [*node.prefixes(), node]))
 
 # the bundled transcription of the unified TE classification
 wicker = wicker_taxonomy()

@@ -32,12 +32,11 @@ labels = [r.label for r in records]
 print(f"dataset: {len(records)} sequences over {taxonomy}")
 
 model = train_hier(X, labels, taxonomy, base_kind="svm", config=SvmConfig(C=16, gamma=8))
-print(f"local models trained at: "
-      + ", ".join("root" if not p else ".".join(map(str, p)) for p in sorted(model.node_models)))
-for path in sorted(model.node_models):
-    local = model.node_models[path]
-    where = "root" if not path else ".".join(map(str, path))
-    print(f"  {where}: classes {[str(c) for c in local.classes]} ({local.kind})")
+# node models are keyed by taxonomy node id, and their classes are node ids
+names = ["root", *map(str, taxonomy.nodes())]
+print("local models trained at: " + ", ".join(names[v] for v in sorted(model.node_models)))
+for v, local in sorted(model.node_models.items()):
+    print(f"  {names[v]}: classes {[names[c] for c in local.classes]} ({local.kind})")
 
 greedy = model.predict(X, "nllcpn")
 scored = model.predict(X, "lcpnb")

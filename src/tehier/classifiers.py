@@ -1,18 +1,18 @@
-"""Probabilistic multiclass classifiers over hierarchy labels.
+"""Probabilistic multiclass classifiers over integer class ids.
 
-Both base classifiers expose the same contract: fit on labeled feature
-vectors, then emit a probability distribution over the local class set
-(sorted hierarchy labels). The SVM flavor reduces one-vs-rest with a
-Platt-calibrated binary SVM per class; all of a node's binary SVMs share one
-kernel provider (the Gram matrix, or the column cache above the full-Gram
-limit), and each fits Platt on the decision values from its SMO gradient.
-A hierarchy passes each node a slice of its training set's one Gram; on
-its own, ``fit_multiclass`` builds the node's provider. Once trained, a
-node's SVMs are kept only as one bank (``svm_bank``): a single
-``BinarySvmModel`` over the distinct support vectors of all k SVMs, with an
-(n_pool, k) dual-coefficient matrix and length-k bias, Platt (A, B) and
-``converged``, so one kernel block and one matrix product give all of its
-decision values.
+Both base classifiers expose the same contract: fit on feature vectors and
+int class ids (a hierarchy's are node ids), then emit a probability
+distribution over the local class set (the sorted distinct ids). The SVM
+flavor reduces one-vs-rest with a Platt-calibrated binary SVM per class; all
+of a node's binary SVMs share one kernel provider (the Gram matrix, or the
+column cache above the full-Gram limit), and each fits Platt on the decision
+values from its SMO gradient. A hierarchy passes each node a slice of its
+training set's one Gram; on its own, ``fit_multiclass`` builds the node's
+provider. Once trained, a node's SVMs are kept only as one bank
+(``svm_bank``): a single ``BinarySvmModel`` over the distinct support
+vectors of all k SVMs, with an (n_pool, k) dual-coefficient matrix and
+length-k bias, Platt (A, B) and ``converged``, so one kernel block and one
+matrix product give all of its decision values.
 Logistic regression is a single softmax model. Single-class data yields a
 constant classifier so parent nodes with degenerate subsets still produce a
 probability.
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DimensionError
-from .labels import HierLabel
 from .logreg import LogRegConfig, LogRegModel, train_logreg
 from .svm import BinarySvmModel, SvmConfig, _KernelColumns, train_binary_svm
 
@@ -37,10 +36,10 @@ _ZERO_SUM = 1e-12
 
 @dataclass
 class MulticlassModel:
-    """A fitted local classifier: sorted class list plus kind-specific state."""
+    """A fitted local classifier: sorted class ids plus kind-specific state."""
 
     kind: str  # "svm", "logreg", or "constant"
-    classes: list[HierLabel]
+    classes: np.ndarray  # sorted distinct class ids
     n_features: int
     svm: BinarySvmModel | None = None  # the node bank (``svm_bank``)
     logreg_model: LogRegModel | None = None
@@ -108,13 +107,13 @@ def pool_rows(vectors: np.ndarray, pool: dict[bytes, int]) -> list[int]:
 def fit_multiclass(
     kind: str,
     X: np.ndarray,
-    labels: list[HierLabel],
+    y: np.ndarray,
     config: SvmConfig | LogRegConfig | None = None,
     columns: _KernelColumns | None = None,
 ) -> MulticlassModel:
     """Train a local classifier of the requested kind.
 
-    Classes are the distinct labels observed in ``labels``, sorted; a single
+    Classes are the distinct ids observed in the int array ``y``, sorted; a single
     observed class produces a constant model of either kind. ``columns``
     is an SVM kernel provider for this ``X`` and ``config.gamma``, such as
     a slice of the training set's Gram (``_KernelColumns.subset``); by
@@ -126,13 +125,11 @@ def fit_multiclass(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DegenerateDataError("training data must be a nonempty 2-D array")
-    if X.shape[0] != len(labels):
-        raise DimensionError(f"{X.shape[0]} rows but {len(labels)} labels")
-    classes = sorted(set(labels))
+    if X.shape[0] != len(y):
+        raise DimensionError(f"{X.shape[0]} rows but {len(y)} class ids")
+    classes, y_idx = np.unique(y, return_inverse=True)
     if len(classes) == 1:
         return MulticlassModel(kind="constant", classes=classes, n_features=X.shape[1])
-    index = {c: i for i, c in enumerate(classes)}
-    y_idx = np.array([index[l] for l in labels])
 
     if kind == LOGREG:
         model = train_logreg(X, y_idx, len(classes), config or LogRegConfig())

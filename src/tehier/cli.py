@@ -42,7 +42,7 @@ from .hierarchy import LCPNB, STRATEGIES, load_model_file, save_model_file, trai
 from .kmers import KmerConfig, canonical_feature_order, featurize_batch
 from .labels import parse_label, render_label
 from .logreg import LogRegConfig
-from .metrics import crossval_strategies, hier_metrics
+from .metrics import crossval_strategies, hier_metrics, stratified_kfold
 from .sequence_io import (
     read_fasta,
     read_feature_csv,
@@ -354,6 +354,8 @@ def cmd_gridsearch(args) -> int:
     config = _kmer_config(args)
     X, labels = _load_labeled_features(args.input, config)
     taxonomy = build_from_labels(labels)
+    # an impossible fold count fails every cell; refuse it as cv does
+    stratified_kfold(labels, args.folds, args.seed)
     grid = _grid_from_args(args)
     result = grid_search(X, labels, taxonomy, grid, threads=args.threads)
     if args.out:

@@ -37,6 +37,8 @@ class Grid:
             raise ValueError("grid axes must be nonempty")
         if any(v <= 0 for v in self.c_values) or any(v <= 0 for v in self.gamma_values):
             raise ValueError("grid values must be positive")
+        if self.folds < 2:
+            raise ValueError("grid folds must be >= 2")
 
 
 def desk_grid(folds: int = 3, strategy: str = LCPNB, seed: int = 0) -> Grid:

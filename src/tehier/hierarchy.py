@@ -6,11 +6,13 @@ children plus the node itself (the replicated-self class that lets a
 prediction stop early). The root has no self class. A sample labeled exactly
 at an internal node trains that node's self class; a sample labeled deeper
 trains the child its path passes through. A node's rows are one mask over
-the training labels' ancestor ids (``Taxonomy.ancestor_ids``). An SVM
-hierarchy has one kernel provider per training set: the RBF Gram matrix of
-all training rows is computed once, and every node's one-vs-rest SVMs solve
-on the slice of it for the node's rows (above the full-Gram limit, where
-no Gram is kept, each node builds its own provider).
+the training labels' ancestor ids (``Taxonomy.ancestor_ids``) and their
+classes are node ids, so ``HierModel.node_models`` maps a node id to a model
+whose ``classes`` are sorted node ids. An SVM hierarchy has one kernel
+provider per training set: the RBF Gram matrix of all training rows is
+computed once, and every node's one-vs-rest SVMs solve on the slice of it
+for the node's rows (above the full-Gram limit, where no Gram is kept, each
+node builds its own provider).
 
 Prediction works on taxonomy node ids (0 is the root, the rest preorder).
 ``HierModel.proba_tables`` runs every local model once over the batch and
@@ -31,7 +33,8 @@ taxonomy and a table, so stub tables drive them as well as trained models:
   column is summed edge by edge from the root, in the order of
   ``sum(edges)``, so scores and ties are exact.
 
-``save_model`` writes schema version 3: JSON whose scalars are JSON numbers
+``save_model`` writes schema version 3: JSON that names every node and
+class by its dot-path (the root by ""), whose scalars are JSON numbers
 (``repr`` round-trips a float exactly) and whose float arrays are base64 of
 their little-endian float64 bytes. Every distinct support vector of the
 model is stored once, in one ``pool`` of ``pool_rows`` rows: a node's
@@ -41,11 +44,12 @@ trains on a subset of its parent's rows. An SVM node is stored as its bank
 (n, k) ``dual_coef``, ``gamma``, and lists of k ``bias``, ``platt_a``,
 ``platt_b`` and ``converged`` values. Loading takes the bank's rows as
 ``pool[pool_index]``, so the model and its predictions are the ones saved,
-bit for bit. ``load_model`` also reads version 2 files, which list each
-binary SVM of a node apart with the ``pool_index`` and ``dual_coef`` of its
-own support vectors; it pools them into the bank as training does. Version 1
-files are refused: retrain the model. Files are checked against themselves
-and the taxonomy on load; any inconsistency raises ``ModelFileError``.
+bit for bit; ids follow label order, so sorted ids are sorted labels on
+file. ``load_model`` also reads version 2 files, which list each binary SVM of a
+node apart with the ``pool_index`` and ``dual_coef`` of its own support
+vectors; it pools them into the bank as training does. Version 1 files are
+refused: retrain the model. Files are checked against themselves and the
+taxonomy on load; any inconsistency raises ``ModelFileError``.
 """
 
 from __future__ import annotations
@@ -166,7 +170,7 @@ class HierModel:
     """Taxonomy plus one trained local classifier per populated parent node."""
 
     taxonomy: Taxonomy
-    node_models: dict[tuple[int, ...], MulticlassModel]
+    node_models: dict[int, MulticlassModel]  # by taxonomy node id
     base_config: SvmConfig | LogRegConfig
     kmer_config: KmerConfig | None = None
     n_features: int = 0
@@ -188,18 +192,20 @@ class HierModel:
         share (``parallel.run_tasks``); the table is the same for any count.
         """
         X = self._check_input(X)
-        index = self.taxonomy.node_index
-        edge = np.zeros((X.shape[0], len(index)))
+        n_nodes = len(self.taxonomy.node_paths)
+        edge = np.zeros((X.shape[0], n_nodes))
         stay = np.zeros_like(edge)
-        trained = np.zeros(len(index), dtype=bool)
-        paths = sorted(self.node_models)
+        trained = np.zeros(n_nodes, dtype=bool)
+        nodes = sorted(self.node_models)
         computed = run_tasks(
-            lambda i: self.node_models[paths[i]].predict_proba(X), len(paths), threads
+            lambda i: self.node_models[nodes[i]].predict_proba(X), len(nodes), threads
         )
-        for path, probs in zip(paths, computed):
-            trained[index[path]] = True
-            for col, cls in enumerate(self.node_models[path].classes):
-                (stay if cls.path == path else edge)[:, index[cls.path]] = probs[:, col]
+        for v, probs in zip(nodes, computed):
+            trained[v] = True
+            classes = self.node_models[v].classes
+            own = classes == v  # v's self class
+            stay[:, classes[own]] = probs[:, own]
+            edge[:, classes[~own]] = probs[:, ~own]
         return ProbaTable(edge, stay, trained)
 
     def predict(self, X: np.ndarray, strategy: str, threads: int = 1) -> list[HierLabel]:
@@ -221,9 +227,8 @@ class HierModel:
     @property
     def untrained_nodes(self) -> list[HierLabel]:
         """Internal nodes that received no training data."""
-        return [
-            n for n in self.taxonomy.internal_nodes() if n.path not in self.node_models
-        ]
+        labels, kids = self.taxonomy.node_labels, self.taxonomy.child_ids
+        return [labels[v] for v in range(1, len(kids)) if kids[v] and v not in self.node_models]
 
 
 def train_hier(
@@ -276,18 +281,14 @@ def train_hier(
         if not rows.size:
             return None
         local = np.where(depths[rows] == depth, parent, ancestors[rows, depth + 1])
-        classes = [taxonomy.node_labels[c] for c in local.tolist()]
         X_rows = X if len(rows) == len(X) else X[rows]  # the root's rows need no copy
         columns = kernel.subset(rows, X_rows) if kernel is not None else None
-        return fit_multiclass(base_kind, X_rows, classes, config, columns)
+        return fit_multiclass(base_kind, X_rows, local, config, columns)
 
     trained = run_tasks(train_node, len(parents), threads)
-    node_models = {
-        taxonomy.node_paths[v]: model for v, model in zip(parents, trained) if model is not None
-    }
     return HierModel(
         taxonomy=taxonomy,
-        node_models=node_models,
+        node_models={v: model for v, model in zip(parents, trained) if model is not None},
         base_config=config,
         kmer_config=kmer_config,
         n_features=X.shape[1],
@@ -404,10 +405,11 @@ def _svm_from_v2(binaries, pool: np.ndarray, k: int, where: str) -> BinarySvmMod
     return svm_bank(models)
 
 
-def _multiclass_to_dict(m: MulticlassModel, pool: dict[bytes, int]) -> dict:
+def _multiclass_to_dict(m: MulticlassModel, paths: list[str], pool: dict[bytes, int]) -> dict:
+    """One node's model; ``paths`` renders each node id as its dot-path."""
     out = {
         "kind": m.kind,
-        "classes": [render_label(c) for c in m.classes],
+        "classes": [paths[c] for c in m.classes.tolist()],
         "n_features": m.n_features,
     }
     if m.kind == SVM:
@@ -419,23 +421,33 @@ def _multiclass_to_dict(m: MulticlassModel, pool: dict[bytes, int]) -> dict:
     return out
 
 
+def _integer(value, where: str, name: str) -> int:
+    """``value``, which must be a JSON integer of at least 0."""
+    if type(value) is not int or value < 0:
+        raise ModelFileError(f"{where}: {name} {value!r} is not a nonnegative integer")
+    return value
+
+
 def _multiclass_from_dict(
-    d: dict, taxonomy: Taxonomy, path: tuple, n_features: int, pool: np.ndarray, version: int
+    d: dict, taxonomy: Taxonomy, node: int | None, key: str, n_features: int, pool, version: int
 ):
-    """One node's model, checked against the taxonomy and the feature width."""
-    where = f"node model {'.'.join(map(str, path)) or '(root)'}"
-    node = taxonomy.node_index.get(path)
+    """The model of node id ``node``, stored under the dot-path ``key`` ("" for
+    the root), checked against the taxonomy and the feature width."""
+    where = f"node model {key or '(root)'}"
     if node is None or not taxonomy.child_ids[node]:
         raise ModelFileError(f"{where} is not the root or an internal node of the taxonomy")
-    classes = [parse_label(c) for c in d["classes"]]
-    allowed = {taxonomy.node_paths[c] for c in taxonomy.child_ids[node]} | ({path} if path else set())
-    paths = [c.path for c in classes]
-    if not paths or paths != sorted(set(paths)) or not allowed.issuperset(paths):
+    names = d["classes"]
+    if not isinstance(names, list) or not all(type(c) is str for c in names):
+        raise ModelFileError(f"{where}: classes is not a list of label strings")
+    # ids follow label order, so sorted labels are sorted ids
+    classes = np.array([taxonomy.node_index.get(parse_label(c).path, -1) for c in names], np.intp)
+    allowed = set(taxonomy.child_ids[node]) | ({node} if node else set())
+    if not names or (np.diff(classes) <= 0).any() or not allowed.issuperset(classes.tolist()):
         raise ModelFileError(
-            f"{where}: classes {d['classes']} are not sorted, distinct and drawn from "
-            f"the node's children{' and itself' if path else ''}"
+            f"{where}: classes {names} are not sorted, distinct and drawn from "
+            f"the node's children{' and itself' if node else ''}"
         )
-    if int(d["n_features"]) != n_features:
+    if _integer(d["n_features"], where, "n_features") != n_features:
         raise ModelFileError(f"{where} has {d['n_features']} features, not {n_features}")
     kind = d["kind"]
     model = MulticlassModel(kind=kind, classes=classes, n_features=n_features)
@@ -472,9 +484,9 @@ def save_model(model: HierModel, sink: IO[str]) -> None:
         for n in model.taxonomy.nodes()
     ]
     pool: dict[bytes, int] = {}
+    paths = ["", *(node["path"] for node in taxonomy_nodes)]  # by node id; "" is the root
     node_models = {
-        ".".join(map(str, path)): _multiclass_to_dict(m, pool)
-        for path, m in sorted(model.node_models.items())
+        paths[v]: _multiclass_to_dict(m, paths, pool) for v, m in sorted(model.node_models.items())
     }
     payload = {
         "schema_version": _SCHEMA_VERSION,
@@ -538,14 +550,14 @@ def load_model(source: IO[str]) -> HierModel:
             if kc
             else None
         )
-        n_features = int(payload["n_features"])
-        shape = (int(payload["pool_rows"]), n_features)
+        n_features = _integer(payload["n_features"], "model file", "n_features")
+        shape = (_integer(payload["pool_rows"], "model file", "pool_rows"), n_features)
         pool = _decode(payload["pool"], shape, "model file", "pool")
         node_models = {}
         for key, entry in _object(payload["node_models"], "node_models").items():
-            path = () if key == "" else parse_label(key).path
-            node_models[path] = _multiclass_from_dict(
-                entry, taxonomy, path, n_features, pool, version
+            node = taxonomy.node_index.get(parse_label(key).path if key else ())
+            node_models[node] = _multiclass_from_dict(
+                entry, taxonomy, node, key, n_features, pool, version
             )
         return HierModel(
             taxonomy=taxonomy,

@@ -49,10 +49,6 @@ class HierLabel:
     def child(self, component: int) -> HierLabel:
         return HierLabel(self.path + (component,))
 
-    def is_prefix_of(self, other: HierLabel) -> bool:
-        """True for proper and improper prefixes alike."""
-        return other.path[: len(self.path)] == self.path
-
     def __str__(self) -> str:
         return render_label(self)
 

@@ -100,8 +100,9 @@ class _KernelColumns:
     def subset(self, rows: np.ndarray, X_rows: np.ndarray) -> _KernelColumns:
         """The provider for ``X_rows``, which is ``X[rows]`` for ascending rows.
 
-        A full Gram is shared when ``rows`` is every row and sliced,
-        ``K[np.ix_(rows, rows)]``, otherwise. Without one (above
+        A full Gram is shared when ``rows`` is every row and sliced
+        otherwise: ``K.take(rows, 0).take(rows, 1)``, whose rows are
+        C-contiguous like the Gram's. Without one (above
         ``_FULL_GRAM_LIMIT``) the rows get a provider of their own, built
         from ``X_rows``, so this provider's cache never fills.
         """

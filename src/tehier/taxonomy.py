@@ -36,7 +36,6 @@ class Taxonomy:
             closed.update(label.prefixes())
         if not closed:
             raise TaxonomyError("taxonomy needs at least one node")
-        self._nodes = closed
         self.names = dict(names or {})
         self.node_labels: list[HierLabel | None] = [None, *sorted(closed)]
         self.node_paths: list[tuple[int, ...]] = [(), *(n.path for n in self.node_labels[1:])]
@@ -54,10 +53,11 @@ class Taxonomy:
     # -- structure queries ------------------------------------------------
 
     def __contains__(self, label: HierLabel) -> bool:
-        return label in self._nodes
+        # a label's path is never the root's
+        return isinstance(label, HierLabel) and label.path in self.node_index
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.node_paths) - 1
 
     def ids(self, labels: list[HierLabel], what: str = "label") -> np.ndarray:
         """Node ids of ``labels``; TaxonomyError names the first unknown one."""
@@ -67,7 +67,7 @@ class Taxonomy:
         return ids
 
     def _id(self, label: HierLabel) -> int:
-        if label not in self._nodes:
+        if label not in self:
             raise TaxonomyError(f"label {label} is not a node of this taxonomy")
         return self.node_index[label.path]
 
@@ -82,11 +82,6 @@ class Taxonomy:
     def is_leaf(self, label: HierLabel) -> bool:
         return not self.child_ids[self._id(label)]
 
-    def ancestors(self, label: HierLabel) -> list[HierLabel]:
-        """Proper ancestors, shallowest first; root excluded."""
-        self._id(label)
-        return label.prefixes()
-
     def nodes(self) -> list[HierLabel]:
         """All nodes in preorder."""
         return self.node_labels[1:]
@@ -98,14 +93,6 @@ class Taxonomy:
     def leaves(self) -> list[HierLabel]:
         return [self.node_labels[v] for v, kids in enumerate(self.child_ids) if not kids]
 
-    def enumerate_paths(self) -> list[list[HierLabel]]:
-        """One root-to-node path per node, in preorder.
-
-        A node identifies the path ending at it, so the path for ``1.1`` is
-        ``[1, 1.1]``.
-        """
-        return [node.prefixes() + [node] for node in self.nodes()]
-
     @property
     def max_depth(self) -> int:
         return int(self.node_depth.max())
@@ -115,11 +102,11 @@ class Taxonomy:
         return np.bincount(self.node_depth[1:] - 1).tolist()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Taxonomy) and self._nodes == other._nodes
+        return isinstance(other, Taxonomy) and self.node_paths == other.node_paths
 
     def __repr__(self) -> str:
         per_level = "/".join(str(c) for c in self.classes_per_level())
-        return f"Taxonomy({len(self._nodes)} nodes, {per_level} per level)"
+        return f"Taxonomy({len(self)} nodes, {per_level} per level)"
 
 
 def build_from_labels(labels: Iterable[HierLabel]) -> Taxonomy:

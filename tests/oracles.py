@@ -517,9 +517,7 @@ def train_hier_per_node_reference(X, labels, taxonomy, base_kind, config) -> Hie
         if not kids or not rows.size:
             continue
         local = np.where(depths[rows] == depth, parent, ancestors[rows, depth + 1])
-        classes = [taxonomy.node_labels[c] for c in local.tolist()]
-        model = fit_multiclass(base_kind, X[rows], classes, config)
-        node_models[taxonomy.node_paths[parent]] = model
+        node_models[parent] = fit_multiclass(base_kind, X[rows], local, config)
     return HierModel(taxonomy, node_models, config, None, X.shape[1])
 
 

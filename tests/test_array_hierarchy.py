@@ -117,11 +117,13 @@ def test_array_decoders_reject_an_untrained_root():
 def label_tables(model, X):
     """Per-sample label tables of a trained model, built from each local
     model's own probabilities."""
+    tax = model.taxonomy
     rows = [{} for _ in range(len(X))]
-    for path, local in model.node_models.items():
+    for v, local in model.node_models.items():
         probs = local.predict_proba(X)
+        classes = [tax.node_labels[c] for c in local.classes]
         for row, table in enumerate(rows):
-            table[path] = dict(zip(local.classes, probs[row]))
+            table[tax.node_paths[v]] = dict(zip(classes, probs[row]))
     return rows
 
 

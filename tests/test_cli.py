@@ -104,6 +104,19 @@ def test_cv_too_many_folds_fails(workspace):
     assert run(["cv", workspace / "data.csv", "--folds", "999"]) != 0
 
 
+@pytest.mark.parametrize(
+    "folds, message",
+    [(1, "k must be >= 2"), (500, "k=500 exceeds the 60 available samples")],
+    ids=["folds-1", "folds-500"],
+)
+def test_gridsearch_refuses_an_impossible_fold_count_as_cv_does(workspace, capsys, folds, message):
+    for command in ("cv", "gridsearch"):
+        assert run([command, workspace / "data.csv", "--folds", folds]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "evaluated" not in captured.out  # no grid cell ran
+
+
 def test_gridsearch_report_and_selection(workspace, capsys):
     report = workspace / "grid.csv"
     grid_file = workspace / "grid.json"

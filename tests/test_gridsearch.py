@@ -138,3 +138,5 @@ def test_grid_validation():
         Grid(c_values=())
     with pytest.raises(ValueError):
         Grid(c_values=(0.0,))
+    with pytest.raises(ValueError, match="folds"):
+        Grid(folds=1)

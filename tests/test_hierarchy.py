@@ -239,12 +239,18 @@ def hier_training_setup(rng):
     return tax, np.vstack(X), labels
 
 
+def node_ids(tax, *labels):
+    """The taxonomy node ids of dot-path labels ("" for the root)."""
+    return [tax.node_index[hl(t).path if t else ()] for t in labels]
+
+
 def test_train_hier_local_model_structure(rng):
     tax, X, labels = hier_training_setup(rng)
     model = train_hier(X, labels, tax, base_kind="logreg")
-    assert set(model.node_models) == {(), (1,)}  # node 2 is a leaf: no model
-    assert model.node_models[()].classes == [hl("1"), hl("2")]
-    assert model.node_models[(1,)].classes == [hl("1"), hl("1.1")]  # self + child
+    root, one = node_ids(tax, "", "1")
+    assert sorted(model.node_models) == [root, one]  # node 2 is a leaf: no model
+    assert model.node_models[root].classes.tolist() == node_ids(tax, "1", "2")
+    assert model.node_models[one].classes.tolist() == node_ids(tax, "1", "1.1")  # self + child
     assert model.untrained_nodes == []
 
 
@@ -252,8 +258,9 @@ def test_train_hier_leaf_only_labels_have_no_self_class(rng):
     tax, X, _ = hier_training_setup(rng)
     labels = [hl("1.1")] * 60 + [hl("2")] * 30
     model = train_hier(X, labels, tax, base_kind="logreg")
-    assert model.node_models[(1,)].kind == "constant"
-    assert model.node_models[(1,)].classes == [hl("1.1")]
+    [one] = node_ids(tax, "1")
+    assert model.node_models[one].kind == "constant"
+    assert model.node_models[one].classes.tolist() == node_ids(tax, "1.1")
 
 
 def test_train_hier_internal_label_joins_self_class(rng):
@@ -261,8 +268,8 @@ def test_train_hier_internal_label_joins_self_class(rng):
     X = rng.normal(size=(3, 2))
     labels = [hl("1"), hl("1.1"), hl("2")]
     model = train_hier(X, labels, tax, base_kind="logreg")
-    node1 = model.node_models[(1,)]
-    assert node1.classes == [hl("1"), hl("1.1")]
+    node1 = model.node_models[node_ids(tax, "1")[0]]
+    assert node1.classes.tolist() == node_ids(tax, "1", "1.1")
 
 
 def test_train_hier_untrained_subtree(rng):
@@ -270,7 +277,7 @@ def test_train_hier_untrained_subtree(rng):
     X = rng.normal(size=(20, 2))
     labels = [hl("1.1")] * 10 + [hl("1")] * 10  # nothing under node 2
     model = train_hier(X, labels, tax, base_kind="logreg")
-    assert (2,) not in model.node_models
+    assert node_ids(tax, "2")[0] not in model.node_models
     assert model.untrained_nodes == [hl("2")]
 
 
@@ -519,6 +526,22 @@ MODEL_FILE_FAULTS = {
     "self class at the root": (
         "logreg", lambda p: set_classes(p["node_models"][""], ["1.1", "2"]), "node's children"
     ),
+    # a string is not read one character at a time as classes 1 and 2
+    "classes as a string": (
+        "logreg", lambda p: set_classes(p["node_models"][""], "12"), "classes is not a list"
+    ),
+    "classes as numbers": (
+        "svm", lambda p: set_classes(p["node_models"][""], [1, 2]), "classes is not a list"
+    ),
+    "n_features as text": ("svm", lambda p: p.__setitem__("n_features", "2"), "n_features '2'"),
+    "n_features as a float": ("logreg", lambda p: p.__setitem__("n_features", 2.9), "n_features"),
+    "node n_features as a float": (
+        "logreg", lambda p: p["node_models"]["1"].__setitem__("n_features", 2.0), "n_features"
+    ),
+    "pool_rows as a float": (
+        "svm", lambda p: p.__setitem__("pool_rows", float(p["pool_rows"])), "pool_rows"
+    ),
+    "negative pool_rows": ("svm", lambda p: p.__setitem__("pool_rows", -1), "pool_rows"),
     "node_models as a list": (
         "svm", lambda p: p.__setitem__("node_models", []), "node_models is not a JSON object"
     ),
@@ -676,6 +699,44 @@ def test_v2_file_resaves_as_v3_with_identical_predictions(base_kind):
     assert tables[1].stay.tobytes() == tables[0].stay.tobytes()
     for strategy in ("nllcpn", "lcpnb"):
         assert from_v3.predict(queries, strategy) == from_v2.predict(queries, strategy)
+
+
+@pytest.mark.parametrize("base_kind", ["svm", "logreg"])
+def test_v3_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
+    from tehier.cli import main
+
+    model = DATA / f"model_v3_{base_kind}.json"
+    resaved = io.StringIO()
+    save_model(load_model_file(model), resaved)
+    assert resaved.getvalue().encode("utf-8") == model.read_bytes()
+    for strategy in ("nllcpn", "lcpnb"):
+        out = tmp_path / f"pred_{strategy}.csv"
+        argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--strategy", strategy]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"predict_v3_{base_kind}_{strategy}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("base_kind", ["svm", "logreg"])
+def test_multi_digit_path_components_keep_numeric_label_order(rng, base_kind):
+    tax = Taxonomy([hl(t) for t in ("1.2", "1.9", "1.10", "2", "10")])
+    leaves = tax.leaves()
+    assert [str(n) for n in leaves] == ["1.2", "1.9", "1.10", "2", "10"]
+    labels = leaves * 12
+    centers = {n: rng.normal(0.0, 3.0, 3) for n in leaves}
+    X = np.vstack([centers[n] + rng.normal(0.0, 0.5, 3) for n in labels])
+    config = SvmConfig(C=4.0, gamma=0.5) if base_kind == "svm" else None
+    model = train_hier(X, labels, tax, base_kind=base_kind, config=config)
+    sink = io.StringIO()
+    save_model(model, sink)
+    node_models = json.loads(sink.getvalue())["node_models"]
+    # numeric order, where text order would put 1.10 before 1.2 and 10 before 2
+    assert node_models[""]["classes"] == ["1", "2", "10"]
+    assert node_models["1"]["classes"] == ["1.2", "1.9", "1.10"]
+    loaded = load_model(io.StringIO(sink.getvalue()))
+    queries = np.vstack([X, rng.normal(0.0, 3.0, (30, 3))])
+    for strategy in ("nllcpn", "lcpnb"):
+        assert loaded.predict(queries, strategy) == model.predict(queries, strategy)
+    assert loaded.proba_tables(queries).edge.tobytes() == model.proba_tables(queries).edge.tobytes()
 
 
 def test_v2_pool_stores_each_support_vector_once(rng):

@@ -44,23 +44,12 @@ def test_repbase_shaped_label_set_counts():
     assert tax.classes_per_level() == [2, 5, 12, 9]
 
 
-def test_ancestors():
+def test_ancestor_ids():
     tax = build_from_labels([hl("1.1.1"), hl("2")])
-    assert tax.ancestors(hl("1.1.1")) == [hl("1"), hl("1.1")]
-    assert tax.ancestors(hl("2")) == []
-    with pytest.raises(TaxonomyError):
-        tax.ancestors(hl("9.9"))
-
-
-def test_enumerate_paths_small(small_taxonomy):
-    paths = small_taxonomy.enumerate_paths()
-    assert len(paths) == 3
-    assert [p[-1] for p in paths] == [hl("1"), hl("1.1"), hl("2")]
-    assert paths[1] == [hl("1"), hl("1.1")]
-
-
-def test_enumerate_paths_single_node():
-    assert len(build_from_labels([hl("1")]).enumerate_paths()) == 1
+    # preorder ids: root 0, 1 -> 1, 1.1 -> 2, 1.1.1 -> 3, 2 -> 4
+    assert tax.ancestor_ids[tax.node_index[(1, 1, 1)]].tolist() == [0, 1, 2, 3]
+    assert tax.ancestor_ids[tax.node_index[(2,)]].tolist() == [0, 4, -1, -1]
+    assert len(tax) == 4 and hl("1.1") in tax and hl("9.9") not in tax
 
 
 def test_wicker_bundled_taxonomy():
@@ -68,7 +57,7 @@ def test_wicker_bundled_taxonomy():
     # full transcription: Class I orders/superfamilies at depths 2/3, the
     # Class II subclass tier pushes its superfamilies to depth 4
     assert tax.classes_per_level() == [2, 7, 21, 12]
-    assert len(tax.enumerate_paths()) == len(tax.nodes()) == 42
+    assert len(tax) == len(tax.nodes()) == 42
     assert tax.names[hl("1.1.1")] == "Copia"
     assert tax.max_depth == 4
 
@@ -98,13 +87,12 @@ def test_prefix_closure_property_random_label_sets():
         for node in nodes:
             for prefix in node.prefixes():
                 assert prefix in nodes
-        # ancestors: length depth-1, strictly nested
+        # ancestor ids: the root, then the node's prefixes, then the node
         for node in nodes:
-            anc = tax.ancestors(node)
-            assert len(anc) == node.depth - 1
-            for a, b in zip(anc, anc[1:] + [node]):
-                assert a.is_prefix_of(b) and a != b
-        assert len(tax.enumerate_paths()) == len(nodes)
+            row = tax.ancestor_ids[tax.node_index[node.path]]
+            assert [tax.node_labels[a] for a in row[1 : node.depth]] == node.prefixes()
+            assert row[node.depth] == tax.node_index[node.path] and row[0] == 0
+        assert len(tax) == len(nodes)
 
 
 def test_taxonomy_file_round_trip():
