@@ -31,8 +31,10 @@ X = featurize_batch(records, KmerConfig())
 labels = [r.label for r in records]
 print(f"dataset: {len(records)} sequences over {taxonomy}")
 
-model = train_hier(X, labels, taxonomy, base_kind="svm", config=SvmConfig(C=16, gamma=8))
-# node models are keyed by taxonomy node id, and their classes are node ids
+# the config's type chooses the base classifier
+model = train_hier(X, labels, taxonomy, SvmConfig(C=16, gamma=8))
+# node models are keyed by taxonomy node id, and their classes are node ids;
+# a node with one class holds no model, and its kind is "constant"
 names = ["root", *map(str, taxonomy.nodes())]
 print("local models trained at: " + ", ".join(names[v] for v in sorted(model.node_models)))
 for v, local in sorted(model.node_models.items()):

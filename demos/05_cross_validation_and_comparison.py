@@ -2,6 +2,7 @@
 
 from tehier import (
     KmerConfig,
+    LogRegConfig,
     SvmConfig,
     SynthSpec,
     crossval_strategies,
@@ -27,9 +28,9 @@ if plan.warnings:
     print("warnings:", *plan.warnings, sep="\n  ")
 
 print(f"\n{'base':8s} {'strategy':12s} {'hF':>7s} {'+-':>7s}")
-for base, config in (("svm", SvmConfig(C=16, gamma=8)), ("logreg", None)):
+for base, config in (("svm", SvmConfig(C=16, gamma=8)), ("logreg", LogRegConfig())):
     results = crossval_strategies(
-        X, labels, taxonomy, base_kind=base, config=config,
+        X, labels, taxonomy, config,
         strategies=("nllcpn", "lcpnb"), k=5, seed=1,
     )
     for strategy in ("nllcpn", "lcpnb"):

@@ -2,22 +2,24 @@
 
 Both base classifiers expose the same contract: fit on feature vectors and
 int class ids (a hierarchy's are node ids), then emit a probability
-distribution over the local class set (the sorted distinct ids). The SVM
-flavor reduces one-vs-rest with a Platt-calibrated binary SVM per class; all
-of a node's binary SVMs share one kernel provider (the Gram matrix, or the
-column cache above the full-Gram limit), and each fits Platt on the decision
-values from its SMO gradient. A hierarchy passes each node a slice of its
-training set's one Gram; on its own, ``fit_multiclass`` builds the node's
-provider. Once trained, a node's SVMs are kept only as one bank
+distribution over the local class set (the sorted distinct ids). The type
+of the config is the choice of base classifier: an ``SvmConfig`` (the
+default) or a ``LogRegConfig``. The SVM flavor reduces one-vs-rest with a
+Platt-calibrated binary SVM per class; all of a node's binary SVMs share
+one kernel provider (the Gram matrix, or the column cache above the
+full-Gram limit), and each fits Platt on the decision values from its SMO
+gradient. A hierarchy passes each node a slice of its training set's one
+Gram; on its own, ``fit_multiclass`` builds the node's provider.
+
+A trained node holds one model. Its SVMs are kept only as one bank
 (``svm_bank``): a single ``BinarySvmModel`` over the distinct support
 vectors of all k SVMs, with an (n_pool, k) dual-coefficient matrix and
 length-k bias, Platt (A, B) and ``converged``, so one kernel block and one
-matrix product give all of its decision values.
-Logistic regression is a single softmax model. Single-class data yields a
-constant classifier so parent nodes with degenerate subsets still produce a
-probability.
+matrix product give all of its decision values. Logistic regression is a
+single softmax model, a ``LogRegModel``. Single-class data yields a
+constant classifier, with no model, so parent nodes with degenerate
+subsets still produce a probability.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -36,13 +38,19 @@ _ZERO_SUM = 1e-12
 
 @dataclass
 class MulticlassModel:
-    """A fitted local classifier: sorted class ids plus kind-specific state."""
+    """A fitted local classifier: sorted class ids and the node's model, an
+    SVM bank (``svm_bank``), a ``LogRegModel``, or None for a single class."""
 
-    kind: str  # "svm", "logreg", or "constant"
     classes: np.ndarray  # sorted distinct class ids
     n_features: int
-    svm: BinarySvmModel | None = None  # the node bank (``svm_bank``)
-    logreg_model: LogRegModel | None = None
+    model: BinarySvmModel | LogRegModel | None = None
+
+    @property
+    def kind(self) -> str:
+        """The model's name in a model file: "svm", "logreg" or "constant"."""
+        if self.model is None:
+            return "constant"
+        return SVM if isinstance(self.model, BinarySvmModel) else LOGREG
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Row-per-sample distributions over self.classes (rows sum to 1)."""
@@ -51,13 +59,11 @@ class MulticlassModel:
             raise DimensionError(
                 f"input has {X.shape[1]} features, model expects {self.n_features}"
             )
-        if self.kind == "constant":
-            out = np.zeros((X.shape[0], 1))
-            out[:, 0] = 1.0
-            return out
-        if self.kind == LOGREG:
-            return self.logreg_model.predict_proba(X)
-        scores = self.svm.predict_proba_positive(X)
+        if self.model is None:
+            return np.ones((X.shape[0], 1))
+        if isinstance(self.model, LogRegModel):
+            return self.model.predict_proba(X)
+        scores = self.model.predict_proba_positive(X)
         totals = scores.sum(axis=1, keepdims=True)
         degenerate = totals[:, 0] <= _ZERO_SUM
         safe = np.where(totals <= _ZERO_SUM, 1.0, totals)
@@ -105,23 +111,25 @@ def pool_rows(vectors: np.ndarray, pool: dict[bytes, int]) -> list[int]:
 
 
 def fit_multiclass(
-    kind: str,
     X: np.ndarray,
     y: np.ndarray,
-    config: SvmConfig | LogRegConfig | None = None,
+    config: SvmConfig | LogRegConfig = SvmConfig(),
     columns: _KernelColumns | None = None,
 ) -> MulticlassModel:
-    """Train a local classifier of the requested kind.
+    """Train a local classifier; the type of ``config`` chooses the base
+    classifier, and any other value raises ValueError.
 
-    Classes are the distinct ids observed in the int array ``y``, sorted; a single
-    observed class produces a constant model of either kind. ``columns``
-    is an SVM kernel provider for this ``X`` and ``config.gamma``, such as
-    a slice of the training set's Gram (``_KernelColumns.subset``); by
-    default one is built here. An SVM node trains one binary SVM per class
-    and keeps only their bank (``svm_bank``).
+    Classes are the distinct ids observed in the int array ``y``, sorted; a
+    single observed class produces a constant model (``model`` None).
+    ``columns`` is an SVM kernel provider for this ``X`` and
+    ``config.gamma``, such as a slice of the training set's Gram
+    (``_KernelColumns.subset``); by default one is built here. An SVM node
+    trains one binary SVM per class and keeps only their bank (``svm_bank``).
     """
-    if kind not in (SVM, LOGREG):
-        raise ValueError(f"unknown base classifier kind {kind!r}")
+    if not isinstance(config, SvmConfig | LogRegConfig):
+        raise ValueError(
+            f"unknown base classifier config {config!r}; expected an SvmConfig or a LogRegConfig"
+        )
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DegenerateDataError("training data must be a nonempty 2-D array")
@@ -129,16 +137,13 @@ def fit_multiclass(
         raise DimensionError(f"{X.shape[0]} rows but {len(y)} class ids")
     classes, y_idx = np.unique(y, return_inverse=True)
     if len(classes) == 1:
-        return MulticlassModel(kind="constant", classes=classes, n_features=X.shape[1])
-
-    if kind == LOGREG:
-        model = train_logreg(X, y_idx, len(classes), config or LogRegConfig())
-        return MulticlassModel(LOGREG, classes, X.shape[1], logreg_model=model)
-    config = config or SvmConfig()
+        return MulticlassModel(classes, X.shape[1])
+    if isinstance(config, LogRegConfig):
+        return MulticlassModel(classes, X.shape[1], train_logreg(X, y_idx, len(classes), config))
     if columns is None:
         columns = _KernelColumns(X, config.gamma)
     binaries = [
         train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
         for c in range(len(classes))
     ]
-    return MulticlassModel(SVM, classes, X.shape[1], svm=svm_bank(binaries))
+    return MulticlassModel(classes, X.shape[1], svm_bank(binaries))

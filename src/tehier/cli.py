@@ -21,15 +21,7 @@ import functools
 import json
 import sys
 
-from .errors import (
-    DegenerateDataError,
-    DimensionError,
-    FormatError,
-    GridSearchError,
-    ModelFileError,
-    TaxonomyError,
-    TehierError,
-)
+from .errors import DegenerateDataError, FormatError, GridSearchError, TehierError
 from .gridsearch import (
     DEFAULT_C_VALUES,
     DEFAULT_GAMMA_VALUES,
@@ -42,7 +34,7 @@ from .hierarchy import LCPNB, STRATEGIES, load_model_file, save_model_file, trai
 from .kmers import KmerConfig, canonical_feature_order, featurize_batch
 from .labels import parse_label, render_label
 from .logreg import LogRegConfig
-from .metrics import crossval_strategies, hier_metrics, stratified_kfold
+from .metrics import crossval_strategies, hier_metrics
 from .sequence_io import (
     read_fasta,
     read_feature_csv,
@@ -58,7 +50,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_DATA_ERRORS = (FormatError, TaxonomyError, ModelFileError, DimensionError, OSError)
 _NUMERIC_ERRORS = (DegenerateDataError, GridSearchError)
 
 
@@ -94,14 +85,21 @@ def _kmer_config(args) -> KmerConfig:
         raise FormatError(str(exc)) from None
 
 
-def _base_config(args):
-    if args.base == "svm":
+def _base_config(base: str, args) -> SvmConfig | LogRegConfig:
+    """The config of the base classifier a --base/--bases name stands for."""
+    if base == "svm":
         return SvmConfig(C=args.cost, gamma=args.gamma)
-    return LogRegConfig()
+    if base == "logreg":
+        return LogRegConfig()
+    raise FormatError(f"unknown base classifier {base!r}")
 
 
-def _echo_seed(args):
-    print(f"seed: {args.seed}")
+def _check_folds(args, labels) -> None:
+    """Refuse a --folds value that no stratified split of the rows allows."""
+    if args.folds < 2:
+        raise ValueError(f"--folds must be at least 2, got {args.folds}")
+    if args.folds > len(labels):
+        raise ValueError(f"--folds {args.folds} exceeds the {len(labels)} labeled rows")
 
 
 def _load_labeled_features(path, config: KmerConfig):
@@ -126,7 +124,6 @@ def _write_csv_rows(path, header: list[str], rows: list[list[str]]):
 
 
 def cmd_synth(args) -> int:
-    _echo_seed(args)
     if args.taxonomy:
         taxonomy = load_taxonomy(args.taxonomy)
     else:
@@ -149,7 +146,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    _echo_seed(args)
     config = _kmer_config(args)
     records = read_fasta(args.input)
     X = featurize_batch(records, config, threads=args.threads)
@@ -164,20 +160,13 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _echo_seed(args)
     config = _kmer_config(args)
     X, labels = _load_labeled_features(args.input, config)
     taxonomy = (
         load_taxonomy(args.taxonomy) if args.taxonomy else build_from_labels(labels)
     )
     model = train_hier(
-        X,
-        labels,
-        taxonomy,
-        base_kind=args.base,
-        config=_base_config(args),
-        kmer_config=config,
-        threads=args.threads,
+        X, labels, taxonomy, _base_config(args.base, args), kmer_config=config, threads=args.threads
     )
     save_model_file(model, args.out)
     print(f"trained {args.base} hierarchy ({len(model.node_models)} local models) "
@@ -204,7 +193,6 @@ def _read_prediction_inputs(path, model):
 
 
 def cmd_predict(args) -> int:
-    _echo_seed(args)
     model = load_model_file(args.model)
     ids, X = _read_prediction_inputs(args.input, model)
     predicted = model.predict(X, args.strategy, threads=args.threads)
@@ -248,7 +236,6 @@ def _read_label_file(path) -> dict[str, object]:
 
 
 def cmd_evaluate(args) -> int:
-    _echo_seed(args)
     predicted = _read_label_file(args.predictions)
     truth = _read_label_file(args.truth)
     missing = sorted(set(truth) - set(predicted))
@@ -276,18 +263,18 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _metrics_report_rows(results: dict, max_depth: int):
+def _metrics_report_rows(results: dict, base: str, max_depth: int):
     header = ["fold", "strategy", "base", "hP", "hR", "hF"] + [
         f"hF_L{l}" for l in range(1, max_depth + 1)
     ]
     rows = []
     for strategy, result in results.items():
         for fold, m in enumerate(result.fold_metrics):
-            row = [str(fold), strategy, result.base_kind, _fmt(m.hp), _fmt(m.hr), _fmt(m.hf)]
+            row = [str(fold), strategy, base, _fmt(m.hp), _fmt(m.hr), _fmt(m.hf)]
             row += [_fmt_or_na(v) for v in m.per_level_f]
             rows.append(row)
         mean_row = [
-            "mean", strategy, result.base_kind,
+            "mean", strategy, base,
             _fmt(result.mean_hp), _fmt(result.mean_hr), _fmt(result.mean_hf),
         ]
         mean_row += [_fmt_or_na(result.mean_level_f(l)) for l in range(1, max_depth + 1)]
@@ -296,16 +283,15 @@ def _metrics_report_rows(results: dict, max_depth: int):
 
 
 def cmd_cv(args) -> int:
-    _echo_seed(args)
     config = _kmer_config(args)
     X, labels = _load_labeled_features(args.input, config)
     taxonomy = build_from_labels(labels)
+    _check_folds(args, labels)
     results = crossval_strategies(
         X,
         labels,
         taxonomy,
-        base_kind=args.base,
-        config=_base_config(args),
+        _base_config(args.base, args),
         strategies=(args.strategy,),
         k=args.folds,
         seed=args.seed,
@@ -316,7 +302,7 @@ def cmd_cv(args) -> int:
           f"hP={result.mean_hp:.4f} hR={result.mean_hr:.4f} "
           f"hF={result.mean_hf:.4f} (+-{result.std_hf:.4f})")
     if args.out:
-        header, rows = _metrics_report_rows(results, taxonomy.max_depth)
+        header, rows = _metrics_report_rows(results, args.base, taxonomy.max_depth)
         _write_csv_rows(args.out, header, rows)
     return EXIT_OK
 
@@ -350,12 +336,10 @@ def _grid_from_args(args) -> Grid:
 
 
 def cmd_gridsearch(args) -> int:
-    _echo_seed(args)
     config = _kmer_config(args)
     X, labels = _load_labeled_features(args.input, config)
     taxonomy = build_from_labels(labels)
-    # an impossible fold count fails every cell; refuse it as cv does
-    stratified_kfold(labels, args.folds, args.seed)
+    _check_folds(args, labels)  # an impossible fold count would fail every cell
     grid = _grid_from_args(args)
     result = grid_search(X, labels, taxonomy, grid, threads=args.threads)
     if args.out:
@@ -378,23 +362,17 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _echo_seed(args)
     config = _kmer_config(args)
     X, labels = _load_labeled_features(args.input, config)
     taxonomy = build_from_labels(labels)
-    bases = args.bases.split(",")
+    _check_folds(args, labels)
     strategies = tuple(args.strategies.split(","))
     rows = []
-    for base in bases:
-        if base not in ("svm", "logreg"):
-            raise FormatError(f"unknown base classifier {base!r}")
-        base_config = (
-            SvmConfig(C=args.cost, gamma=args.gamma) if base == "svm" else LogRegConfig()
-        )
+    for base in args.bases.split(","):
+        base_config = _base_config(base, args)
         try:
             results = crossval_strategies(
-                X, labels, taxonomy,
-                base_kind=base, config=base_config, strategies=strategies,
+                X, labels, taxonomy, base_config, strategies=strategies,
                 k=args.folds, seed=args.seed, threads=args.threads,
             )
         except TehierError as exc:
@@ -550,14 +528,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise FormatError(f"--threads must be at least 1, got {args.threads}")
+        print(f"seed: {args.seed}")
         return args.handler(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TehierError as exc:
+    except (TehierError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -101,13 +101,7 @@ def grid_search(
         config = SvmConfig(C=c_value, gamma=gamma)
         try:
             result = crossval(
-                X,
-                labels,
-                taxonomy,
-                strategy=grid.strategy,
-                base_kind="svm",
-                config=config,
-                k=grid.folds,
+                X, labels, taxonomy, strategy=grid.strategy, config=config, k=grid.folds,
                 seed=grid.seed,
             )
         except (TehierError, ValueError) as exc:
@@ -139,12 +133,4 @@ def train_final(
         raise GridSearchError("no viable cell: every grid cell failed")
     c_value, gamma = grid_result.selected
     config = SvmConfig(C=c_value, gamma=gamma)
-    return train_hier(
-        X,
-        labels,
-        taxonomy,
-        base_kind="svm",
-        config=config,
-        kmer_config=kmer_config,
-        threads=threads,
-    )
+    return train_hier(X, labels, taxonomy, config, kmer_config, threads)

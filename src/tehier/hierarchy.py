@@ -235,13 +235,13 @@ def train_hier(
     X: np.ndarray,
     labels: list[HierLabel],
     taxonomy: Taxonomy,
-    base_kind: str = SVM,
-    config: SvmConfig | LogRegConfig | None = None,
+    config: SvmConfig | LogRegConfig = SvmConfig(),
     kmer_config: KmerConfig | None = None,
     threads: int = 1,
 ) -> HierModel:
     """Train one local classifier per parent node (root included).
 
+    The type of ``config`` chooses the base classifier (``fit_multiclass``).
     Every label must be a taxonomy node, and every feature value finite
     (FormatError otherwise). Parent nodes whose training subset is empty are
     left untrained; prediction treats them as terminals. An SVM hierarchy
@@ -258,19 +258,12 @@ def train_hier(
         raise DimensionError(f"{X.shape[0]} rows but {len(labels)} labels")
     _require_finite(X)
     ids = taxonomy.ids(labels, "training label")
-    if base_kind not in (SVM, LOGREG):
-        raise ValueError(f"unknown base classifier kind {base_kind!r}")
-    config_type = SvmConfig if base_kind == SVM else LogRegConfig
-    if config is None:
-        config = config_type()
-    elif not isinstance(config, config_type):
-        raise ValueError(f"a {base_kind} hierarchy needs a {config_type.__name__}")
     ancestors = taxonomy.ancestor_ids[ids]
     depths = taxonomy.node_depth[ids]
 
     parents = [v for v, kids in enumerate(taxonomy.child_ids) if kids]
     # one kernel provider for the training set; each node's rows are a subset
-    kernel = _KernelColumns(X, config.gamma) if base_kind == SVM else None
+    kernel = _KernelColumns(X, config.gamma) if isinstance(config, SvmConfig) else None
 
     def train_node(index: int):
         # rows under the parent; a label at the parent is its self class,
@@ -283,7 +276,7 @@ def train_hier(
         local = np.where(depths[rows] == depth, parent, ancestors[rows, depth + 1])
         X_rows = X if len(rows) == len(X) else X[rows]  # the root's rows need no copy
         columns = kernel.subset(rows, X_rows) if kernel is not None else None
-        return fit_multiclass(base_kind, X_rows, local, config, columns)
+        return fit_multiclass(X_rows, local, config, columns)
 
     trained = run_tasks(train_node, len(parents), threads)
     return HierModel(
@@ -412,12 +405,12 @@ def _multiclass_to_dict(m: MulticlassModel, paths: list[str], pool: dict[bytes, 
         "classes": [paths[c] for c in m.classes.tolist()],
         "n_features": m.n_features,
     }
-    if m.kind == SVM:
-        out.update(_svm_to_dict(m.svm, pool))
-    elif m.kind == LOGREG:
-        out["weights"] = _encode(m.logreg_model.weights)
-        out["bias"] = _encode(m.logreg_model.bias)
-        out["converged"] = m.logreg_model.converged
+    if isinstance(m.model, BinarySvmModel):
+        out.update(_svm_to_dict(m.model, pool))
+    elif isinstance(m.model, LogRegModel):
+        out["weights"] = _encode(m.model.weights)
+        out["bias"] = _encode(m.model.bias)
+        out["converged"] = m.model.converged
     return out
 
 
@@ -449,14 +442,13 @@ def _multiclass_from_dict(
         )
     if _integer(d["n_features"], where, "n_features") != n_features:
         raise ModelFileError(f"{where} has {d['n_features']} features, not {n_features}")
-    kind = d["kind"]
-    model = MulticlassModel(kind=kind, classes=classes, n_features=n_features)
+    kind, model = d["kind"], None
     if kind == SVM and version == 2:
-        model.svm = _svm_from_v2(d["binary_models"], pool, len(classes), where)
+        model = _svm_from_v2(d["binary_models"], pool, len(classes), where)
     elif kind == SVM:
-        model.svm = _svm_from_dict(d, pool, len(classes), where)
+        model = _svm_from_dict(d, pool, len(classes), where)
     elif kind == LOGREG:
-        model.logreg_model = LogRegModel(
+        model = LogRegModel(
             weights=_decode(d["weights"], (n_features, len(classes)), where, "weights"),
             bias=_decode(d["bias"], (len(classes),), where, "bias"),
             converged=_listed([d["converged"]], 1, where, "converged", flags=True).item(),
@@ -465,7 +457,7 @@ def _multiclass_from_dict(
         raise ModelFileError(f"{where}: unknown local model kind {kind!r}")
     elif len(classes) != 1:
         raise ModelFileError(f"{where}: a constant model has {len(classes)} classes, not 1")
-    return model
+    return MulticlassModel(classes, n_features, model)
 
 
 def _config_from_dict(base_kind: str, d) -> SvmConfig | LogRegConfig:
@@ -556,6 +548,11 @@ def load_model(source: IO[str]) -> HierModel:
         node_models = {}
         for key, entry in _object(payload["node_models"], "node_models").items():
             node = taxonomy.node_index.get(parse_label(key).path if key else ())
+            if node in node_models:
+                raise ModelFileError(
+                    f"model file: node_models holds two entries for node "
+                    f"{taxonomy.node_labels[node]}, the second under {key!r}"
+                )
             node_models[node] = _multiclass_from_dict(
                 entry, taxonomy, node, key, n_features, pool, version
             )

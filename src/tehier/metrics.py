@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import LOGREG, SVM
 from .errors import TaxonomyError
 from .hierarchy import STRATEGIES, train_hier
 from .labels import HierLabel
@@ -166,7 +165,6 @@ def stratified_kfold(labels: list[HierLabel], k: int, seed: int = 0) -> FoldPlan
 @dataclass
 class CrossvalResult:
     strategy: str
-    base_kind: str
     fold_metrics: list[HierMetrics]
     seed: int
 
@@ -201,15 +199,15 @@ def crossval_strategies(
     X: np.ndarray,
     labels: list[HierLabel],
     taxonomy: Taxonomy,
-    base_kind: str = SVM,
-    config: SvmConfig | LogRegConfig | None = None,
+    config: SvmConfig | LogRegConfig = SvmConfig(),
     strategies: tuple[str, ...] = STRATEGIES,
     k: int = 10,
     seed: int = 0,
     threads: int = 1,
 ) -> dict[str, CrossvalResult]:
     """k-fold cross-validation sharing one trained model per fold across
-    all requested strategies (training is strategy-independent).
+    all requested strategies (training is strategy-independent). The type
+    of ``config`` chooses the base classifier (``train_hier``).
 
     The folds are the tasks that ``threads`` worker processes share
     (``parallel.run_tasks``); the result is the same for any worker count.
@@ -217,23 +215,13 @@ def crossval_strategies(
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-    if base_kind not in (SVM, LOGREG):
-        raise ValueError(f"unknown base classifier kind {base_kind!r}")
-    if config is None:
-        config = SvmConfig() if base_kind == SVM else LogRegConfig()
     X = np.asarray(X, dtype=np.float64)
     plan = stratified_kfold(labels, k, seed)
 
     def run_fold(fold: int) -> dict[str, HierMetrics]:
         train_idx = plan.train_indices(fold)
         test_idx = plan.test_indices(fold)
-        model = train_hier(
-            X[train_idx],
-            [labels[i] for i in train_idx],
-            taxonomy,
-            base_kind=base_kind,
-            config=config,
-        )
+        model = train_hier(X[train_idx], [labels[i] for i in train_idx], taxonomy, config)
         out = {}
         for strategy in strategies:
             predicted = model.predict(X[test_idx], strategy)
@@ -246,7 +234,6 @@ def crossval_strategies(
     return {
         strategy: CrossvalResult(
             strategy=strategy,
-            base_kind=base_kind,
             fold_metrics=[fr[strategy] for fr in fold_results],
             seed=seed,
         )
@@ -259,22 +246,13 @@ def crossval(
     labels: list[HierLabel],
     taxonomy: Taxonomy,
     strategy: str,
-    base_kind: str = SVM,
-    config: SvmConfig | LogRegConfig | None = None,
+    config: SvmConfig | LogRegConfig = SvmConfig(),
     k: int = 10,
     seed: int = 0,
     threads: int = 1,
 ) -> CrossvalResult:
-    """k-fold cross-validation of one (base, strategy) combination."""
+    """k-fold cross-validation of one (base config, strategy) combination."""
     results = crossval_strategies(
-        X,
-        labels,
-        taxonomy,
-        base_kind=base_kind,
-        config=config,
-        strategies=(strategy,),
-        k=k,
-        seed=seed,
-        threads=threads,
+        X, labels, taxonomy, config, strategies=(strategy,), k=k, seed=seed, threads=threads
     )
     return results[strategy]

@@ -503,7 +503,7 @@ def rbf_kernel_matrix_reference(X, Y, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-def train_hier_per_node_reference(X, labels, taxonomy, base_kind, config) -> HierModel:
+def train_hier_per_node_reference(X, labels, taxonomy, config) -> HierModel:
     """``train_hier`` as it was before a training set shared one Gram matrix:
     every parent node calls ``fit_multiclass`` on its own rows, which builds
     the node's own kernel provider. Serial, and without the input checks."""
@@ -517,7 +517,7 @@ def train_hier_per_node_reference(X, labels, taxonomy, base_kind, config) -> Hie
         if not kids or not rows.size:
             continue
         local = np.where(depths[rows] == depth, parent, ancestors[rows, depth + 1])
-        node_models[parent] = fit_multiclass(base_kind, X[rows], local, config)
+        node_models[parent] = fit_multiclass(X[rows], local, config)
     return HierModel(taxonomy, node_models, config, None, X.shape[1])
 
 

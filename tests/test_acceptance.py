@@ -10,6 +10,7 @@ import pytest
 from tehier import (
     HierLabel,
     KmerConfig,
+    LogRegConfig,
     SvmConfig,
     SynthSpec,
     Taxonomy,
@@ -254,7 +255,7 @@ def test_end_to_end_desk_scale_experiment(pgsb_shaped_dataset):
 
     result = crossval(
         X, labels, taxonomy,
-        strategy="lcpnb", base_kind="svm",
+        strategy="lcpnb",
         config=SvmConfig(C=c_star, gamma=gamma_star),
         k=10, seed=7, threads=4,
     )
@@ -273,13 +274,13 @@ def test_path_scoring_competitive_with_greedy(pgsb_shaped_dataset):
     margins = {}
     for base, config in (
         ("svm", SvmConfig(C=16.0, gamma=8.0)),
-        ("logreg", None),
+        ("logreg", LogRegConfig()),
     ):
         greedy_means, scored_means = [], []
         for seed in range(5):
             results = crossval_strategies(
                 X, labels, taxonomy,
-                base_kind=base, config=config,
+                config=config,
                 strategies=("nllcpn", "lcpnb"), k=3, seed=seed, threads=4,
             )
             greedy_means.append(results["nllcpn"].mean_hf)

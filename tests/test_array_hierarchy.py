@@ -5,7 +5,7 @@ exact ties, and on trained models."""
 import numpy as np
 import pytest
 
-from tehier import SvmConfig, TaxonomyError, hier_metrics, levelwise_f, train_hier
+from tehier import LogRegConfig, SvmConfig, TaxonomyError, hier_metrics, levelwise_f, train_hier
 from tehier.hierarchy import decode_lcpnb, decode_nllcpn, score_paths
 from tehier.synth import taxonomy_from_shape
 
@@ -135,8 +135,8 @@ def test_trained_model_predictions_equal_label_table_decoders(rng, base_kind):
     labels = [n for n in nodes if n.path[0] == 1] * 8
     centers = {n: rng.normal(0.0, 2.0, 3) for n in nodes}
     X = np.vstack([centers[n] + rng.normal(0.0, 0.7, 3) for n in labels])
-    config = SvmConfig(C=2.0, gamma=0.5) if base_kind == "svm" else None
-    model = train_hier(X, labels, taxonomy, base_kind=base_kind, config=config)
+    config = SvmConfig(C=2.0, gamma=0.5) if base_kind == "svm" else LogRegConfig()
+    model = train_hier(X, labels, taxonomy, config=config)
     assert model.untrained_nodes
     queries = np.vstack([X, rng.normal(0.0, 3.0, (40, 3))])
     tables = label_tables(model, queries)

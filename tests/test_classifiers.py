@@ -5,6 +5,7 @@ import tehier.svm
 from tehier import (
     DegenerateDataError,
     DimensionError,
+    KmerConfig,
     LogRegConfig,
     SvmConfig,
     fit_multiclass,
@@ -16,8 +17,8 @@ from conftest import separable_blobs
 
 def test_single_class_constant_model(rng):
     X = rng.normal(size=(6, 4))
-    model = fit_multiclass("svm", X, np.full(6, 4))
-    assert model.kind == "constant"
+    model = fit_multiclass(X, np.full(6, 4))
+    assert model.model is None and model.kind == "constant"
     probs = model.predict_proba(X)
     assert probs.shape == (6, 1)
     assert (probs == 1.0).all()
@@ -28,7 +29,8 @@ def test_single_class_constant_model(rng):
 def test_three_class_blobs(rng, kind):
     X, y = separable_blobs(rng, 50, [(2.5, 0), (-2.5, 0), (0, 2.5)])
     config = SvmConfig(C=10.0, gamma=0.5) if kind == "svm" else LogRegConfig()
-    model = fit_multiclass(kind, X, y + 1, config)
+    model = fit_multiclass(X, y + 1, config)
+    assert model.kind == kind
     probs = model.predict_proba(X)
     accuracy = np.mean(model.classes[probs.argmax(axis=1)] == y + 1)
     assert accuracy >= 0.95
@@ -44,7 +46,7 @@ def test_midpoint_of_symmetric_problem_is_uncertain(rng, kind):
     X = np.vstack([noise + center_a, -noise + center_b])
     labels = np.repeat([1, 2], 60)
     config = SvmConfig(C=2.0, gamma=1.0) if kind == "svm" else LogRegConfig()
-    model = fit_multiclass(kind, X, labels, config)
+    model = fit_multiclass(X, labels, config)
     midpoint = 0.5 * (center_a + center_b)
     probs = model.predict_proba(midpoint)[0]
     assert probs[0] == pytest.approx(0.5, abs=0.05)
@@ -53,7 +55,7 @@ def test_midpoint_of_symmetric_problem_is_uncertain(rng, kind):
 
 def test_classes_sorted(rng):
     X = rng.normal(size=(9, 3))
-    model = fit_multiclass("logreg", X, np.array([7, 2, 5] * 3))
+    model = fit_multiclass(X, np.array([7, 2, 5] * 3), LogRegConfig())
     assert model.classes.tolist() == [2, 5, 7]
 
 
@@ -62,14 +64,14 @@ BANK_FIELDS = ("support_vectors", "dual_coef", "bias", "platt_a", "platt_b", "co
 
 def assert_same_bank(first, second):
     for name in BANK_FIELDS:
-        assert np.array_equal(getattr(first.svm, name), getattr(second.svm, name)), name
+        assert np.array_equal(getattr(first.model, name), getattr(second.model, name)), name
 
 
 def test_svm_model_is_deterministic(rng):
     X, y = separable_blobs(rng, 30, [(2, 0), (-2, 0), (0, 2)])
     config = SvmConfig(C=5.0, gamma=1.0)
-    first = fit_multiclass("svm", X, y + 1, config)
-    second = fit_multiclass("svm", X, y + 1, config)
+    first = fit_multiclass(X, y + 1, config)
+    second = fit_multiclass(X, y + 1, config)
     assert_same_bank(first, second)
     query = rng.normal(size=(20, 2))
     assert np.array_equal(first.predict_proba(query), second.predict_proba(query))
@@ -85,8 +87,8 @@ def test_one_gram_per_node(rng, monkeypatch):
 
     monkeypatch.setattr(tehier.svm, "rbf_kernel_matrix", counting)
     X, y = separable_blobs(rng, 20, [(2, 0), (-2, 0), (0, 2)])
-    model = fit_multiclass("svm", X, y + 1, SvmConfig(C=5.0))
-    assert model.svm.dual_coef.shape[1] == 3
+    model = fit_multiclass(X, y + 1, SvmConfig(C=5.0))
+    assert model.model.dual_coef.shape[1] == 3
     assert calls == [(True, len(X))]
 
 
@@ -95,30 +97,33 @@ def test_column_cache_eviction_does_not_change_svm_model(rng, monkeypatch):
     X, y = separable_blobs(rng, 30, [(2, 0), (-2, 0), (0, 2)], spread=0.8)
     config = SvmConfig(C=5.0, gamma=1.0)
     monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", len(X))  # every column stays
-    kept = fit_multiclass("svm", X, y + 1, config)
+    kept = fit_multiclass(X, y + 1, config)
     monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", 8)  # columns are evicted and rebuilt
-    evicted = fit_multiclass("svm", X, y + 1, config)
+    evicted = fit_multiclass(X, y + 1, config)
     assert_same_bank(kept, evicted)
 
 
 def test_dimension_mismatch(rng):
     X = rng.normal(size=(10, 4))
-    model = fit_multiclass("logreg", X, np.repeat([1, 2], 5))
+    model = fit_multiclass(X, np.repeat([1, 2], 5), LogRegConfig())
     with pytest.raises(DimensionError):
         model.predict_proba(np.zeros((2, 3)))
 
 
 def test_empty_data_rejected():
     with pytest.raises(DegenerateDataError):
-        fit_multiclass("svm", np.zeros((0, 3)), [])
+        fit_multiclass(np.zeros((0, 3)), [])
 
 
 def test_unknown_kind_rejected(rng):
-    with pytest.raises(ValueError):
-        fit_multiclass("forest", rng.normal(size=(4, 2)), np.array([1, 2] * 2))
+    # the config's type is the base classifier; no other config is one
+    with pytest.raises(ValueError, match="unknown base classifier config"):
+        fit_multiclass(rng.normal(size=(4, 2)), np.array([1, 2] * 2), "forest")
     # also where one observed class would make a constant model
-    with pytest.raises(ValueError, match="tree"):
-        fit_multiclass("tree", rng.normal(size=(3, 2)), np.ones(3, int))
+    with pytest.raises(ValueError, match="KmerConfig"):
+        fit_multiclass(rng.normal(size=(3, 2)), np.ones(3, int), KmerConfig())
+    with pytest.raises(ValueError, match="None"):
+        fit_multiclass(rng.normal(size=(3, 2)), np.ones(3, int), None)
 
 
 def three_class_node(rng, monkeypatch):
@@ -147,12 +152,12 @@ def duplicated_rows_node(rng, monkeypatch):
 def test_bank_matches_each_binary_svm(rng, monkeypatch, node):
     X, labels = node(rng, monkeypatch)
     config = SvmConfig(C=5.0, gamma=1.0)
-    model = fit_multiclass("svm", X, labels, config)
+    model = fit_multiclass(X, labels, config)
     binaries = [
         train_binary_svm(X, np.where(labels == c, 1.0, -1.0), config)
         for c in model.classes
     ]
-    bank = model.svm
+    bank = model.model
     query = rng.normal(0.0, 1.5, size=(40, 2))
     decisions = bank.decision_function(query)
     positives = bank.predict_proba_positive(query)
@@ -176,7 +181,7 @@ def test_bank_matches_each_binary_svm(rng, monkeypatch, node):
 
 def test_node_prediction_builds_one_kernel_block(rng, monkeypatch):
     X, labels = three_class_node(rng, monkeypatch)
-    model = fit_multiclass("svm", X, labels, SvmConfig(C=5.0, gamma=1.0))
+    model = fit_multiclass(X, labels, SvmConfig(C=5.0, gamma=1.0))
     calls = []
     original = tehier.svm.rbf_kernel_matrix
 
@@ -187,6 +192,6 @@ def test_node_prediction_builds_one_kernel_block(rng, monkeypatch):
     monkeypatch.setattr(tehier.svm, "rbf_kernel_matrix", counting)
     model.predict_proba(rng.normal(size=(7, 2)))
     model.predict_proba(rng.normal(size=(5, 2)))
-    assert calls == [len(model.svm.support_vectors)] * 2
+    assert calls == [len(model.model.support_vectors)] * 2
     # fewer rows than the SVMs use together: they share support vectors
-    assert calls[0] < np.count_nonzero(model.svm.dual_coef)
+    assert calls[0] < np.count_nonzero(model.model.dual_coef)

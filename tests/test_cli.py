@@ -106,15 +106,15 @@ def test_cv_too_many_folds_fails(workspace):
 
 @pytest.mark.parametrize(
     "folds, message",
-    [(1, "k must be >= 2"), (500, "k=500 exceeds the 60 available samples")],
+    [(1, "--folds must be at least 2, got 1"), (500, "--folds 500 exceeds the 60 labeled rows")],
     ids=["folds-1", "folds-500"],
 )
 def test_gridsearch_refuses_an_impossible_fold_count_as_cv_does(workspace, capsys, folds, message):
-    for command in ("cv", "gridsearch"):
+    for command in ("cv", "gridsearch", "compare"):
         assert run([command, workspace / "data.csv", "--folds", folds]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
-        assert "evaluated" not in captured.out  # no grid cell ran
+        assert captured.out == "seed: 0\n"  # no fold, grid cell or base ran
 
 
 def test_gridsearch_report_and_selection(workspace, capsys):

@@ -128,7 +128,7 @@ def test_train_final_equals_manual_training(rng):
     grid = Grid(c_values=(2.0,), gamma_values=(1.0,), folds=3, seed=0)
     result = grid_search(X, labels, tax, grid)
     final = train_final(X, labels, tax, result)
-    manual = train_hier(X, labels, tax, base_kind="svm", config=SvmConfig(C=2.0, gamma=1.0))
+    manual = train_hier(X, labels, tax, config=SvmConfig(C=2.0, gamma=1.0))
     queries = rng.normal(size=(50, 2))
     assert final.predict(queries, "lcpnb") == manual.predict(queries, "lcpnb")
 

@@ -12,6 +12,7 @@ from tehier import (
     DimensionError,
     FormatError,
     KmerConfig,
+    LogRegConfig,
     ModelFileError,
     SvmConfig,
     Taxonomy,
@@ -246,7 +247,7 @@ def node_ids(tax, *labels):
 
 def test_train_hier_local_model_structure(rng):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     root, one = node_ids(tax, "", "1")
     assert sorted(model.node_models) == [root, one]  # node 2 is a leaf: no model
     assert model.node_models[root].classes.tolist() == node_ids(tax, "1", "2")
@@ -257,7 +258,7 @@ def test_train_hier_local_model_structure(rng):
 def test_train_hier_leaf_only_labels_have_no_self_class(rng):
     tax, X, _ = hier_training_setup(rng)
     labels = [hl("1.1")] * 60 + [hl("2")] * 30
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     [one] = node_ids(tax, "1")
     assert model.node_models[one].kind == "constant"
     assert model.node_models[one].classes.tolist() == node_ids(tax, "1.1")
@@ -267,7 +268,7 @@ def test_train_hier_internal_label_joins_self_class(rng):
     tax = chain_taxonomy()
     X = rng.normal(size=(3, 2))
     labels = [hl("1"), hl("1.1"), hl("2")]
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     node1 = model.node_models[node_ids(tax, "1")[0]]
     assert node1.classes.tolist() == node_ids(tax, "1", "1.1")
 
@@ -276,7 +277,7 @@ def test_train_hier_untrained_subtree(rng):
     tax = Taxonomy([hl("1.1"), hl("2.1")])
     X = rng.normal(size=(20, 2))
     labels = [hl("1.1")] * 10 + [hl("1")] * 10  # nothing under node 2
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     assert node_ids(tax, "2")[0] not in model.node_models
     assert model.untrained_nodes == [hl("2")]
 
@@ -289,18 +290,25 @@ def test_train_hier_rejects_unknown_labels(rng):
         train_hier(np.zeros((0, 2)), [], tax)
 
 
+def test_train_hier_rejects_a_config_of_no_base_classifier(rng):
+    tax, X, labels = hier_training_setup(rng)
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="unknown base classifier config 'logreg'"):
+            train_hier(X, labels, tax, "logreg", threads=threads)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_train_hier_rejects_non_finite_features(rng, value):
     tax, X, labels = hier_training_setup(rng)
     X[3, 1] = value
     with pytest.raises(FormatError, match=r"non-finite feature value .* in row 3, column 1"):
-        train_hier(X, labels, tax, base_kind="logreg")
+        train_hier(X, labels, tax, config=LogRegConfig())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_predict_rejects_non_finite_features(rng, value):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     queries = rng.normal(size=(5, 2))
     queries[4, 0] = value
     for strategy in ("nllcpn", "lcpnb"):
@@ -310,7 +318,7 @@ def test_predict_rejects_non_finite_features(rng, value):
 
 def test_end_to_end_prediction_quality(rng):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="svm", config=SvmConfig(C=10, gamma=1.0))
+    model = train_hier(X, labels, tax, config=SvmConfig(C=10, gamma=1.0))
     for strategy in ("nllcpn", "lcpnb"):
         predicted = model.predict(X, strategy)
         assert np.mean([p == t for p, t in zip(predicted, labels)]) >= 0.95
@@ -320,7 +328,7 @@ def test_end_to_end_prediction_quality(rng):
 
 def test_predict_batch_empty_and_order(rng):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     assert model.predict(np.zeros((0, 2)), "nllcpn") == []
     repeated = np.tile(X[0], (5, 1))
     assert len(set(model.predict(repeated, "lcpnb"))) == 1
@@ -328,7 +336,7 @@ def test_predict_batch_empty_and_order(rng):
 
 def test_predict_thread_count_independent(rng):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="svm", config=SvmConfig(C=5, gamma=1.0))
+    model = train_hier(X, labels, tax, config=SvmConfig(C=5, gamma=1.0))
     queries = rng.normal(size=(200, 2))
     assert model.predict(queries, "lcpnb", threads=1) == model.predict(
         queries, "lcpnb", threads=8
@@ -402,13 +410,13 @@ def test_nodes_above_the_gram_limit_build_their_own_providers(rng, monkeypatch):
     sizes.clear()
     model = train_hier(X, labels, tax, config=config)
     assert len(sizes) == len(model.node_models) - 1 and max(sizes) <= len(X) // 2
-    reference = train_hier_per_node_reference(X, labels, tax, "svm", config)
+    reference = train_hier_per_node_reference(X, labels, tax, config)
     assert model_text(model) == model_text(reference)
 
 
 def test_unknown_strategy_rejected(rng):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     with pytest.raises(ValueError):
         model.predict(X, "flat")
 
@@ -419,10 +427,8 @@ def test_unknown_strategy_rejected(rng):
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
 def test_save_load_round_trip(rng, base_kind):
     tax, X, labels = hier_training_setup(rng)
-    config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
-    model = train_hier(
-        X, labels, tax, base_kind=base_kind, config=config, kmer_config=KmerConfig()
-    )
+    config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else LogRegConfig()
+    model = train_hier(X, labels, tax, config=config, kmer_config=KmerConfig())
     queries = rng.normal(size=(100, 2))
     before = model.predict(queries, "lcpnb")
 
@@ -452,7 +458,7 @@ def test_load_refuses_schema_1_file(rng):
 
 def test_load_rejects_unknown_schema_version(rng):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     sink = io.StringIO()
     save_model(model, sink)
     assert '"schema_version": 3' in sink.getvalue()
@@ -463,7 +469,7 @@ def test_load_rejects_unknown_schema_version(rng):
 
 def test_load_rejects_truncated_file(rng):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     sink = io.StringIO()
     save_model(model, sink)
     with pytest.raises(ModelFileError):
@@ -474,9 +480,9 @@ def test_load_rejects_truncated_file(rng):
 
 def saved_payload(rng, base_kind):
     tax, X, labels = hier_training_setup(rng)
-    config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else None
+    config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else LogRegConfig()
     sink = io.StringIO()
-    save_model(train_hier(X, labels, tax, base_kind=base_kind, config=config), sink)
+    save_model(train_hier(X, labels, tax, config=config), sink)
     return json.loads(sink.getvalue())
 
 
@@ -511,6 +517,11 @@ MODEL_FILE_FAULTS = {
     "leaf node": ("logreg", lambda p: move_node(p, "1", "2"), "not the root or an internal node"),
     "unknown node": ("logreg", lambda p: move_node(p, "1", "1.7"), "not the root or an internal"),
     "unparsable node key": ("logreg", lambda p: move_node(p, "1", "1.x"), "model file: non-numeric"),
+    "node named twice": (
+        "svm",
+        lambda p: p["node_models"].__setitem__("01", p["node_models"]["1"]),
+        r"two entries for node 1, the second under '01'",
+    ),
     "unparsable taxonomy path": (
         "svm", lambda p: p["taxonomy"][0].__setitem__("path", "0.1"), "model file: component 0"
     ),
@@ -716,6 +727,27 @@ def test_v3_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
         assert out.read_bytes() == (DATA / f"predict_v3_{base_kind}_{strategy}.csv").read_bytes()
 
 
+def test_training_reproduces_the_v3_fixtures_byte_for_byte(tmp_path):
+    # the commands of data/README.md; a change that moves model bits must
+    # regenerate the fixtures with them and say why
+    from tehier.cli import main
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    synth = ["--shape", "3,2", "--length", "150:250", "--separability", "0.9",
+             "--internal-fraction", "0.2"]
+    run("synth", *synth, "--per-node", 8, "--seed", 3, "--out", tmp_path / "train.fasta")
+    run("featurize", tmp_path / "train.fasta", "--kmers", 2, "--out", tmp_path / "train.csv")
+    run("synth", *synth, "--per-node", 3, "--seed", 4, "--out", tmp_path / "query.fasta")
+    run("featurize", tmp_path / "query.fasta", "--kmers", 2, "--out", tmp_path / "query.csv")
+    train = ["train", tmp_path / "train.csv", "--kmers", 2]
+    run(*train, "--base", "svm", "--C", 16, "--gamma", 64, "--out", tmp_path / "model_v3_svm.json")
+    run(*train, "--base", "logreg", "--out", tmp_path / "model_v3_logreg.json")
+    for name in ("query.csv", "model_v3_svm.json", "model_v3_logreg.json"):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
 def test_multi_digit_path_components_keep_numeric_label_order(rng, base_kind):
     tax = Taxonomy([hl(t) for t in ("1.2", "1.9", "1.10", "2", "10")])
@@ -724,8 +756,8 @@ def test_multi_digit_path_components_keep_numeric_label_order(rng, base_kind):
     labels = leaves * 12
     centers = {n: rng.normal(0.0, 3.0, 3) for n in leaves}
     X = np.vstack([centers[n] + rng.normal(0.0, 0.5, 3) for n in labels])
-    config = SvmConfig(C=4.0, gamma=0.5) if base_kind == "svm" else None
-    model = train_hier(X, labels, tax, base_kind=base_kind, config=config)
+    config = SvmConfig(C=4.0, gamma=0.5) if base_kind == "svm" else LogRegConfig()
+    model = train_hier(X, labels, tax, config=config)
     sink = io.StringIO()
     save_model(model, sink)
     node_models = json.loads(sink.getvalue())["node_models"]
@@ -741,11 +773,11 @@ def test_multi_digit_path_components_keep_numeric_label_order(rng, base_kind):
 
 def test_v2_pool_stores_each_support_vector_once(rng):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="svm", config=SvmConfig(C=5.0, gamma=1.0))
+    model = train_hier(X, labels, tax, config=SvmConfig(C=5.0, gamma=1.0))
     sink = io.StringIO()
     save_model(model, sink)
     payload = json.loads(sink.getvalue())
-    rows = {sv.tobytes() for m in model.node_models.values() for sv in m.svm.support_vectors}
+    rows = {sv.tobytes() for m in model.node_models.values() for sv in m.model.support_vectors}
     stored = sum(len(node["pool_index"]) for node in payload["node_models"].values())
     assert payload["pool_rows"] == len(rows) < stored
 
@@ -766,7 +798,7 @@ def test_predict_cli_exits_2_on_inconsistent_model_file(rng, tmp_path, capsys):
 
 def test_feature_width_fingerprint_checked_at_predict(rng):
     tax, X, labels = hier_training_setup(rng)
-    model = train_hier(X, labels, tax, base_kind="logreg")
+    model = train_hier(X, labels, tax, config=LogRegConfig())
     with pytest.raises(DimensionError):
         model.predict(np.zeros((1, 7)), "nllcpn")
 
@@ -779,7 +811,7 @@ def test_model_fingerprint_mismatch_after_refeaturize(rng):
     seqs = ["ACGTAC", "GGTTAA", "ACCGTA", "TTGGCA"]
     X2 = featurize_batch(seqs, KmerConfig(k_values=(2,)))
     labels = [hl("1"), hl("1"), hl("2"), hl("2")]
-    model = train_hier(X2, labels, tax, base_kind="logreg", kmer_config=KmerConfig(k_values=(2,)))
+    model = train_hier(X2, labels, tax, LogRegConfig(), kmer_config=KmerConfig(k_values=(2,)))
     X23 = featurize_batch(seqs, KmerConfig(k_values=(2, 3)))
     with pytest.raises(DimensionError):
         model.predict(X23, "lcpnb")

@@ -3,6 +3,7 @@ import pytest
 
 from tehier import (
     HierLabel,
+    LogRegConfig,
     SvmConfig,
     Taxonomy,
     TaxonomyError,
@@ -223,14 +224,14 @@ def test_crossval_two_folds_on_four_samples(rng):
     tax = build_from_labels([hl("1"), hl("2")])
     X = np.array([[1.0, 0], [1.1, 0], [-1.0, 0], [-1.1, 0]])
     labels = [hl("1"), hl("1"), hl("2"), hl("2")]
-    result = crossval(X, labels, tax, strategy="nllcpn", base_kind="logreg", k=2, seed=0)
+    result = crossval(X, labels, tax, strategy="nllcpn", config=LogRegConfig(), k=2, seed=0)
     assert len(result.fold_metrics) == 2
 
 
 def test_crossval_separable_data_scores_high(rng):
     tax, X, labels = tiny_dataset(rng)
     result = crossval(
-        X, labels, tax, strategy="lcpnb", base_kind="svm",
+        X, labels, tax, strategy="lcpnb",
         config=SvmConfig(C=5, gamma=1.0), k=5, seed=3,
     )
     assert result.mean_hf >= 0.95
@@ -238,24 +239,24 @@ def test_crossval_separable_data_scores_high(rng):
 
 def test_crossval_label_shuffle_drops_score(rng):
     tax, X, labels = tiny_dataset(rng)
-    good = crossval(X, labels, tax, strategy="lcpnb", base_kind="logreg", k=5, seed=3)
+    good = crossval(X, labels, tax, strategy="lcpnb", config=LogRegConfig(), k=5, seed=3)
     shuffled = list(labels)
     rng.shuffle(shuffled)
-    bad = crossval(X, shuffled, tax, strategy="lcpnb", base_kind="logreg", k=5, seed=3)
+    bad = crossval(X, shuffled, tax, strategy="lcpnb", config=LogRegConfig(), k=5, seed=3)
     assert bad.mean_hf < good.mean_hf
 
 
 def test_crossval_strategies_share_training(rng):
     tax, X, labels = tiny_dataset(rng)
     both = crossval_strategies(
-        X, labels, tax, base_kind="logreg", strategies=("nllcpn", "lcpnb"), k=4, seed=5
+        X, labels, tax, config=LogRegConfig(), strategies=("nllcpn", "lcpnb"), k=4, seed=5
     )
-    single = crossval(X, labels, tax, strategy="nllcpn", base_kind="logreg", k=4, seed=5)
+    single = crossval(X, labels, tax, strategy="nllcpn", config=LogRegConfig(), k=4, seed=5)
     assert both["nllcpn"].fold_metrics == single.fold_metrics
 
 
 def test_crossval_thread_count_independent(rng):
     tax, X, labels = tiny_dataset(rng)
-    serial = crossval(X, labels, tax, strategy="lcpnb", base_kind="logreg", k=4, seed=1, threads=1)
-    threaded = crossval(X, labels, tax, strategy="lcpnb", base_kind="logreg", k=4, seed=1, threads=4)
+    serial = crossval(X, labels, tax, strategy="lcpnb", config=LogRegConfig(), k=4, seed=1, threads=1)
+    threaded = crossval(X, labels, tax, strategy="lcpnb", config=LogRegConfig(), k=4, seed=1, threads=4)
     assert serial.fold_metrics == threaded.fold_metrics

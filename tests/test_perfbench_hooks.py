@@ -55,7 +55,7 @@ def test_fitting_fires_required_svm_spans(tracer, rng, monkeypatch):
     X, y = separable_blobs(rng, 20, [(2, 0), (-2, 0), (0, 2)], spread=0.8)
     config = SvmConfig(C=5.0, gamma=1.0)
 
-    full = fit_multiclass("svm", X, y + 1, config)
+    full = fit_multiclass(X, y + 1, config)
     _, _, calls = tracer.totals()
     assert calls["svm.kernel_full"] == 1  # one Gram for the node's three binary SVMs
     assert fired(tracer) >= {"svm.train_binary_svm", "svm.smo_solve", "svm.kernel_full",
@@ -63,7 +63,7 @@ def test_fitting_fires_required_svm_spans(tracer, rng, monkeypatch):
     assert "svm.kernel_column" not in fired(tracer)
 
     monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
-    fit_multiclass("svm", X, y + 1, config)
+    fit_multiclass(X, y + 1, config)
     assert "svm.kernel_column" in fired(tracer)
     assert "svm.decision_function" not in fired(tracer)
     assert "svm.kernel_decision" not in fired(tracer)
@@ -88,7 +88,7 @@ def test_logreg_counts_each_trial_loss_and_each_iteration_gradient(tracer, rng, 
             return _traced(weights, *args, **kwargs)
 
         monkeypatch.setattr(tehier.logreg, name, logged)
-    fit_multiclass("logreg", X, y + 1, config)
+    fit_multiclass(X, y + 1, config)
 
     # one loss at the start plus one per line-search trial; one gradient at
     # the start plus one at each accepted trial, the loss call just before it
@@ -114,7 +114,7 @@ def test_crossval_round_fires_every_hierarchy_hook(tracer, rng):
     labels = [hl(names[c]) for c in y]
     config = LogRegConfig(max_iterations=20)
     results = tehier.metrics.crossval_strategies(
-        X, labels, tax, base_kind="logreg", config=config, strategies=STRATEGIES, k=2
+        X, labels, tax, config=config, strategies=STRATEGIES, k=2
     )
     assert set(results) == set(STRATEGIES)
     assert fired(tracer) >= {

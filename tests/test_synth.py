@@ -92,7 +92,7 @@ def test_full_separability_depth_two_is_learnable(rng):
     X = featurize_batch(records, KmerConfig())
     labels = [r.label for r in records]
     result = crossval(
-        X, labels, tax, strategy="lcpnb", base_kind="svm",
+        X, labels, tax, strategy="lcpnb",
         config=SvmConfig(C=16.0, gamma=8.0), k=5, seed=0,
     )
     assert result.mean_hf >= 0.95
