@@ -19,7 +19,7 @@ from .errors import (
     TaxonomyError,
     TehierError,
 )
-from .gridsearch import Grid, GridResult, desk_grid, grid_search, train_final
+from .gridsearch import Grid, GridResult, grid_search, train_final
 from .hierarchy import (
     LCPNB,
     NLLCPN,
@@ -38,6 +38,7 @@ from .kmers import (
     count_kmers,
     featurize,
     featurize_batch,
+    kmer_config_of,
 )
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig

@@ -31,7 +31,7 @@ from .gridsearch import (
     grid_search,
 )
 from .hierarchy import LCPNB, STRATEGIES, load_model_file, save_model_file, train_hier
-from .kmers import KmerConfig, canonical_feature_order, featurize_batch
+from .kmers import KmerConfig, featurize_batch, kmer_config_of
 from .labels import parse_label, render_label
 from .logreg import LogRegConfig
 from .metrics import crossval_strategies, hier_metrics
@@ -71,18 +71,12 @@ def _fmt_or_na(value) -> str:
     return "NA" if value is None else _fmt(value)
 
 
-def _parse_kmers(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise FormatError(f"bad --kmers value {text!r}; expected e.g. 2,3,4") from None
-
-
 def _kmer_config(args) -> KmerConfig:
+    """The featurization chosen by the --kmers and --norm flags of featurize."""
     try:
-        return KmerConfig(k_values=_parse_kmers(args.kmers), normalization=args.norm)
+        return KmerConfig(tuple(int(t) for t in args.kmers.split(",")), args.norm)
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        raise FormatError(f"bad --kmers value {args.kmers!r}: {exc}") from None
 
 
 def _base_config(base: str, args) -> SvmConfig | LogRegConfig:
@@ -102,9 +96,9 @@ def _check_folds(args, labels) -> None:
         raise ValueError(f"--folds {args.folds} exceeds the {len(labels)} labeled rows")
 
 
-def _load_labeled_features(path, config: KmerConfig):
+def _load_labeled_features(path):
     with open(path, "r", encoding="utf-8") as fh:
-        X, labels = read_feature_csv(fh, config)
+        X, labels = read_feature_csv(fh)
     if not labels:
         raise FormatError(f"{path}: no feature rows")
     unlabeled = labels.count(None)
@@ -160,13 +154,13 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _kmer_config(args)
-    X, labels = _load_labeled_features(args.input, config)
+    X, labels = _load_labeled_features(args.input)
     taxonomy = (
         load_taxonomy(args.taxonomy) if args.taxonomy else build_from_labels(labels)
     )
+    # the training rows are the model's fingerprint: predict featurizes as they were
     model = train_hier(
-        X, labels, taxonomy, _base_config(args.base, args), kmer_config=config, threads=args.threads
+        X, labels, taxonomy, _base_config(args.base, args), kmer_config_of(X), args.threads
     )
     save_model_file(model, args.out)
     print(f"trained {args.base} hierarchy ({len(model.node_models)} local models) "
@@ -175,17 +169,18 @@ def cmd_train(args) -> int:
 
 
 def _read_prediction_inputs(path, model):
-    """(ids, X) from FASTA (featurized per the model) or a feature CSV."""
-    config = model.kmer_config or KmerConfig()
+    """(ids, X) from FASTA (featurized per the model) or a feature CSV, whose
+    width the model checks; a few rows may fit both normalizations, so no
+    normalization is read off them."""
     with open(path, "rb") as fh:
         head = fh.read(1)
     if head == b">":
         records = read_fasta(path)
         ids = [r.id for r in records]
-        X = featurize_batch(records, config)
+        X = featurize_batch(records, model.kmer_config or KmerConfig())
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            X, _ = read_feature_csv(fh, config)
+            X, _ = read_feature_csv(fh)
         if not len(X):
             raise FormatError(f"{path}: no feature rows")
         ids = [f"row{i + 1}" for i in range(len(X))]
@@ -283,8 +278,7 @@ def _metrics_report_rows(results: dict, base: str, max_depth: int):
 
 
 def cmd_cv(args) -> int:
-    config = _kmer_config(args)
-    X, labels = _load_labeled_features(args.input, config)
+    X, labels = _load_labeled_features(args.input)
     taxonomy = build_from_labels(labels)
     _check_folds(args, labels)
     results = crossval_strategies(
@@ -336,8 +330,7 @@ def _grid_from_args(args) -> Grid:
 
 
 def cmd_gridsearch(args) -> int:
-    config = _kmer_config(args)
-    X, labels = _load_labeled_features(args.input, config)
+    X, labels = _load_labeled_features(args.input)
     taxonomy = build_from_labels(labels)
     _check_folds(args, labels)  # an impossible fold count would fail every cell
     grid = _grid_from_args(args)
@@ -362,14 +355,14 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _kmer_config(args)
-    X, labels = _load_labeled_features(args.input, config)
+    # an unknown name fails before any fold runs
+    bases = [(base, _base_config(base, args)) for base in args.bases.split(",")]
+    X, labels = _load_labeled_features(args.input)
     taxonomy = build_from_labels(labels)
     _check_folds(args, labels)
     strategies = tuple(args.strategies.split(","))
     rows = []
-    for base in args.bases.split(","):
-        base_config = _base_config(base, args)
+    for base, base_config in bases:
         try:
             results = crossval_strategies(
                 X, labels, taxonomy, base_config, strategies=strategies,
@@ -403,12 +396,6 @@ def _add_common(p, threads=True):
                        help="worker processes, the calling one included")
 
 
-def _add_kmer_flags(p):
-    p.add_argument("--kmers", default="2,3,4", help="comma-separated window sizes")
-    p.add_argument("--norm", choices=["raw", "freq"], default="freq",
-                   help="k-mer block normalization")
-
-
 def _add_svm_flags(p):
     p.add_argument("--base", choices=["svm", "logreg"], default="svm")
     p.add_argument("--C", dest="cost", type=float, default=1.0, help="SVM cost")
@@ -435,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="FASTA -> canonical k-mer feature CSV")
     p.add_argument("input")
     p.add_argument("--out", required=True)
-    _add_kmer_flags(p)
+    p.add_argument("--kmers", default="2,3,4", help="comma-separated window sizes")
+    p.add_argument("--norm", choices=["raw", "freq"], default="freq",
+                   help="k-mer block normalization")
     _add_common(p)
     p.set_defaults(handler=cmd_featurize)
 
@@ -443,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--taxonomy", help="taxonomy file (default: induced from labels)")
     p.add_argument("--out", required=True, help="model JSON path")
-    _add_kmer_flags(p)
     _add_svm_flags(p)
     _add_common(p)
     p.set_defaults(handler=cmd_train)
@@ -468,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=list(STRATEGIES), default=LCPNB)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--out", help="per-fold metrics CSV")
-    _add_kmer_flags(p)
     _add_svm_flags(p)
     _add_common(p)
     p.set_defaults(handler=cmd_cv)
@@ -480,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=list(STRATEGIES), default=LCPNB)
     p.add_argument("--folds", type=int, default=10, help="inner CV folds per cell")
     p.add_argument("--out", help="grid report CSV")
-    _add_kmer_flags(p)
     _add_common(p)
     p.set_defaults(handler=cmd_gridsearch)
 
@@ -492,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", dest="cost", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--out", help="long-form comparison CSV")
-    _add_kmer_flags(p)
     _add_common(p)
     p.set_defaults(handler=cmd_compare)
 

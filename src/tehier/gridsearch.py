@@ -41,16 +41,6 @@ class Grid:
             raise ValueError("grid folds must be >= 2")
 
 
-def desk_grid(folds: int = 3, strategy: str = LCPNB, seed: int = 0) -> Grid:
-    return Grid(
-        c_values=DESK_C_VALUES,
-        gamma_values=DESK_GAMMA_VALUES,
-        folds=folds,
-        strategy=strategy,
-        seed=seed,
-    )
-
-
 @dataclass(frozen=True)
 class GridCell:
     C: float

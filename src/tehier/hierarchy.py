@@ -545,6 +545,8 @@ def load_model(source: IO[str]) -> HierModel:
         n_features = _integer(payload["n_features"], "model file", "n_features")
         shape = (_integer(payload["pool_rows"], "model file", "pool_rows"), n_features)
         pool = _decode(payload["pool"], shape, "model file", "pool")
+        base_kind = payload["base_kind"]
+        base_config = _config_from_dict(base_kind, payload["base_config"])
         node_models = {}
         for key, entry in _object(payload["node_models"], "node_models").items():
             node = taxonomy.node_index.get(parse_label(key).path if key else ())
@@ -553,13 +555,16 @@ def load_model(source: IO[str]) -> HierModel:
                     f"model file: node_models holds two entries for node "
                     f"{taxonomy.node_labels[node]}, the second under {key!r}"
                 )
-            node_models[node] = _multiclass_from_dict(
-                entry, taxonomy, node, key, n_features, pool, version
-            )
+            model = _multiclass_from_dict(entry, taxonomy, node, key, n_features, pool, version)
+            if model.kind not in (base_kind, "constant"):
+                raise ModelFileError(
+                    f"node model {key or '(root)'} is a {model.kind} model in a {base_kind} file"
+                )
+            node_models[node] = model
         return HierModel(
             taxonomy=taxonomy,
             node_models=node_models,
-            base_config=_config_from_dict(payload["base_kind"], payload["base_config"]),
+            base_config=base_config,
             kmer_config=kmer_config,
             n_features=n_features,
         )

@@ -68,6 +68,24 @@ class KmerConfig:
         return out
 
 
+def kmer_config_of(X: np.ndarray) -> KmerConfig:
+    """The featurization of an (n_rows, width) feature matrix, read off it.
+
+    The k values are those whose 4^k blocks add up to the width; the base-4
+    digits of the width name the only such set, and any other width raises
+    ValueError. The matrix holds relative frequencies when every k-block of
+    every row sums to 0 or to 1 (within 1e-9), raw counts otherwise. A row
+    whose blocks all sum to 0 or 1 is the same vector in both modes.
+    """
+    width = X.shape[1]
+    ks = tuple(k for k in range(1, _MAX_K + 1) if (width >> 2 * k) & 3)
+    if not ks or sum(4**k for k in ks) != width:
+        raise ValueError(f"{width} feature columns do not split into k-mer blocks of 4^k columns")
+    sums = np.add.reduceat(X, np.cumsum([0] + [4**k for k in ks[:-1]]), axis=1)
+    freq = (np.abs(sums - (sums > 0.5)) <= 1e-9).all()
+    return KmerConfig(ks, RELATIVE_FREQUENCY if freq else RAW_COUNTS)
+
+
 def canonical_feature_order(config: KmerConfig | None = None) -> list[str]:
     """All k-mer names in vector-coordinate order.
 

@@ -2,8 +2,10 @@
 
 FASTA records may carry a hierarchy label as the second whitespace-delimited
 header token (``>id 1.1.1``). Feature CSV files have a mandatory header of
-canonical k-mer column names, one row per sequence, and an optional trailing
-``label`` column. Both formats round-trip exactly.
+canonical k-mer column names, whose count alone fixes the k values, one row
+per sequence, and an optional trailing ``label`` column; a file's k values
+and normalization are read off it, never restated. Both formats round-trip
+exactly.
 
 The readers take text, bytes or an open text or binary stream; a stream is
 read line by line. Each distinct label token is parsed once per read. The
@@ -23,7 +25,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import FormatError, LabelParseError
-from .kmers import KmerConfig, canonical_feature_order
+from .kmers import KmerConfig, canonical_feature_order, kmer_config_of
 from .labels import HierLabel, parse_label, render_label
 
 # Uppercase nucleotide alphabet: the four bases plus IUPAC ambiguity codes.
@@ -155,14 +157,15 @@ def save_fasta(sequences: Iterable[Sequence], path) -> None:
         write_fasta(sequences, fh)
 
 
-def read_feature_csv(
-    source, config: KmerConfig | None = None
-) -> tuple[np.ndarray, list[HierLabel | None]]:
+def read_feature_csv(source) -> tuple[np.ndarray, list[HierLabel | None]]:
     """Read a feature CSV into an (n_rows, n_features) matrix and a list of
     n_rows optional labels.
 
-    The header must list the canonical k-mer names for ``config`` (default
-    K=2,3,4), optionally followed by a ``label`` column. Raises FormatError
+    The header must list the canonical k-mer names of the one set of k
+    values its width allows (``kmers.kmer_config_of``), optionally followed
+    by a ``label`` column; the file carries its own featurization, so
+    ``kmer_config_of`` of the matrix also tells frequencies from raw
+    counts. Raises FormatError
     with the offending row number for layout or numeric problems, including
     ``nan`` and ``inf`` values, which would poison every kernel of a node.
 
@@ -178,10 +181,6 @@ def read_feature_csv(
     second copy of the matrix is ever held. Rows with the same label token
     share one label object.
     """
-    config = config or KmerConfig()
-    expected = canonical_feature_order(config)
-    dim = len(expected)
-
     lines = _text_lines(source)
     header = next(csv.reader(itertools.islice(lines, 1)), None)
     if header is None:
@@ -189,10 +188,11 @@ def read_feature_csv(
 
     labeled = bool(header) and header[-1].strip().lower() == "label"
     feature_names = header[:-1] if labeled else header
-    if len(feature_names) != dim:
-        raise FormatError(
-            f"expected {dim} features, header has {len(feature_names)}", line=1
-        )
+    try:
+        expected = canonical_feature_order(kmer_config_of(np.empty((0, len(feature_names)))))
+    except ValueError as exc:
+        raise FormatError(f"header: {exc}", line=1) from None
+    dim = len(expected)
     if feature_names != expected:
         mismatch = next(
             (i for i, (a, b) in enumerate(zip(feature_names, expected)) if a != b)

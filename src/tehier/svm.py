@@ -276,7 +276,7 @@ def train_binary_svm(
 
     keep = alpha > 0.0
     return BinarySvmModel(
-        support_vectors=X[keep].copy(),
+        support_vectors=X[keep],
         dual_coef=(alpha[keep] * y[keep]),
         bias=bias,
         gamma=config.gamma,

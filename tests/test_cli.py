@@ -74,11 +74,52 @@ def test_predict_feature_width_mismatch(workspace, tmp_path):
     narrow = tmp_path / "narrow.csv"
     assert run(["featurize", workspace / "data.fasta", "--kmers", "2",
                 "--out", narrow]) == 0
-    assert run(["train", narrow, "--kmers", "2", "--base", "logreg",
-                "--out", model]) == 0
+    assert run(["train", narrow, "--base", "logreg", "--out", model]) == 0
     # 336-wide features against a 16-feature model: data error
     assert run(["predict", workspace / "data.csv", "--model", model,
                 "--out", tmp_path / "p.csv"]) == 2
+
+
+def test_raw_count_model_predicts_the_same_from_fasta_and_from_csv(workspace, tmp_path):
+    # the model's fingerprint is read off the training CSV, so predict
+    # featurizes the FASTA as raw counts too
+    raw, model = tmp_path / "raw.csv", tmp_path / "raw.json"
+    assert run(["featurize", workspace / "data.fasta", "--norm", "raw", "--out", raw]) == 0
+    assert run(["train", raw, "--C", "16", "--gamma", "0.0001", "--out", model]) == 0
+    assert json.loads(model.read_text())["kmer_config"]["normalization"] == "raw"
+    labels = []
+    for source in (workspace / "data.fasta", raw):
+        pred = tmp_path / "pred.csv"
+        assert run(["predict", source, "--model", model, "--out", pred]) == 0
+        labels.append([line.split(",")[1] for line in pred.read_text().splitlines()[1:]])
+    assert len(labels[0]) == 60 and labels[0] == labels[1]
+
+
+def test_train_records_the_k_values_of_its_csv(workspace, tmp_path):
+    narrow, model = tmp_path / "narrow.csv", tmp_path / "narrow.json"
+    assert run(["featurize", workspace / "data.fasta", "--kmers", "2", "--out", narrow]) == 0
+    assert run(["train", narrow, "--base", "logreg", "--out", model]) == 0
+    assert json.loads(model.read_text())["kmer_config"] == {
+        "k_values": [2], "normalization": "freq"
+    }
+
+
+@pytest.mark.parametrize("flag", [["--kmers", "2,3,4"], ["--norm", "freq"]])
+def test_only_featurize_takes_the_featurization_flags(workspace, tmp_path, flag):
+    assert run(["featurize", workspace / "data.fasta", *flag, "--out", tmp_path / "f.csv"]) == 0
+    for command in ("train", "cv", "gridsearch", "compare"):
+        argv = [command, workspace / "data.csv", *flag, "--out", tmp_path / "x"]
+        assert run(argv) == 1, command
+
+
+def test_compare_refuses_an_unknown_base_before_any_fold(workspace, capsys):
+    out = workspace / "compare.csv"
+    assert run(["compare", workspace / "data.csv", "--bases", "svm,forest", "--folds", "3",
+                "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "seed: 0\n"
+    assert captured.err == "error: unknown base classifier 'forest'\n"
+    assert not out.exists()
 
 
 def test_evaluate_identical_files_perfect(workspace, tmp_path, capsys):

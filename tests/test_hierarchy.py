@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -603,6 +604,12 @@ MODEL_FILE_FAULTS = {
         "non-finite",
     ),
     "non-finite config": ("svm", lambda p: p["base_config"].__setitem__("C", np.nan), "non-finite"),
+    # a file whose base_kind names a classifier that its nodes do not use
+    "node kind is not the base kind": (
+        "logreg",
+        lambda p: p.update(base_kind="svm", base_config=dataclasses.asdict(SvmConfig())),
+        r"node model \(root\) is a logreg model in a svm file",
+    ),
 }
 
 
@@ -704,7 +711,7 @@ def test_v2_file_resaves_as_v3_with_identical_predictions(base_kind):
     assert resaved.getvalue() == v3.getvalue()
 
     with open(DATA / "query.csv", encoding="utf-8") as fh:
-        queries, _ = read_feature_csv(fh, from_v2.kmer_config)
+        queries, _ = read_feature_csv(fh)
     tables = [m.proba_tables(queries) for m in (from_v2, from_v3)]
     assert tables[1].edge.tobytes() == tables[0].edge.tobytes()
     assert tables[1].stay.tobytes() == tables[0].stay.tobytes()
@@ -741,7 +748,7 @@ def test_training_reproduces_the_v3_fixtures_byte_for_byte(tmp_path):
     run("featurize", tmp_path / "train.fasta", "--kmers", 2, "--out", tmp_path / "train.csv")
     run("synth", *synth, "--per-node", 3, "--seed", 4, "--out", tmp_path / "query.fasta")
     run("featurize", tmp_path / "query.fasta", "--kmers", 2, "--out", tmp_path / "query.csv")
-    train = ["train", tmp_path / "train.csv", "--kmers", 2]
+    train = ["train", tmp_path / "train.csv"]
     run(*train, "--base", "svm", "--C", 16, "--gamma", 64, "--out", tmp_path / "model_v3_svm.json")
     run(*train, "--base", "logreg", "--out", tmp_path / "model_v3_logreg.json")
     for name in ("query.csv", "model_v3_svm.json", "model_v3_logreg.json"):

@@ -5,7 +5,7 @@ import pytest
 
 import tehier.kmers
 from tehier import KmerConfig, canonical_feature_order, count_kmers, featurize, featurize_batch
-from tehier.kmers import RAW_COUNTS, RELATIVE_FREQUENCY, _blocks
+from tehier.kmers import RAW_COUNTS, RELATIVE_FREQUENCY, _blocks, kmer_config_of
 
 from oracles import (
     count_kmers_reference,
@@ -222,3 +222,28 @@ def test_block_edges_keep_rows_bit_identical(monkeypatch, block_residues):
     batch = featurize_batch(sequences, config)
     per_sequence = np.vstack([featurize_reference(s, config) for s in sequences])
     assert np.array_equal(batch.view(np.uint64), per_sequence.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "width, k_values", [(4, (1,)), (16, (2,)), (20, (1, 2)), (80, (2, 3)), (336, (2, 3, 4))]
+)
+def test_kmer_config_of_reads_the_k_values_off_the_width(width, k_values):
+    assert kmer_config_of(np.zeros((0, width))).k_values == k_values
+
+
+@pytest.mark.parametrize("width", [0, 3, 17, 335])
+def test_kmer_config_of_refuses_a_width_of_no_k_values(width):
+    with pytest.raises(ValueError, match=f"{width} feature columns"):
+        kmer_config_of(np.zeros((2, width)))
+
+
+def test_kmer_config_of_tells_frequencies_from_counts():
+    rng = np.random.default_rng(8)
+    sequences = random_sequences(rng, 30, max_len=600) + ["", "NNNN"]  # two all-zero rows
+    for norm in (RELATIVE_FREQUENCY, RAW_COUNTS):
+        config = KmerConfig(k_values=(2, 3, 4), normalization=norm)
+        assert kmer_config_of(featurize_batch(sequences, config)) == config
+    # a raw row whose blocks all sum to 0 or 1 is also its frequency row
+    single = featurize_batch(["AC"], KmerConfig(normalization=RAW_COUNTS))
+    assert np.array_equal(single, featurize_batch(["AC"], KmerConfig()))
+    assert kmer_config_of(single) == KmerConfig()

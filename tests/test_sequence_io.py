@@ -127,7 +127,7 @@ def test_read_feature_csv_wrong_column_count():
     text = _csv_text([",".join(["0"] * 335)], header=",".join(["f"] * 335))
     with pytest.raises(FormatError) as err:
         read_feature_csv(text)
-    assert "expected 336 features" in str(err.value)
+    assert "335 feature columns" in str(err.value)
 
 
 def test_read_feature_csv_wrong_row_width():
