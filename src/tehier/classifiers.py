@@ -8,8 +8,10 @@ default) or a ``LogRegConfig``. The SVM flavor reduces one-vs-rest with a
 Platt-calibrated binary SVM per class; all of a node's binary SVMs share
 one kernel provider (the Gram matrix, or the column cache above the
 full-Gram limit), and each fits Platt on the decision values from its SMO
-gradient. A hierarchy passes each node a slice of its training set's one
-Gram; on its own, ``fit_multiclass`` builds the node's provider.
+gradient. A two-class node solves one SVM and negates its dual
+coefficients, bias and Platt B for class 1, the exact solution of the
+flipped problem. A hierarchy passes each node a slice of its training
+set's one Gram; on its own, ``fit_multiclass`` builds the node's provider.
 
 A trained node holds one model. Its SVMs are kept only as one bank
 (``svm_bank``): a single ``BinarySvmModel`` over the distinct support
@@ -22,7 +24,7 @@ subsets still produce a probability.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,7 +126,9 @@ def fit_multiclass(
     ``columns`` is an SVM kernel provider for this ``X`` and
     ``config.gamma``, such as a slice of the training set's Gram
     (``_KernelColumns.subset``); by default one is built here. An SVM node
-    trains one binary SVM per class and keeps only their bank (``svm_bank``).
+    trains one binary SVM per class and keeps only their bank (``svm_bank``);
+    with two classes it trains class 0's and negates its dual coefficients,
+    bias and Platt B for class 1, whose probability is then 1 - p.
     """
     if not isinstance(config, SvmConfig | LogRegConfig):
         raise ValueError(
@@ -142,8 +146,13 @@ def fit_multiclass(
         return MulticlassModel(classes, X.shape[1], train_logreg(X, y_idx, len(classes), config))
     if columns is None:
         columns = _KernelColumns(X, config.gamma)
-    binaries = [
-        train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
-        for c in range(len(classes))
-    ]
+    if len(classes) == 2:  # class 1's problem is class 0's with the labels flipped
+        svm = train_binary_svm(X, np.where(y_idx == 0, 1.0, -1.0), config, columns)
+        mirror = replace(svm, dual_coef=-svm.dual_coef, bias=-svm.bias, platt_b=-svm.platt_b)
+        binaries = [svm, mirror]
+    else:
+        binaries = [
+            train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
+            for c in range(len(classes))
+        ]
     return MulticlassModel(classes, X.shape[1], svm_bank(binaries))

@@ -31,7 +31,7 @@ from .gridsearch import (
     grid_search,
 )
 from .hierarchy import LCPNB, STRATEGIES, load_model_file, save_model_file, train_hier
-from .kmers import KmerConfig, featurize_batch, kmer_config_of
+from .kmers import RAW_COUNTS, RELATIVE_FREQUENCY, KmerConfig, featurize_batch, kmer_config_of
 from .labels import parse_label, render_label
 from .logreg import LogRegConfig
 from .metrics import crossval_strategies, hier_metrics
@@ -170,21 +170,36 @@ def cmd_train(args) -> int:
 
 def _read_prediction_inputs(path, model):
     """(ids, X) from FASTA (featurized per the model) or a feature CSV, whose
-    width the model checks; a few rows may fit both normalizations, so no
-    normalization is read off them."""
+    width the model checks. A FASTA needs the model's featurization, and a
+    CSV whose rows cannot hold the model's normalization is refused; rows
+    that fit both normalizations pass."""
+    config = model.kmer_config
     with open(path, "rb") as fh:
         head = fh.read(1)
     if head == b">":
+        if config is None:
+            raise FormatError(
+                f"{path}: the model records no k-mer featurization, so a FASTA query cannot "
+                "be featurized for it; give a feature CSV featurized as the training rows were"
+            )
         records = read_fasta(path)
-        ids = [r.id for r in records]
-        X = featurize_batch(records, model.kmer_config or KmerConfig())
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            X, _ = read_feature_csv(fh)
-        if not len(X):
-            raise FormatError(f"{path}: no feature rows")
-        ids = [f"row{i + 1}" for i in range(len(X))]
-    return ids, X
+        return [r.id for r in records], featurize_batch(records, config)
+    with open(path, "r", encoding="utf-8") as fh:
+        X, _ = read_feature_csv(fh)
+    if not len(X):
+        raise FormatError(f"{path}: no feature rows")
+    if config is not None and X.shape[1] == config.dimension:
+        if config.normalization == RELATIVE_FREQUENCY:
+            found = kmer_config_of(X).normalization
+        else:  # raw counts are whole numbers
+            found = RELATIVE_FREQUENCY if (X % 1.0).any() else RAW_COUNTS
+        if found != config.normalization:
+            raise FormatError(
+                f"{path}: the rows hold {found!r} features but the model was trained on "
+                f"{config.normalization!r} features; featurize the query with "
+                f"--norm {config.normalization}"
+            )
+    return [f"row{i + 1}" for i in range(len(X))], X
 
 
 def cmd_predict(args) -> int:

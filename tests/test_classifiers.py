@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,10 +155,16 @@ def test_bank_matches_each_binary_svm(rng, monkeypatch, node):
     X, labels = node(rng, monkeypatch)
     config = SvmConfig(C=5.0, gamma=1.0)
     model = fit_multiclass(X, labels, config)
+    two_class = len(model.classes) == 2
     binaries = [
         train_binary_svm(X, np.where(labels == c, 1.0, -1.0), config)
-        for c in model.classes
+        for c in model.classes[: 1 if two_class else None]
     ]
+    if two_class:  # class 1's SVM is class 0's negated, not a second solve
+        first = binaries[0]
+        binaries.append(
+            replace(first, dual_coef=-first.dual_coef, bias=-first.bias, platt_b=-first.platt_b)
+        )
     bank = model.model
     query = rng.normal(0.0, 1.5, size=(40, 2))
     decisions = bank.decision_function(query)
@@ -177,6 +185,20 @@ def test_bank_matches_each_binary_svm(rng, monkeypatch, node):
     scores = np.column_stack([m.predict_proba_positive(query) for m in binaries])
     expected = scores / scores.sum(axis=1, keepdims=True)
     assert np.allclose(model.predict_proba(query), expected, rtol=0, atol=1e-12)
+
+
+def test_two_class_node_is_one_svm_and_its_mirror(rng, monkeypatch):
+    X, labels = two_class_node(rng, monkeypatch)
+    model = fit_multiclass(X, labels, SvmConfig(C=5.0, gamma=1.0))
+    bank = model.model
+    assert bank.dual_coef.shape[1] == 2
+    for name in ("dual_coef", "bias", "platt_b"):
+        column = np.asarray(getattr(bank, name)).T
+        assert (-column[0]).tobytes() == column[1].tobytes(), name
+    assert bank.platt_a[0] == bank.platt_a[1]
+    assert bank.converged[0] == bank.converged[1]
+    probs = model.predict_proba(rng.normal(0.0, 1.5, size=(200, 2)))
+    assert np.abs(probs[:, 1] - (1.0 - probs[:, 0])).max() <= 1e-15
 
 
 def test_node_prediction_builds_one_kernel_block(rng, monkeypatch):

@@ -4,6 +4,10 @@ from pathlib import Path
 import pytest
 
 import tehier.cli
+from tehier import (
+    KmerConfig, SvmConfig, build_from_labels, featurize_batch, read_fasta, save_model_file,
+    train_hier,
+)
 from tehier.cli import main
 
 
@@ -93,6 +97,67 @@ def test_raw_count_model_predicts_the_same_from_fasta_and_from_csv(workspace, tm
         assert run(["predict", source, "--model", model, "--out", pred]) == 0
         labels.append([line.split(",")[1] for line in pred.read_text().splitlines()[1:]])
     assert len(labels[0]) == 60 and labels[0] == labels[1]
+
+
+def test_predict_refuses_a_fasta_for_a_model_without_a_featurization(workspace, tmp_path, capsys):
+    # train_hier records no kmer_config unless given one, so the model cannot
+    # say how to featurize a FASTA
+    records = read_fasta(workspace / "data.fasta")
+    X = featurize_batch(records, KmerConfig(normalization="raw"))
+    model_path = tmp_path / "bare.json"
+    labels = [r.label for r in records]
+    model = train_hier(X, labels, build_from_labels(labels), SvmConfig(C=16.0, gamma=1e-4))
+    assert model.kmer_config is None
+    save_model_file(model, model_path)
+    assert run(["predict", workspace / "data.fasta", "--model", model_path,
+                "--out", tmp_path / "p.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "records no k-mer featurization" in err and "feature CSV" in err
+
+
+@pytest.fixture
+def normalizations(workspace, tmp_path):
+    """A freq and a raw feature CSV of the same 60 sequences, each with the
+    model that `train` makes of it."""
+    paths = {}
+    for norm, gamma in (("freq", "8"), ("raw", "0.0001")):
+        csv, model = tmp_path / f"{norm}.csv", tmp_path / f"{norm}.json"
+        assert run(["featurize", workspace / "data.fasta", "--norm", norm, "--out", csv]) == 0
+        assert run(["train", csv, "--C", "16", "--gamma", gamma, "--out", model]) == 0
+        paths[norm] = (csv, model)
+    return paths
+
+
+@pytest.mark.parametrize("query, trained", [("freq", "raw"), ("raw", "freq")])
+def test_predict_refuses_a_csv_of_the_other_normalization(
+    normalizations, tmp_path, capsys, query, trained
+):
+    assert run(["predict", normalizations[query][0], "--model", normalizations[trained][1],
+                "--out", tmp_path / "p.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{query}' features" in err and f"'{trained}' features" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("norm", ["freq", "raw"])
+def test_predict_takes_a_csv_of_the_model_normalization(normalizations, tmp_path, norm):
+    csv, model = normalizations[norm]
+    pred = tmp_path / "p.csv"
+    assert run(["predict", csv, "--model", model, "--out", pred]) == 0
+    assert len(pred.read_text().splitlines()) == 1 + 60
+
+
+def test_predict_takes_rows_that_fit_both_normalizations(normalizations, tmp_path):
+    # rows whose entries are whole numbers and whose k-blocks sum to 0 or 1
+    # are the same vector in both modes
+    header = normalizations["freq"][0].read_text().splitlines()[0].split(",")[:-1]
+    rows = [[0] * len(header) for _ in range(3)]
+    rows[1][0] = rows[1][16] = rows[1][80] = 1
+    both = tmp_path / "both.csv"
+    both.write_text("\n".join(",".join(map(str, r)) for r in [header, *rows]) + "\n")
+    for norm in ("freq", "raw"):
+        assert run(["predict", both, "--model", normalizations[norm][1],
+                    "--out", tmp_path / f"{norm}.csv"]) == 0
 
 
 def test_train_records_the_k_values_of_its_csv(workspace, tmp_path):

@@ -1,11 +1,11 @@
 """The benchmark's tracer (perfbench/spans.py) wraps tehier functions by name
 from outside the package. These tests keep those hooks working: every
 wrapped name exists, fitting a node fires each SVM span the benchmark
-requires, on both the full-Gram and the column-cache path, a logistic
-regression fit is counted once per loss and once per gradient, and a
-cross-validation round fires every hierarchy, classifier, metrics and label
-hook the benchmark requires, also when grid cells and folds are shared
-with a worker process."""
+requires (once per class, or once for a two-class node), on both the
+full-Gram and the column-cache path, a logistic regression fit is counted
+once per loss and once per gradient, and a cross-validation round fires
+every hierarchy, classifier, metrics and label hook the benchmark requires,
+also when grid cells and folds are shared with a worker process."""
 
 import multiprocessing
 import os
@@ -70,6 +70,18 @@ def test_fitting_fires_required_svm_spans(tracer, rng, monkeypatch):
 
     full.predict_proba(X)
     assert SVM_SPANS <= fired(tracer)
+
+
+@pytest.mark.parametrize("centers", [[(2, 0), (-2, 0)], [(2, 0), (-2, 0), (0, 2)]])
+def test_a_two_class_node_fires_one_solve_and_a_larger_node_one_per_class(
+    tracer, rng, centers
+):
+    X, y = separable_blobs(rng, 20, centers, spread=0.8)
+    fit_multiclass(X, y + 1, SvmConfig(C=5.0, gamma=1.0))
+    _, _, calls = tracer.totals()
+    solves = 1 if len(centers) == 2 else len(centers)  # class 1 of two mirrors class 0
+    for name in ("svm.train_binary_svm", "svm.smo_solve", "svm.platt_calibrate"):
+        assert calls[name] == solves, name
 
 
 def test_logreg_counts_each_trial_loss_and_each_iteration_gradient(tracer, rng, monkeypatch):
