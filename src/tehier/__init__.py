@@ -16,6 +16,7 @@ from .errors import (
     GridSearchError,
     LabelParseError,
     ModelFileError,
+    NumericError,
     TaxonomyError,
     TehierError,
 )

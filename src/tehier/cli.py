@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 
-from .errors import DegenerateDataError, FormatError, GridSearchError, TehierError
+from .errors import DegenerateDataError, FormatError, GridSearchError, NumericError, TehierError
 from .gridsearch import (
     DEFAULT_C_VALUES,
     DEFAULT_GAMMA_VALUES,
@@ -50,7 +50,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_NUMERIC_ERRORS = (DegenerateDataError, GridSearchError)
+_NUMERIC_ERRORS = (DegenerateDataError, GridSearchError, NumericError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,10 +158,7 @@ def cmd_train(args) -> int:
     taxonomy = (
         load_taxonomy(args.taxonomy) if args.taxonomy else build_from_labels(labels)
     )
-    # the training rows are the model's fingerprint: predict featurizes as they were
-    model = train_hier(
-        X, labels, taxonomy, _base_config(args.base, args), kmer_config_of(X), args.threads
-    )
+    model = train_hier(X, labels, taxonomy, _base_config(args.base, args), args.threads)
     save_model_file(model, args.out)
     print(f"trained {args.base} hierarchy ({len(model.node_models)} local models) "
           f"on {len(labels)} samples; wrote {args.out}")

@@ -31,6 +31,10 @@ class DimensionError(TehierError):
     """Feature vector dimension does not match what a model expects."""
 
 
+class NumericError(TehierError):
+    """A model's arithmetic overflowed or made a NaN at prediction."""
+
+
 class ModelFileError(TehierError):
     """Model file is unreadable, truncated, or has an unsupported version."""
 

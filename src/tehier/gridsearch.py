@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import GridSearchError, TehierError
 from .hierarchy import LCPNB, HierModel, train_hier
-from .kmers import KmerConfig
 from .labels import HierLabel
 from .metrics import crossval
 from .parallel import run_tasks
@@ -115,7 +114,6 @@ def train_final(
     labels: list[HierLabel],
     taxonomy: Taxonomy,
     grid_result: GridResult,
-    kmer_config: KmerConfig | None = None,
     threads: int = 1,
 ) -> HierModel:
     """Train on all provided data with the selected (C, gamma)."""
@@ -123,4 +121,4 @@ def train_final(
         raise GridSearchError("no viable cell: every grid cell failed")
     c_value, gamma = grid_result.selected
     config = SvmConfig(C=c_value, gamma=gamma)
-    return train_hier(X, labels, taxonomy, config, kmer_config, threads)
+    return train_hier(X, labels, taxonomy, config, threads)

@@ -33,23 +33,21 @@ taxonomy and a table, so stub tables drive them as well as trained models:
   column is summed edge by edge from the root, in the order of
   ``sum(edges)``, so scores and ties are exact.
 
-``save_model`` writes schema version 3: JSON that names every node and
-class by its dot-path (the root by ""), whose scalars are JSON numbers
-(``repr`` round-trips a float exactly) and whose float arrays are base64 of
-their little-endian float64 bytes. Every distinct support vector of the
-model is stored once, in one ``pool`` of ``pool_rows`` rows: a node's
-one-vs-rest SVMs share most of their support vectors, and a child node
-trains on a subset of its parent's rows. An SVM node is stored as its bank
-(``classifiers.svm_bank``): the ``pool_index`` of the bank's rows, its
-(n, k) ``dual_coef``, ``gamma``, and lists of k ``bias``, ``platt_a``,
-``platt_b`` and ``converged`` values. Loading takes the bank's rows as
-``pool[pool_index]``, so the model and its predictions are the ones saved,
-bit for bit; ids follow label order, so sorted ids are sorted labels on
-file. ``load_model`` also reads version 2 files, which list each binary SVM of a
-node apart with the ``pool_index`` and ``dual_coef`` of its own support
-vectors; it pools them into the bank as training does. Version 1 files are
-refused: retrain the model. Files are checked against themselves and the
-taxonomy on load; any inconsistency raises ``ModelFileError``.
+``save_model`` writes schema version 3, the one schema ``load_model`` reads:
+JSON that names every node and class by its dot-path (the root by ""),
+whose scalars are JSON numbers (``repr`` round-trips a float exactly) and
+whose float arrays are base64 of their little-endian float64 bytes. Every
+distinct support vector of the model is stored once, in one ``pool`` of
+``pool_rows`` rows: a node's one-vs-rest SVMs share most of their support
+vectors, and a child node trains on a subset of its parent's rows. An SVM
+node is stored as its bank (``classifiers.svm_bank``): the ``pool_index`` of
+the bank's rows, its (n, k) ``dual_coef``, ``gamma``, and lists of k
+``bias``, ``platt_a``, ``platt_b`` and ``converged`` values. Loading takes
+the bank's rows as ``pool[pool_index]``, so the model and its predictions
+are the ones saved, bit for bit; ids follow label order, so sorted ids are
+sorted labels on file. Files of versions 1 and 2 are refused: retrain the
+model. Files are checked against themselves and the taxonomy on load, and
+refused with ``ModelFileError`` where they hold what training never writes.
 """
 
 from __future__ import annotations
@@ -63,9 +61,11 @@ from typing import IO
 
 import numpy as np
 
-from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, pool_rows, svm_bank
-from .errors import DimensionError, FormatError, LabelParseError, ModelFileError, TaxonomyError
-from .kmers import KmerConfig
+from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, pool_rows
+from .errors import (
+    DimensionError, FormatError, LabelParseError, ModelFileError, NumericError, TaxonomyError
+)
+from .kmers import KmerConfig, kmer_config_of
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig, LogRegModel
 from .parallel import run_tasks
@@ -190,6 +190,7 @@ class HierModel:
 
         The node models are the tasks that ``threads`` worker processes
         share (``parallel.run_tasks``); the table is the same for any count.
+        A node whose arithmetic overflows or makes a NaN raises NumericError.
         """
         X = self._check_input(X)
         n_nodes = len(self.taxonomy.node_paths)
@@ -197,9 +198,17 @@ class HierModel:
         stay = np.zeros_like(edge)
         trained = np.zeros(n_nodes, dtype=bool)
         nodes = sorted(self.node_models)
-        computed = run_tasks(
-            lambda i: self.node_models[nodes[i]].predict_proba(X), len(nodes), threads
-        )
+
+        def node_proba(i: int) -> np.ndarray:
+            # underflow is left alone: exp(-large) is 0 in the kernel and in Platt
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    return self.node_models[nodes[i]].predict_proba(X)
+            except FloatingPointError as exc:
+                label = self.taxonomy.node_labels[nodes[i]] or "(root)"
+                raise NumericError(f"node model {label}: prediction failed: {exc}") from None
+
+        computed = run_tasks(node_proba, len(nodes), threads)
         for v, probs in zip(nodes, computed):
             trained[v] = True
             classes = self.node_models[v].classes
@@ -236,7 +245,6 @@ def train_hier(
     labels: list[HierLabel],
     taxonomy: Taxonomy,
     config: SvmConfig | LogRegConfig = SvmConfig(),
-    kmer_config: KmerConfig | None = None,
     threads: int = 1,
 ) -> HierModel:
     """Train one local classifier per parent node (root included).
@@ -250,6 +258,8 @@ def train_hier(
     above the full-Gram limit each node builds its own. The parent nodes
     are the tasks that ``threads`` worker processes share
     (``parallel.run_tasks``); the model is the same for any worker count.
+    The model's ``kmer_config`` is read off ``X`` (``kmer_config_of``), or
+    None where the width is no set of k-mer blocks.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)  # the root node trains on X itself
     if X.ndim != 2 or X.shape[0] == 0:
@@ -279,6 +289,10 @@ def train_hier(
         return fit_multiclass(X_rows, local, config, columns)
 
     trained = run_tasks(train_node, len(parents), threads)
+    try:
+        kmer_config = kmer_config_of(X)
+    except ValueError:
+        kmer_config = None
     return HierModel(
         taxonomy=taxonomy,
         node_models={v: model for v, model in zip(parents, trained) if model is not None},
@@ -366,7 +380,7 @@ def _svm_to_dict(bank: BinarySvmModel, pool: dict[bytes, int]) -> dict:
 
 
 def _svm_from_dict(d: dict, pool: np.ndarray, k: int, where: str) -> BinarySvmModel:
-    """The bank of a version 3 node with k classes."""
+    """The bank of a node with k classes."""
     index = _pool_index(d["pool_index"], pool, where)
     return BinarySvmModel(
         support_vectors=pool[index],
@@ -377,25 +391,6 @@ def _svm_from_dict(d: dict, pool: np.ndarray, k: int, where: str) -> BinarySvmMo
         platt_b=_listed(d["platt_b"], k, where, "platt_b"),
         converged=_listed(d["converged"], k, where, "converged", flags=True),
     )
-
-
-def _svm_from_v2(binaries, pool: np.ndarray, k: int, where: str) -> BinarySvmModel:
-    """The bank of a version 2 node, which lists its k binary SVMs apart."""
-    if not isinstance(binaries, list) or len(binaries) != k:
-        raise ModelFileError(f"{where}: binary_models is not a list of {k} models")
-    models = []
-    for d in binaries:
-        index = _pool_index(d["pool_index"], pool, where)
-        keys = ("bias", "gamma", "platt_a", "platt_b")
-        numbers = _listed([d[key] for key in keys], 4, where, ", ".join(keys)).tolist()
-        coef = _decode(d["dual_coef"], (len(index),), where, "dual_coef")
-        converged = _listed([d["converged"]], 1, where, "converged", flags=True).item()
-        models.append(
-            BinarySvmModel(pool[index], coef, converged=converged, **dict(zip(keys, numbers)))
-        )
-    if len({m.gamma for m in models}) > 1:  # the bank shares one kernel
-        raise ModelFileError(f"{where}: its binary models disagree on gamma")
-    return svm_bank(models)
 
 
 def _multiclass_to_dict(m: MulticlassModel, paths: list[str], pool: dict[bytes, int]) -> dict:
@@ -422,7 +417,7 @@ def _integer(value, where: str, name: str) -> int:
 
 
 def _multiclass_from_dict(
-    d: dict, taxonomy: Taxonomy, node: int | None, key: str, n_features: int, pool, version: int
+    d: dict, taxonomy: Taxonomy, node: int | None, key: str, n_features: int, pool
 ):
     """The model of node id ``node``, stored under the dot-path ``key`` ("" for
     the root), checked against the taxonomy and the feature width."""
@@ -443,9 +438,7 @@ def _multiclass_from_dict(
     if _integer(d["n_features"], where, "n_features") != n_features:
         raise ModelFileError(f"{where} has {d['n_features']} features, not {n_features}")
     kind, model = d["kind"], None
-    if kind == SVM and version == 2:
-        model = _svm_from_v2(d["binary_models"], pool, len(classes), where)
-    elif kind == SVM:
+    if kind == SVM:
         model = _svm_from_dict(d, pool, len(classes), where)
     elif kind == LOGREG:
         model = LogRegModel(
@@ -508,8 +501,7 @@ def save_model_file(model: HierModel, path) -> None:
 
 
 def load_model(source: IO[str]) -> HierModel:
-    """Inverse of save_model, for version 2 and 3 files; raises
-    ModelFileError for unusable files."""
+    """Inverse of save_model; raises ModelFileError for unusable files."""
     try:
         payload = json.load(source)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -517,15 +509,15 @@ def load_model(source: IO[str]) -> HierModel:
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise ModelFileError("model file has no schema_version field")
     version = payload["schema_version"]
-    if version == 1:
+    if version in (1, 2):
         raise ModelFileError(
-            "model schema version 1 is no longer read; retrain the model to write "
+            f"model schema version {version} is no longer read; retrain the model to write "
             f"a version {_SCHEMA_VERSION} file"
         )
-    if version not in (2, _SCHEMA_VERSION):
+    if version != _SCHEMA_VERSION:
         raise ModelFileError(
             f"unsupported model schema version {version!r}; this build reads "
-            f"versions 2 and {_SCHEMA_VERSION}"
+            f"version {_SCHEMA_VERSION}"
         )
     try:
         names = {}
@@ -543,6 +535,11 @@ def load_model(source: IO[str]) -> HierModel:
             else None
         )
         n_features = _integer(payload["n_features"], "model file", "n_features")
+        if kmer_config is not None and kmer_config.dimension != n_features:
+            raise ModelFileError(
+                f"model file: kmer_config k_values {list(kmer_config.k_values)} make "
+                f"{kmer_config.dimension} features, not n_features {n_features}"
+            )
         shape = (_integer(payload["pool_rows"], "model file", "pool_rows"), n_features)
         pool = _decode(payload["pool"], shape, "model file", "pool")
         base_kind = payload["base_kind"]
@@ -555,12 +552,18 @@ def load_model(source: IO[str]) -> HierModel:
                     f"model file: node_models holds two entries for node "
                     f"{taxonomy.node_labels[node]}, the second under {key!r}"
                 )
-            model = _multiclass_from_dict(entry, taxonomy, node, key, n_features, pool, version)
+            model = _multiclass_from_dict(entry, taxonomy, node, key, n_features, pool)
+            where = f"node model {key or '(root)'}"
             if model.kind not in (base_kind, "constant"):
+                raise ModelFileError(f"{where} is a {model.kind} model in a {base_kind} file")
+            if model.kind == SVM and model.model.gamma != base_config.gamma:
                 raise ModelFileError(
-                    f"node model {key or '(root)'} is a {model.kind} model in a {base_kind} file"
+                    f"{where}: gamma {model.model.gamma!r} is not the gamma "
+                    f"{base_config.gamma!r} of base_config, which every node trains with"
                 )
             node_models[node] = model
+        if 0 not in node_models:
+            raise ModelFileError('model file: node_models holds no root model (key "")')
         return HierModel(
             taxonomy=taxonomy,
             node_models=node_models,

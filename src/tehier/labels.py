@@ -40,12 +40,6 @@ class HierLabel:
         """Proper prefixes, shallowest first (depth 1 .. depth-1)."""
         return [HierLabel(self.path[:d]) for d in range(1, len(self.path))]
 
-    def truncate(self, depth: int) -> HierLabel:
-        """The first min(depth, own depth) components as a label."""
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        return HierLabel(self.path[: min(depth, len(self.path))])
-
     def child(self, component: int) -> HierLabel:
         return HierLabel(self.path + (component,))
 

@@ -79,9 +79,6 @@ class Taxonomy:
     def children(self, label: HierLabel) -> list[HierLabel]:
         return [self.node_labels[c] for c in self.child_ids[self._id(label)]]
 
-    def is_leaf(self, label: HierLabel) -> bool:
-        return not self.child_ids[self._id(label)]
-
     def nodes(self) -> list[HierLabel]:
         """All nodes in preorder."""
         return self.node_labels[1:]

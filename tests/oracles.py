@@ -153,6 +153,15 @@ def naive_hier_prf(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]):
     return hp, hr, hf
 
 
+def truncated(label: HierLabel, depth: int) -> HierLabel:
+    """The first min(depth, own depth) components of ``label``."""
+    return HierLabel(label.path[:depth])
+
+
+def is_leaf(taxonomy, label: HierLabel) -> bool:
+    return not taxonomy.children(label)
+
+
 def set_algebra_hier_metrics(pairs, taxonomy) -> HierMetrics:
     """hP/hR/hF and per-level F from frozensets of ancestor labels."""
 
@@ -176,7 +185,7 @@ def set_algebra_hier_metrics(pairs, taxonomy) -> HierMetrics:
     hits, pred, true = counts(pairs)
     per_level = []
     for level in range(1, taxonomy.max_depth + 1):
-        kept = [(p.truncate(level), t.truncate(level)) for p, t in pairs if t.depth >= level]
+        kept = [(truncated(p, level), truncated(t, level)) for p, t in pairs if t.depth >= level]
         if kept:
             l_hits, l_pred, l_true = counts(kept)
             per_level.append(f(l_hits / l_pred, l_hits / l_true))
@@ -208,7 +217,7 @@ def greedy_descent(taxonomy, probas) -> HierLabel:
         if best is None or best.path == cur:  # self class: stop here
             break
         cur = best.path
-        if taxonomy.is_leaf(best):
+        if is_leaf(taxonomy, best):
             break
     if not cur:
         raise TaxonomyError("prediction never left the root; no usable local model")
@@ -232,7 +241,7 @@ def score_all_paths(taxonomy, probas) -> list[PathScore]:
     while stack:
         node, edges = stack.pop()
         own_dist = probas.get(node.path)
-        if taxonomy.is_leaf(node) or own_dist is None:
+        if is_leaf(taxonomy, node) or own_dist is None:
             scored_edges = edges
         else:
             scored_edges = edges + (float(own_dist.get(node, 0.0)),)

@@ -100,10 +100,10 @@ def test_raw_count_model_predicts_the_same_from_fasta_and_from_csv(workspace, tm
 
 
 def test_predict_refuses_a_fasta_for_a_model_without_a_featurization(workspace, tmp_path, capsys):
-    # train_hier records no kmer_config unless given one, so the model cannot
-    # say how to featurize a FASTA
+    # 335 columns are no set of k-mer blocks, so the model records no
+    # featurization and cannot say how to featurize a FASTA
     records = read_fasta(workspace / "data.fasta")
-    X = featurize_batch(records, KmerConfig(normalization="raw"))
+    X = featurize_batch(records, KmerConfig(normalization="raw"))[:, 1:]
     model_path = tmp_path / "bare.json"
     labels = [r.label for r in records]
     model = train_hier(X, labels, build_from_labels(labels), SvmConfig(C=16.0, gamma=1e-4))

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tehier import (
     KmerConfig,
     LogRegConfig,
     ModelFileError,
+    NumericError,
     SvmConfig,
     Taxonomy,
     TaxonomyError,
@@ -428,9 +430,12 @@ def test_unknown_strategy_rejected(rng):
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
 def test_save_load_round_trip(rng, base_kind):
     tax, X, labels = hier_training_setup(rng)
+    # two more columns make the width 4, one k = 1 block of raw values
+    X = np.hstack([X, X])
     config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else LogRegConfig()
-    model = train_hier(X, labels, tax, config=config, kmer_config=KmerConfig())
-    queries = rng.normal(size=(100, 2))
+    model = train_hier(X, labels, tax, config=config)
+    assert model.kmer_config == KmerConfig(k_values=(1,), normalization="raw")
+    queries = np.tile(rng.normal(size=(100, 2)), 2)
     before = model.predict(queries, "lcpnb")
 
     sink = io.StringIO()
@@ -438,7 +443,7 @@ def test_save_load_round_trip(rng, base_kind):
     loaded = load_model(io.StringIO(sink.getvalue()))
     assert loaded.taxonomy == tax
     assert loaded.base_config == model.base_config
-    assert loaded.kmer_config == KmerConfig()
+    assert loaded.kmer_config == model.kmer_config
     assert loaded.predict(queries, "lcpnb") == before
     assert loaded.predict(queries, "nllcpn") == model.predict(queries, "nllcpn")
     trained_table, loaded_table = model.proba_tables(queries), loaded.proba_tables(queries)
@@ -450,10 +455,11 @@ def test_save_load_round_trip(rng, base_kind):
     assert resaved.getvalue() == sink.getvalue()  # stable serialization
 
 
-def test_load_refuses_schema_1_file(rng):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_refuses_an_old_schema_file(rng, version):
     payload = saved_payload(rng, "logreg")
-    payload["schema_version"] = 1
-    with pytest.raises(ModelFileError, match="version 1 is no longer read; retrain"):
+    payload["schema_version"] = version
+    with pytest.raises(ModelFileError, match=f"version {version} is no longer read; retrain"):
         load_model(io.StringIO(json.dumps(payload)))
 
 
@@ -604,6 +610,27 @@ MODEL_FILE_FAULTS = {
         "non-finite",
     ),
     "non-finite config": ("svm", lambda p: p["base_config"].__setitem__("C", np.nan), "non-finite"),
+    "non-finite pool value": ("svm", lambda p: edit_b64(p, "pool", set_at(3, np.nan)), "non-finite"),
+    "bad base64": ("svm", lambda p: p.__setitem__("pool", p["pool"][:-3] + "#=="), "base64"),
+    "pool as a list": ("svm", lambda p: p.__setitem__("pool", [0.5, 0.5]), "base64"),
+    "pool byte length": ("svm", lambda p: p.__setitem__("pool_rows", p["pool_rows"] + 1), "bytes"),
+    "negative pool index": (
+        "svm", lambda p: p["node_models"][""]["pool_index"].__setitem__(0, -1), "not a row of the"
+    ),
+    "unknown base kind": ("svm", lambda p: p.__setitem__("base_kind", "tree"), "base classifier"),
+    # every node trains with the gamma of base_config
+    "node gamma is not the base gamma": (
+        "svm",
+        lambda p: p["node_models"]["1"].__setitem__("gamma", 2.0),
+        r"node model 1: gamma 2.0 is not the gamma 1.0 of base_config",
+    ),
+    "kmer_config of another width": (
+        "svm",
+        lambda p: p.__setitem__("kmer_config", {"k_values": [2, 3], "normalization": "freq"}),
+        r"k_values \[2, 3\] make 80 features, not n_features 2",
+    ),
+    "no root model": ("logreg", lambda p: p["node_models"].pop(""), "no root model"),
+    "empty node_models": ("svm", lambda p: p["node_models"].clear(), "no root model"),
     # a file whose base_kind names a classifier that its nodes do not use
     "node kind is not the base kind": (
         "logreg",
@@ -626,99 +653,6 @@ def test_load_rejects_inconsistent_model_file(rng, fault):
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def v2_payload(base_kind):
-    """The committed version 2 file of ``base_kind`` (see data/README.md)."""
-    return json.loads((DATA / f"model_v2_{base_kind}.json").read_text())
-
-
-def v2_binary(payload, node, c):
-    return payload["node_models"][node]["binary_models"][c]
-
-
-# (base kind, mutation of the JSON of a version 2 file, words the error must name)
-MODEL_FILE_V2_FAULTS = {
-    "bad base64": ("svm", lambda p: p.__setitem__("pool", p["pool"][:-3] + "#=="), "base64"),
-    "pool as a list": ("svm", lambda p: p.__setitem__("pool", [0.5, 0.5]), "base64"),
-    "pool byte length": ("svm", lambda p: p.__setitem__("pool_rows", p["pool_rows"] + 1), "bytes"),
-    "pool index out of range": (
-        "svm",
-        lambda p: v2_binary(p, "2", 0)["pool_index"].__setitem__(0, p["pool_rows"]),
-        "not a row of the",
-    ),
-    "negative pool index": (
-        "svm", lambda p: v2_binary(p, "", 1)["pool_index"].__setitem__(0, -1), "not a row of the"
-    ),
-    "pool index length": ("svm", lambda p: v2_binary(p, "", 1)["pool_index"].pop(), "dual_coef"),
-    "dual_coef length": (
-        "svm", lambda p: v2_binary(p, "2", 1).__setitem__("dual_coef", b64_values([1.0])),
-        "dual_coef",
-    ),
-    "binary model count": (
-        "svm", lambda p: p["node_models"]["3"]["binary_models"].pop(), "not a list of 2 models"
-    ),
-    "converged as text": (
-        "svm", lambda p: v2_binary(p, "3", 0).__setitem__("converged", "false"), "converged"
-    ),
-    "non-finite pool value": ("svm", lambda p: edit_b64(p, "pool", set_at(3, np.nan)), "non-finite"),
-    "non-finite dual_coef": (
-        "svm", lambda p: edit_b64(v2_binary(p, "", 0), "dual_coef", set_at(0, np.inf)),
-        "non-finite",
-    ),
-    "gamma differs within a node": (
-        "svm", lambda p: v2_binary(p, "2", 1).__setitem__("gamma", 0.125), "disagree on gamma"
-    ),
-    "logreg weights length": (
-        "logreg",
-        lambda p: p["node_models"][""].__setitem__("weights", b64_values([0.5])),
-        "weights",
-    ),
-    "unknown base kind": ("svm", lambda p: p.__setitem__("base_kind", "tree"), "base classifier"),
-}
-
-
-@pytest.mark.parametrize("fault", sorted(MODEL_FILE_V2_FAULTS))
-def test_load_rejects_inconsistent_v2_model_file(fault):
-    base_kind, mutate, cause = MODEL_FILE_V2_FAULTS[fault]
-    payload = v2_payload(base_kind)
-    assert payload["schema_version"] == 2
-    load_model(io.StringIO(json.dumps(payload)))  # unmutated, the file loads
-    mutate(payload)
-    with pytest.raises(ModelFileError, match=cause):
-        load_model(io.StringIO(json.dumps(payload)))
-
-
-@pytest.mark.parametrize("strategy", ["nllcpn", "lcpnb"])
-@pytest.mark.parametrize("base_kind", ["svm", "logreg"])
-def test_v2_file_predicts_as_when_written(tmp_path, base_kind, strategy):
-    from tehier.cli import main
-
-    out = tmp_path / "pred.csv"
-    model = DATA / f"model_v2_{base_kind}.json"
-    argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--strategy", strategy]
-    assert main([*argv, "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / f"predict_v2_{base_kind}_{strategy}.csv").read_bytes()
-
-
-@pytest.mark.parametrize("base_kind", ["svm", "logreg"])
-def test_v2_file_resaves_as_v3_with_identical_predictions(base_kind):
-    from_v2 = load_model_file(DATA / f"model_v2_{base_kind}.json")
-    v3 = io.StringIO()
-    save_model(from_v2, v3)
-    assert json.loads(v3.getvalue())["schema_version"] == 3
-    from_v3 = load_model(io.StringIO(v3.getvalue()))
-    resaved = io.StringIO()
-    save_model(from_v3, resaved)
-    assert resaved.getvalue() == v3.getvalue()
-
-    with open(DATA / "query.csv", encoding="utf-8") as fh:
-        queries, _ = read_feature_csv(fh)
-    tables = [m.proba_tables(queries) for m in (from_v2, from_v3)]
-    assert tables[1].edge.tobytes() == tables[0].edge.tobytes()
-    assert tables[1].stay.tobytes() == tables[0].stay.tobytes()
-    for strategy in ("nllcpn", "lcpnb"):
-        assert from_v3.predict(queries, strategy) == from_v2.predict(queries, strategy)
-
-
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
 def test_v3_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
     from tehier.cli import main
@@ -732,6 +666,121 @@ def test_v3_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
         argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--strategy", strategy]
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / f"predict_v3_{base_kind}_{strategy}.csv").read_bytes()
+
+
+def fixture_payload(base_kind):
+    """The committed version 3 file of ``base_kind`` (see data/README.md)."""
+    return json.loads((DATA / f"model_v3_{base_kind}.json").read_text())
+
+
+def query_rows():
+    with open(DATA / "query.csv", encoding="utf-8") as fh:
+        return read_feature_csv(fh)[0]
+
+
+def set_node(key, field, value, index=None):
+    def mutate(p):
+        if index is None:
+            p["node_models"][key][field] = value
+        else:
+            p["node_models"][key][field][index] = value
+
+    return mutate
+
+
+# (mutation of the SVM fixture, exit code of predict)
+SVM_FIXTURE_FAULTS = {
+    "node gamma -1": (set_node("", "gamma", -1.0), 2),
+    "node gamma 0": (set_node("2", "gamma", 0.0), 2),
+    "node gamma -1e308": (set_node("3", "gamma", -1e308), 2),
+    "root bias 1e308": (set_node("", "bias", 1e308, index=0), 3),
+    "no root model": (lambda p: p["node_models"].pop(""), 2),
+    "empty node_models": (lambda p: p["node_models"].clear(), 2),
+    "k_values [2, 3]": (lambda p: p["kmer_config"].__setitem__("k_values", [2, 3]), 2),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SVM_FIXTURE_FAULTS))
+def test_predict_exits_on_a_fixture_fault_with_one_error_line(tmp_path, capsys, fault):
+    from tehier.cli import main
+
+    mutate, code = SVM_FIXTURE_FAULTS[fault]
+    payload = fixture_payload("svm")
+    mutate(payload)
+    model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+    model.write_text(json.dumps(payload))
+    argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_overflowing_node_raises_numeric_error_naming_it(threads):
+    # the faulty node's task may run in a worker process; the type survives
+    payload = fixture_payload("svm")
+    payload["node_models"]["3"]["bias"][1] = -1e308
+    model = load_model(io.StringIO(json.dumps(payload)))
+    with pytest.raises(NumericError, match=r"node model 3: prediction failed: overflow"):
+        model.proba_tables(query_rows(), threads=threads)
+
+
+MUTANT_VALUES = (
+    None, True, False, 0, 1, -1, 2, 0.5, 64.0, -1e308, 1e308, float("nan"), float("inf"),
+    "", "x", "1", [], {},
+)
+
+
+def single_field_mutations(payload):
+    """(path, mutation) for every field of a JSON document: each value
+    replaced by each of MUTANT_VALUES, deleted, or, a list or string, cut
+    short by one item."""
+
+    def fields(node, path):
+        for key in range(len(node)) if isinstance(node, list) else list(node):
+            yield path + (key,), node[key]
+            if isinstance(node[key], (dict, list)):
+                yield from fields(node[key], path + (key,))
+
+    for path, value in fields(payload, ()):
+        for replacement in MUTANT_VALUES:
+            yield path, lambda parent, key, r=replacement: parent.__setitem__(key, r)
+        yield path, lambda parent, key: parent.__delitem__(key)
+        if isinstance(value, (list, str)) and value:
+            yield path, lambda parent, key: parent.__setitem__(key, parent[key][:-1])
+
+
+@pytest.mark.parametrize("base_kind", ["svm", "logreg"])
+def test_every_single_field_mutation_is_refused_or_predicts_finite(base_kind):
+    text = (DATA / f"model_v3_{base_kind}.json").read_text()
+    queries = query_rows()
+    outcomes = {"refused": 0, "numeric": 0, "predicted": 0}
+    for path, mutate in single_field_mutations(json.loads(text)):
+        mutant = json.loads(text)
+        parent = mutant
+        for key in path[:-1]:
+            parent = parent[key]
+        mutate(parent, path[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                model = load_model(io.StringIO(json.dumps(mutant)))
+            except ModelFileError:
+                outcomes["refused"] += 1
+                continue
+            try:
+                table = model.proba_tables(queries)
+                for strategy in ("nllcpn", "lcpnb"):
+                    assert len(model.predict(queries, strategy)) == len(queries)
+            except NumericError:
+                outcomes["numeric"] += 1
+                continue
+        assert np.isfinite(table.edge).all() and np.isfinite(table.stay).all(), path
+        outcomes["predicted"] += 1
+    assert outcomes["refused"] > 0 and outcomes["predicted"] > 0
+    # only the SVM file holds scalars that can overflow, its bias and Platt values
+    assert outcomes["numeric"] > 0 or base_kind == "logreg"
 
 
 def test_training_reproduces_the_v3_fixtures_byte_for_byte(tmp_path):
@@ -778,7 +827,7 @@ def test_multi_digit_path_components_keep_numeric_label_order(rng, base_kind):
     assert loaded.proba_tables(queries).edge.tobytes() == model.proba_tables(queries).edge.tobytes()
 
 
-def test_v2_pool_stores_each_support_vector_once(rng):
+def test_pool_stores_each_support_vector_once(rng):
     tax, X, labels = hier_training_setup(rng)
     model = train_hier(X, labels, tax, config=SvmConfig(C=5.0, gamma=1.0))
     sink = io.StringIO()
@@ -818,7 +867,8 @@ def test_model_fingerprint_mismatch_after_refeaturize(rng):
     seqs = ["ACGTAC", "GGTTAA", "ACCGTA", "TTGGCA"]
     X2 = featurize_batch(seqs, KmerConfig(k_values=(2,)))
     labels = [hl("1"), hl("1"), hl("2"), hl("2")]
-    model = train_hier(X2, labels, tax, LogRegConfig(), kmer_config=KmerConfig(k_values=(2,)))
+    model = train_hier(X2, labels, tax, LogRegConfig())
+    assert model.kmer_config == KmerConfig(k_values=(2,))
     X23 = featurize_batch(seqs, KmerConfig(k_values=(2, 3)))
     with pytest.raises(DimensionError):
         model.predict(X23, "lcpnb")

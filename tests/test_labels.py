@@ -36,14 +36,6 @@ def test_prefixes_and_parent():
     assert parse_label("4").parent is None
 
 
-def test_truncate():
-    label = parse_label("1.2.3")
-    assert label.truncate(2) == parse_label("1.2")
-    assert label.truncate(9) == label
-    with pytest.raises(ValueError):
-        label.truncate(0)
-
-
 def test_label_components_must_be_positive_ints():
     with pytest.raises(LabelParseError):
         HierLabel(())

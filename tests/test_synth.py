@@ -48,7 +48,7 @@ def test_labels_cover_taxonomy_and_counts_match():
     assert len(records) == 20 * len(tax.nodes())
     observed = {r.label for r in records}
     assert observed == set(tax.nodes())
-    internal = sum(1 for r in records if not tax.is_leaf(r.label))
+    internal = sum(1 for r in records if tax.children(r.label))
     assert internal / len(records) == pytest.approx(0.2, abs=0.01)
     assert node_allocation(spec) == {
         node: sum(1 for r in records if r.label == node) for node in tax.nodes()

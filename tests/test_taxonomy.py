@@ -69,8 +69,6 @@ def test_classes_per_level_small(small_taxonomy):
 def test_children_sorted_and_leaf_queries(small_taxonomy):
     assert small_taxonomy.roots == [hl("1"), hl("2")]
     assert small_taxonomy.children(hl("1")) == [hl("1.1")]
-    assert small_taxonomy.is_leaf(hl("1.1"))
-    assert not small_taxonomy.is_leaf(hl("1"))
     assert small_taxonomy.internal_nodes() == [hl("1")]
     assert small_taxonomy.leaves() == [hl("1.1"), hl("2")]
 
