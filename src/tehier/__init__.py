@@ -51,8 +51,6 @@ from .metrics import (
     crossval_strategies,
     f_measure,
     hier_metrics,
-    label_set,
-    levelwise_f,
     stratified_kfold,
 )
 from .sequence_io import (
@@ -68,7 +66,6 @@ from .svm import SvmConfig, platt_calibrate, train_binary_svm
 from .synth import SynthSpec, generate, taxonomy_from_shape
 from .taxonomy import (
     Taxonomy,
-    build_from_labels,
     load_taxonomy,
     read_taxonomy,
     wicker_taxonomy,

@@ -43,7 +43,7 @@ from .sequence_io import (
 )
 from .svm import SvmConfig
 from .synth import SynthSpec, generate, taxonomy_from_shape
-from .taxonomy import build_from_labels, load_taxonomy
+from .taxonomy import Taxonomy, load_taxonomy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,9 +155,7 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     X, labels = _load_labeled_features(args.input)
-    taxonomy = (
-        load_taxonomy(args.taxonomy) if args.taxonomy else build_from_labels(labels)
-    )
+    taxonomy = load_taxonomy(args.taxonomy) if args.taxonomy else Taxonomy(labels)
     model = train_hier(X, labels, taxonomy, _base_config(args.base, args), args.threads)
     save_model_file(model, args.out)
     print(f"trained {args.base} hierarchy ({len(model.node_models)} local models) "
@@ -202,7 +200,10 @@ def _read_prediction_inputs(path, model):
 def cmd_predict(args) -> int:
     model = load_model_file(args.model)
     ids, X = _read_prediction_inputs(args.input, model)
-    predicted = model.predict(X, args.strategy, threads=args.threads)
+    try:
+        predicted = model.predict(X, args.strategy, threads=args.threads)
+    except NumericError as exc:
+        raise NumericError(f"{args.model}: {exc}") from None
     _write_csv_rows(
         args.out,
         ["id", "predicted_label"],
@@ -213,7 +214,8 @@ def cmd_predict(args) -> int:
 
 
 def _read_label_file(path) -> dict[str, object]:
-    """id -> label from a labeled FASTA or an id,label CSV."""
+    """id -> label from a labeled FASTA or an id,label CSV; an id given twice
+    is refused, naming its second line."""
     with open(path, "rb") as fh:
         head = fh.read(1)
     if head == b">":
@@ -221,7 +223,16 @@ def _read_label_file(path) -> dict[str, object]:
         missing = [r.id for r in records if r.label is None]
         if missing:
             raise FormatError(f"{path}: {len(missing)} sequences have no label")
-        return {r.id: r.label for r in records}
+        out = {r.id: r.label for r in records}
+        if len(out) < len(records):  # find the repeat's header line
+            with open(path, "rb") as fh:
+                headers = [n for n, line in enumerate(fh, start=1) if line.startswith(b">")]
+            seen = set()
+            for lineno, record in zip(headers, records):
+                if record.id in seen:
+                    raise FormatError(f"{path}: id {record.id!r} is given twice", line=lineno)
+                seen.add(record.id)
+        return out
     out = {}
     parse = functools.cache(parse_label)
     with open(path, "r", encoding="utf-8") as fh:
@@ -233,6 +244,8 @@ def _read_label_file(path) -> dict[str, object]:
             if not line:
                 continue
             ident, _, token = line.partition(",")
+            if ident in out:
+                raise FormatError(f"{path}: id {ident!r} is given twice", line=lineno)
             try:
                 out[ident] = parse(token)
             except FormatError as exc:
@@ -252,7 +265,7 @@ def cmd_evaluate(args) -> int:
             f"(first: {missing[0]})"
         )
     pairs = [(predicted[i], truth[i]) for i in sorted(truth)]
-    taxonomy = build_from_labels([p for p, _ in pairs] + [t for _, t in pairs])
+    taxonomy = Taxonomy([p for p, _ in pairs] + [t for _, t in pairs])
     metrics = hier_metrics(pairs, taxonomy)
     print(f"hP: {metrics.hp:.6f}")
     print(f"hR: {metrics.hr:.6f}")
@@ -291,7 +304,7 @@ def _metrics_report_rows(results: dict, base: str, max_depth: int):
 
 def cmd_cv(args) -> int:
     X, labels = _load_labeled_features(args.input)
-    taxonomy = build_from_labels(labels)
+    taxonomy = Taxonomy(labels)
     _check_folds(args, labels)
     results = crossval_strategies(
         X,
@@ -343,7 +356,7 @@ def _grid_from_args(args) -> Grid:
 
 def cmd_gridsearch(args) -> int:
     X, labels = _load_labeled_features(args.input)
-    taxonomy = build_from_labels(labels)
+    taxonomy = Taxonomy(labels)
     _check_folds(args, labels)  # an impossible fold count would fail every cell
     grid = _grid_from_args(args)
     result = grid_search(X, labels, taxonomy, grid, threads=args.threads)
@@ -370,7 +383,7 @@ def cmd_compare(args) -> int:
     # an unknown name fails before any fold runs
     bases = [(base, _base_config(base, args)) for base in args.bases.split(",")]
     X, labels = _load_labeled_features(args.input)
-    taxonomy = build_from_labels(labels)
+    taxonomy = Taxonomy(labels)
     _check_folds(args, labels)
     strategies = tuple(args.strategies.split(","))
     rows = []
@@ -409,7 +422,6 @@ def _add_common(p, threads=True):
 
 
 def _add_svm_flags(p):
-    p.add_argument("--base", choices=["svm", "logreg"], default="svm")
     p.add_argument("--C", dest="cost", type=float, default=1.0, help="SVM cost")
     p.add_argument("--gamma", type=float, default=1.0, help="RBF width")
 
@@ -444,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--taxonomy", help="taxonomy file (default: induced from labels)")
     p.add_argument("--out", required=True, help="model JSON path")
+    p.add_argument("--base", choices=["svm", "logreg"], default="svm")
     _add_svm_flags(p)
     _add_common(p)
     p.set_defaults(handler=cmd_train)
@@ -468,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=list(STRATEGIES), default=LCPNB)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--out", help="per-fold metrics CSV")
+    p.add_argument("--base", choices=["svm", "logreg"], default="svm")
     _add_svm_flags(p)
     _add_common(p)
     p.set_defaults(handler=cmd_cv)
@@ -487,8 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bases", default="svm,logreg")
     p.add_argument("--strategies", default="nllcpn,lcpnb")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--C", dest="cost", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
+    _add_svm_flags(p)
     p.add_argument("--out", help="long-form comparison CSV")
     _add_common(p)
     p.set_defaults(handler=cmd_compare)

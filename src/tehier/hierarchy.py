@@ -193,7 +193,7 @@ class HierModel:
         A node whose arithmetic overflows or makes a NaN raises NumericError.
         """
         X = self._check_input(X)
-        n_nodes = len(self.taxonomy.node_paths)
+        n_nodes = len(self.taxonomy.node_labels)
         edge = np.zeros((X.shape[0], n_nodes))
         stay = np.zeros_like(edge)
         trained = np.zeros(n_nodes, dtype=bool)

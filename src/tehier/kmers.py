@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence as SequenceType
+from typing import Sequence as SequenceType
 
 import numpy as np
 

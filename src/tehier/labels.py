@@ -1,9 +1,8 @@
 """Dot-path hierarchy labels.
 
-A label like ``1.1.1`` names one node of the class hierarchy: each component
-selects a child one level deeper, so the label doubles as the root-to-node
-path. Labels are immutable and ordered by their component tuples, which makes
-a parent sort directly before its own children.
+A label like ``1.1.1`` names one taxonomy node by its root-to-node path of
+positive components. Labels are immutable and ordered by their component
+tuples, so a parent sorts directly before its own children.
 """
 
 from __future__ import annotations
@@ -24,24 +23,6 @@ class HierLabel:
             raise LabelParseError("label path must be nonempty")
         if any((not isinstance(c, int)) or c < 1 for c in self.path):
             raise LabelParseError(f"label components must be positive integers, got {self.path!r}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
-    @property
-    def parent(self) -> HierLabel | None:
-        """The label one level up, or None for depth-1 labels."""
-        if len(self.path) == 1:
-            return None
-        return HierLabel(self.path[:-1])
-
-    def prefixes(self) -> list[HierLabel]:
-        """Proper prefixes, shallowest first (depth 1 .. depth-1)."""
-        return [HierLabel(self.path[:d]) for d in range(1, len(self.path))]
-
-    def child(self, component: int) -> HierLabel:
-        return HierLabel(self.path + (component,))
 
     def __str__(self) -> str:
         return render_label(self)

@@ -1,19 +1,15 @@
-"""Hierarchical precision / recall / F-measure and cross-validation tooling.
+"""Hierarchical precision / recall / F-measure and cross-validation.
 
-Each sample contributes its ancestor-closed label set (the terminal label
-plus every non-root ancestor). Metrics are micro-aggregated:
+A sample's class set is its label plus every non-root ancestor; the metrics
+are micro-aggregated over samples:
 
     hP = sum |P_i & T_i| / sum |P_i|
     hR = sum |P_i & T_i| / sum |T_i|
     hF = 2 hP hR / (hP + hR)
 
-Both sets are root paths, so no set is built: |P & T| is the depth of the
-deepest common ancestor, read off the taxonomy's ancestor-id rows, and
-|P| and |T| are the node depths. Level-wise F truncates both paths at a
-depth L, which caps each of the three counts at L, and drops samples whose
-true path is shallower than L. The counts are summed as integers before
-the divisions. Zero-denominator metrics are reported as None (undefined),
-never silently as 0.
+Level-wise F at depth L caps each path at L and drops samples whose true
+path is shallower than L. The counts are summed as integers before the
+divisions, and an undefined level is None, never 0.
 """
 
 from __future__ import annotations
@@ -29,13 +25,6 @@ from .logreg import LogRegConfig
 from .parallel import run_tasks
 from .svm import SvmConfig
 from .taxonomy import Taxonomy
-
-
-def label_set(taxonomy: Taxonomy, label: HierLabel) -> frozenset[HierLabel]:
-    """The ancestor-closed class set of one label (root excluded)."""
-    if label not in taxonomy:
-        raise TaxonomyError(f"label {label} is not a taxonomy node")
-    return frozenset(label.prefixes() + [label])
 
 
 @dataclass(frozen=True)
@@ -54,15 +43,6 @@ def f_measure(hp: float, hr: float) -> float:
     return 2.0 * hp * hr / (hp + hr)
 
 
-def _pair_depths(pairs: list[tuple[HierLabel, HierLabel]], taxonomy: Taxonomy):
-    """Per pair: |P & T| (common-ancestor depth), |P| and |T|, as int arrays."""
-    predicted = taxonomy.ids([p for p, _ in pairs])
-    true = taxonomy.ids([t for _, t in pairs])
-    p_rows = taxonomy.ancestor_ids[predicted, 1:]
-    common = ((p_rows == taxonomy.ancestor_ids[true, 1:]) & (p_rows >= 0)).sum(axis=1)
-    return common, taxonomy.node_depth[predicted], taxonomy.node_depth[true]
-
-
 def _level_f(common, p_depth, t_depth, level: int) -> float | None:
     eligible = t_depth >= level
     if not eligible.any():
@@ -78,7 +58,12 @@ def hier_metrics(
     """Micro-aggregated hP/hR/hF plus per-level F over (predicted, true) pairs."""
     if not pairs:
         raise TaxonomyError("cannot evaluate an empty prediction list")
-    common, p_depth, t_depth = _pair_depths(pairs, taxonomy)
+    # both sets are root paths: |P & T| is the deepest common ancestor's depth
+    predicted = taxonomy.ids([p for p, _ in pairs])
+    true = taxonomy.ids([t for _, t in pairs])
+    p_rows = taxonomy.ancestor_ids[predicted, 1:]
+    common = ((p_rows == taxonomy.ancestor_ids[true, 1:]) & (p_rows >= 0)).sum(axis=1)
+    p_depth, t_depth = taxonomy.node_depth[predicted], taxonomy.node_depth[true]
     hits = int(common.sum())
     hp = hits / int(p_depth.sum())
     hr = hits / int(t_depth.sum())
@@ -89,20 +74,6 @@ def hier_metrics(
     return HierMetrics(
         hp=hp, hr=hr, hf=f_measure(hp, hr), per_level_f=per_level, n_samples=len(pairs)
     )
-
-
-def levelwise_f(
-    pairs: list[tuple[HierLabel, HierLabel]], taxonomy: Taxonomy, level: int
-) -> float | None:
-    """hF over paths truncated at ``level``.
-
-    Samples whose true path is shorter than the level are excluded; a
-    predicted path shorter than the level contributes its available prefix.
-    Returns None when no sample is eligible (undefined, distinct from 0).
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    return _level_f(*_pair_depths(pairs, taxonomy), level)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,11 @@
 """Synthetic labeled sequence datasets with controllable class separability.
 
-Every taxonomy node owns an order-1 nucleotide Markov chain. Each chain is an
-interpolation between one shared base transition matrix and a node-specific
-random matrix, weighted by the separability knob; a child's random matrix is
-a drifted copy of its parent's, so nearby classes stay nearby in k-mer space.
-Separability 0 collapses all chains onto the shared base; separability 1
-makes them fully node-specific.
-
-The sample budget is ``sequences_per_node * node_count``, split so that the
-configured fraction of samples carries internal-node labels (exercising
-non-mandatory leaf prediction and the replicated-self classes); the rest is
-divided evenly among the leaves.
-
-A node's sequences take their random draws one sequence after another from
-the node's own generator (the first base, then one uniform per transition),
-and are then walked through the chain together, one position per step for a
-block of rows, so no Python loop runs per residue.
+Every taxonomy node owns an order-1 nucleotide Markov chain: the shared base
+matrix and a node-specific random matrix, mixed by ``separability`` (0 gives
+every node the base chain, 1 its own). A child's random matrix is a drifted
+copy of its parent's. ``sequences_per_node * node_count`` samples are split so
+that ``internal_label_fraction`` of them carry internal-node labels and the
+rest divide evenly among the leaves. Output depends only on the spec.
 """
 
 from __future__ import annotations
@@ -64,20 +54,19 @@ def taxonomy_from_shape(level_counts: list[int], seed: int = 0) -> Taxonomy:
     if not level_counts or any(c < 1 for c in level_counts):
         raise ValueError("level_counts must be positive")
     rng = np.random.default_rng(seed)
-    labels: list[HierLabel] = []
-    previous = [HierLabel((i + 1,)) for i in range(level_counts[0])]
-    labels.extend(previous)
+    previous = [(i + 1,) for i in range(level_counts[0])]
+    paths = list(previous)
     for count in level_counts[1:]:
-        order = list(rng.permutation(len(previous)))
-        next_component = {p: 0 for p in previous}
-        current: list[HierLabel] = []
+        order = rng.permutation(len(previous))
+        next_component = dict.fromkeys(previous, 0)
+        current = []
         for i in range(count):
             parent = previous[order[i % len(previous)]]
             next_component[parent] += 1
-            current.append(parent.child(next_component[parent]))
-        labels.extend(current)
+            current.append(parent + (next_component[parent],))
+        paths.extend(current)
         previous = current
-    return Taxonomy(labels)
+    return Taxonomy(HierLabel(p) for p in paths)
 
 
 def _even_split(total: int, bins: int) -> list[int]:
@@ -88,20 +77,15 @@ def _even_split(total: int, bins: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(bins)]
 
 
-def _random_part(
-    spec: SynthSpec, cache: dict[tuple, np.ndarray], node: HierLabel
-) -> np.ndarray:
+def _random_part(spec: SynthSpec, cache: dict[tuple, np.ndarray], path: tuple) -> np.ndarray:
     """The node-specific random matrix, drifted from the parent's."""
-    if node.path in cache:
-        return cache[node.path]
-    rng = np.random.default_rng([spec.seed, 7, *node.path])
-    fresh = rng.dirichlet([_DIRICHLET_ALPHA] * 4, size=4)
-    parent = node.parent
-    if parent is None:
-        part = fresh
-    else:
-        part = (1.0 - _CHILD_DRIFT) * _random_part(spec, cache, parent) + _CHILD_DRIFT * fresh
-    cache[node.path] = part
+    if path in cache:
+        return cache[path]
+    rng = np.random.default_rng([spec.seed, 7, *path])
+    part = rng.dirichlet([_DIRICHLET_ALPHA] * 4, size=4)
+    if len(path) > 1:
+        part = (1.0 - _CHILD_DRIFT) * _random_part(spec, cache, path[:-1]) + _CHILD_DRIFT * part
+    cache[path] = part
     return part
 
 
@@ -109,7 +93,7 @@ def _node_chain(
     spec: SynthSpec, base: np.ndarray, cache: dict[tuple, np.ndarray], node: HierLabel
 ) -> np.ndarray:
     return (1.0 - spec.separability) * base + spec.separability * _random_part(
-        spec, cache, node
+        spec, cache, node.path
     )
 
 
@@ -143,21 +127,18 @@ def _sample_sequences(rng: np.random.Generator, chain: np.ndarray, lengths) -> l
 
 
 def node_allocation(spec: SynthSpec) -> dict[HierLabel, int]:
-    """Sample counts per node under the internal-label fraction."""
+    """Sample counts per node, in preorder, under the internal-label fraction."""
     taxonomy = spec.taxonomy
-    nodes = taxonomy.nodes()
-    leaves = taxonomy.leaves()
-    internals = taxonomy.internal_nodes()
-    total = spec.sequences_per_node * len(nodes)
-    if not internals:
-        internal_total = 0
-    else:
-        internal_total = round(spec.internal_label_fraction * total)
-    leaf_counts = _even_split(total - internal_total, len(leaves))
-    internal_counts = _even_split(internal_total, len(internals))
-    allocation = dict(zip(leaves, leaf_counts))
-    allocation.update(zip(internals, internal_counts))
-    return {node: allocation[node] for node in nodes}
+    is_leaf = [not kids for kids in taxonomy.child_ids[1:]]
+    n_leaves = sum(is_leaf)
+    total = spec.sequences_per_node * len(taxonomy)
+    internal_total = round(spec.internal_label_fraction * total) if n_leaves < len(taxonomy) else 0
+    leaf_counts = iter(_even_split(total - internal_total, n_leaves))
+    internal_counts = iter(_even_split(internal_total, len(taxonomy) - n_leaves))
+    return {
+        node: next(leaf_counts if leaf else internal_counts)
+        for node, leaf in zip(taxonomy.nodes(), is_leaf)
+    }
 
 
 def generate(spec: SynthSpec) -> list[Sequence]:

@@ -1,9 +1,8 @@
-"""Rooted class-hierarchy trees.
+"""Rooted class-hierarchy trees, held as arrays of node ids.
 
-A taxonomy is the set of valid hierarchy labels, closed under prefixes: if
-``1.1.1`` is a node then so are ``1.1`` and ``1``. The root is implicit (the
-empty path) and is not a class. Children are kept sorted by their final path
-component so every traversal is deterministic.
+A taxonomy is a set of hierarchy labels closed under prefixes: if ``1.1.1``
+is a node then so are ``1.1`` and ``1``. The root is implicit (the empty
+path) and is not a class.
 """
 
 from __future__ import annotations
@@ -20,44 +19,39 @@ from .labels import HierLabel, parse_label
 class Taxonomy:
     """Immutable rooted tree of hierarchy labels, held as arrays of node ids.
 
-    Ids are fixed at construction: 0 is the implicit root and the nodes
-    follow in preorder, which is label order, so a parent's id is smaller
-    than its children's and siblings ascend. ``node_labels`` / ``node_paths``
-    map an id to the taxonomy's own label object (None for the root) and
-    path tuple, ``node_index`` maps a path tuple back to its id, and
-    ``parent_id``, ``node_depth``, ``child_ids`` and ``ancestor_ids`` (row v,
-    column d: v's ancestor at depth d, -1 below v) hold the tree.
+    Id 0 is the implicit root and the nodes follow in preorder, which is
+    label order, so a parent's id is smaller than its children's and
+    siblings ascend. ``node_labels`` maps an id to its label (None for the
+    root) and ``node_index`` a path tuple to its id; ``parent_id``,
+    ``node_depth``, ``child_ids`` and ``ancestor_ids`` (row v, column d: v's
+    ancestor at depth d, -1 below v) hold the tree.
     """
 
     def __init__(self, labels: Iterable[HierLabel], names: dict[HierLabel, str] | None = None):
-        closed: set[HierLabel] = set()
-        for label in set(labels):
-            closed.add(label)
-            closed.update(label.prefixes())
-        if not closed:
+        given = {label.path: label for label in labels}
+        paths = sorted({path[:d] for path in given for d in range(1, len(path) + 1)})
+        if not paths:
             raise TaxonomyError("taxonomy needs at least one node")
         self.names = dict(names or {})
-        self.node_labels: list[HierLabel | None] = [None, *sorted(closed)]
-        self.node_paths: list[tuple[int, ...]] = [(), *(n.path for n in self.node_labels[1:])]
-        self.node_index = {path: i for i, path in enumerate(self.node_paths)}
-        self.parent_id = np.array([-1] + [self.node_index[p[:-1]] for p in self.node_paths[1:]])
-        self.node_depth = np.array([len(p) for p in self.node_paths])
-        self.child_ids: list[list[int]] = [[] for _ in self.node_paths]
-        self.ancestor_ids = np.full((len(self.node_paths), self.max_depth + 1), -1)
+        self.node_labels: list[HierLabel | None] = [None]
+        self.node_labels += (given.get(p) or HierLabel(p) for p in paths)
+        self.node_index = {path: i for i, path in enumerate([(), *paths])}
+        self.parent_id = np.array([-1] + [self.node_index[p[:-1]] for p in paths])
+        self.node_depth = np.array([0] + [len(p) for p in paths])
+        self.child_ids: list[list[int]] = [[] for _ in self.node_labels]
+        self.ancestor_ids = np.full((len(self.node_labels), self.max_depth + 1), -1)
         self.ancestor_ids[0, 0] = 0
-        for v in range(1, len(self.node_paths)):
+        for v in range(1, len(self.node_labels)):
             self.child_ids[self.parent_id[v]].append(v)
             self.ancestor_ids[v] = self.ancestor_ids[self.parent_id[v]]
             self.ancestor_ids[v, self.node_depth[v]] = v
-
-    # -- structure queries ------------------------------------------------
 
     def __contains__(self, label: HierLabel) -> bool:
         # a label's path is never the root's
         return isinstance(label, HierLabel) and label.path in self.node_index
 
     def __len__(self) -> int:
-        return len(self.node_paths) - 1
+        return len(self.node_labels) - 1
 
     def ids(self, labels: list[HierLabel], what: str = "label") -> np.ndarray:
         """Node ids of ``labels``; TaxonomyError names the first unknown one."""
@@ -66,29 +60,9 @@ class Taxonomy:
             raise TaxonomyError(f"{what} {labels[int(ids.argmin())]} is not a taxonomy node")
         return ids
 
-    def _id(self, label: HierLabel) -> int:
-        if label not in self:
-            raise TaxonomyError(f"label {label} is not a node of this taxonomy")
-        return self.node_index[label.path]
-
-    @property
-    def roots(self) -> list[HierLabel]:
-        """Depth-1 nodes (children of the implicit root)."""
-        return [self.node_labels[c] for c in self.child_ids[0]]
-
-    def children(self, label: HierLabel) -> list[HierLabel]:
-        return [self.node_labels[c] for c in self.child_ids[self._id(label)]]
-
     def nodes(self) -> list[HierLabel]:
         """All nodes in preorder."""
         return self.node_labels[1:]
-
-    def internal_nodes(self) -> list[HierLabel]:
-        """Non-leaf nodes in preorder (root excluded; it is not a label)."""
-        return [self.node_labels[v] for v, kids in enumerate(self.child_ids) if v and kids]
-
-    def leaves(self) -> list[HierLabel]:
-        return [self.node_labels[v] for v, kids in enumerate(self.child_ids) if not kids]
 
     @property
     def max_depth(self) -> int:
@@ -99,19 +73,11 @@ class Taxonomy:
         return np.bincount(self.node_depth[1:] - 1).tolist()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Taxonomy) and self.node_paths == other.node_paths
+        return isinstance(other, Taxonomy) and self.node_labels == other.node_labels
 
     def __repr__(self) -> str:
         per_level = "/".join(str(c) for c in self.classes_per_level())
         return f"Taxonomy({len(self)} nodes, {per_level} per level)"
-
-
-def build_from_labels(labels: Iterable[HierLabel]) -> Taxonomy:
-    """Induce the smallest prefix-closed taxonomy containing all labels."""
-    labels = list(labels)
-    if not labels:
-        raise TaxonomyError("cannot build a taxonomy from an empty label list")
-    return Taxonomy(labels)
 
 
 def read_taxonomy(source: IO[str]) -> Taxonomy:

@@ -153,27 +153,16 @@ def naive_hier_prf(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]):
     return hp, hr, hf
 
 
-def truncated(label: HierLabel, depth: int) -> HierLabel:
-    """The first min(depth, own depth) components of ``label``."""
-    return HierLabel(label.path[:depth])
-
-
-def is_leaf(taxonomy, label: HierLabel) -> bool:
-    return not taxonomy.children(label)
-
-
 def set_algebra_hier_metrics(pairs, taxonomy) -> HierMetrics:
-    """hP/hR/hF and per-level F from frozensets of ancestor labels."""
-
-    def closure(label):
-        if label not in taxonomy:
-            raise TaxonomyError(f"label {label} is not a taxonomy node")
-        return frozenset(label.prefixes() + [label])
+    """hP/hR/hF and per-level F from explicit sets of ancestor paths."""
+    unknown = [label for pair in pairs for label in pair if label not in taxonomy]
+    if unknown:
+        raise TaxonomyError(f"label {unknown[0]} is not a taxonomy node")
 
     def counts(selected):
         hits = pred = true = 0
         for predicted, truth in selected:
-            p_set, t_set = closure(predicted), closure(truth)
+            p_set, t_set = ancestor_set(predicted), ancestor_set(truth)
             hits += len(p_set & t_set)
             pred += len(p_set)
             true += len(t_set)
@@ -182,10 +171,11 @@ def set_algebra_hier_metrics(pairs, taxonomy) -> HierMetrics:
     def f(hp, hr):
         return 0.0 if hp + hr == 0 else 2.0 * hp * hr / (hp + hr)
 
-    hits, pred, true = counts(pairs)
+    paths = [(p.path, t.path) for p, t in pairs]
+    hits, pred, true = counts(paths)
     per_level = []
     for level in range(1, taxonomy.max_depth + 1):
-        kept = [(truncated(p, level), truncated(t, level)) for p, t in pairs if t.depth >= level]
+        kept = [(p[:level], t[:level]) for p, t in paths if len(t) >= level]
         if kept:
             l_hits, l_pred, l_true = counts(kept)
             per_level.append(f(l_hits / l_pred, l_hits / l_true))
@@ -217,7 +207,7 @@ def greedy_descent(taxonomy, probas) -> HierLabel:
         if best is None or best.path == cur:  # self class: stop here
             break
         cur = best.path
-        if is_leaf(taxonomy, best):
+        if not taxonomy.child_ids[taxonomy.node_index[cur]]:  # a leaf
             break
     if not cur:
         raise TaxonomyError("prediction never left the root; no usable local model")
@@ -234,21 +224,21 @@ def score_all_paths(taxonomy, probas) -> list[PathScore]:
     scores: list[PathScore] = []
     if () not in probas:
         raise TaxonomyError("root has no local model; nothing can be scored")
-    stack: list[tuple[HierLabel, tuple[float, ...]]] = []
+    labels, kids = taxonomy.node_labels, taxonomy.child_ids
     root_dist = probas[()]
-    for top in reversed(taxonomy.roots):
-        stack.append((top, (float(root_dist.get(top, 0.0)),)))
+    stack = [(v, (float(root_dist.get(labels[v], 0.0)),)) for v in reversed(kids[0])]
     while stack:
-        node, edges = stack.pop()
+        v, edges = stack.pop()
+        node = labels[v]
         own_dist = probas.get(node.path)
-        if is_leaf(taxonomy, node) or own_dist is None:
+        if not kids[v] or own_dist is None:
             scored_edges = edges
         else:
             scored_edges = edges + (float(own_dist.get(node, 0.0)),)
         scores.append(PathScore(node, sum(scored_edges) / len(scored_edges), scored_edges))
         if own_dist is not None:
-            for child in reversed(taxonomy.children(node)):
-                stack.append((child, edges + (float(own_dist.get(child, 0.0)),)))
+            for child in reversed(kids[v]):
+                stack.append((child, edges + (float(own_dist.get(labels[child], 0.0)),)))
     return scores
 
 
@@ -261,9 +251,8 @@ def best_path(scores: list[PathScore]) -> PathScore:
         if cand.score > best.score:
             best = cand
         elif cand.score == best.score:
-            if cand.terminal.depth > best.terminal.depth:
-                best = cand
-            elif cand.terminal.depth == best.terminal.depth and cand.terminal < best.terminal:
+            depth, best_depth = len(cand.terminal.path), len(best.terminal.path)
+            if depth > best_depth or (depth == best_depth and cand.terminal < best.terminal):
                 best = cand
     return best
 

@@ -14,7 +14,6 @@ from tehier import (
     SvmConfig,
     SynthSpec,
     Taxonomy,
-    build_from_labels,
     crossval,
     crossval_strategies,
     f_measure,
@@ -82,7 +81,7 @@ def test_hier_metrics_equals_naive_set_oracle():
             HierLabel(tuple(int(c) for c in rng.integers(1, 4, size=rng.integers(1, 5))))
             for _ in range(int(rng.integers(2, 8)))
         ]
-        taxonomy = build_from_labels(labels)
+        taxonomy = Taxonomy(labels)
         nodes = taxonomy.nodes()
         pairs = [
             (nodes[rng.integers(len(nodes))], nodes[rng.integers(len(nodes))])
@@ -109,7 +108,7 @@ def test_greedy_strategy_matches_oracle():
         }
         (node,) = decode_nllcpn(taxonomy, stub_proba_table(taxonomy, [table]))
         expected = greedy_chain_oracle(tree, probas)
-        assert taxonomy.node_paths[node] == expected == greedy_descent(taxonomy, table).path
+        assert taxonomy.node_labels[node].path == expected == greedy_descent(taxonomy, table).path
         agree += 1
     report("greedy strategy oracle", f"{agree}/1000 random stub taxonomies")
 
@@ -130,7 +129,7 @@ def test_path_scoring_strategy_matches_oracle():
         assert scores == score_all_paths(taxonomy, table)
         assert {s.terminal.path: s.score for s in scores} == oracle_scores
         (node,) = decode_lcpnb(taxonomy, arrays)
-        assert taxonomy.node_paths[node] == expected == best_path(scores).terminal.path
+        assert taxonomy.node_labels[node].path == expected == best_path(scores).terminal.path
         agree += 1
     report("path-scoring strategy oracle", f"{agree}/1000 incl. tie-breaks")
 
@@ -348,7 +347,7 @@ def test_taxonomy_structural_check(pgsb_shaped_dataset):
     assert wicker.names[hl("1.1.1")] == "Copia"
 
     taxonomy, _, labels = pgsb_shaped_dataset
-    induced = build_from_labels(labels)
+    induced = Taxonomy(labels)
     assert induced.classes_per_level() == [2, 4, 3, 5]
     assert induced == taxonomy
     report(

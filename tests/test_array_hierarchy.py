@@ -5,7 +5,7 @@ exact ties, and on trained models."""
 import numpy as np
 import pytest
 
-from tehier import LogRegConfig, SvmConfig, TaxonomyError, hier_metrics, levelwise_f, train_hier
+from tehier import LogRegConfig, SvmConfig, TaxonomyError, hier_metrics, train_hier
 from tehier.hierarchy import decode_lcpnb, decode_nllcpn, score_paths
 from tehier.synth import taxonomy_from_shape
 
@@ -42,10 +42,9 @@ def stub_tables(rng, taxonomy, n_samples):
     its own node has the self class alone), and probabilities sit on a
     coarse grid so exact ties are common."""
     trained, classes = [], {}
-    for v, kids in enumerate(taxonomy.child_ids):
+    for (path, v), kids in zip(taxonomy.node_index.items(), taxonomy.child_ids):
         if not kids or (v and rng.random() < 0.2):
             continue
-        path = taxonomy.node_paths[v]
         pool = [taxonomy.node_labels[c] for c in kids] + ([taxonomy.node_labels[v]] if v else [])
         keep = rng.random(len(pool)) < 0.8
         keep[int(rng.integers(len(pool)))] = True
@@ -74,10 +73,9 @@ def path_tables(tables):
 
 
 def tree_of(taxonomy):
-    return {
-        path: [taxonomy.node_paths[c] for c in kids]
-        for path, kids in zip(taxonomy.node_paths, taxonomy.child_ids)
-    }
+    """Path tuple -> child path tuples, with () for the root."""
+    paths = list(taxonomy.node_index)  # in id order
+    return {path: [paths[c] for c in kids] for path, kids in zip(paths, taxonomy.child_ids)}
 
 
 def test_array_decoders_equal_every_oracle_on_random_shapes():
@@ -92,14 +90,14 @@ def test_array_decoders_equal_every_oracle_on_random_shapes():
         scored = decode_lcpnb(taxonomy, arrays)
         for row, (table, naive) in enumerate(zip(tables, path_tables(tables))):
             assert taxonomy.node_labels[greedy[row]] == greedy_descent(taxonomy, table)
-            assert taxonomy.node_paths[greedy[row]] == greedy_chain_oracle(tree, naive)
+            assert taxonomy.node_labels[greedy[row]].path == greedy_chain_oracle(tree, naive)
             one_row = stub_proba_table(taxonomy, [table])
             scores = score_paths(taxonomy, one_row)
             assert scores == score_all_paths(taxonomy, table)  # scores and edges, exactly
             expected, oracle_scores = exhaustive_path_oracle(tree, naive)
             assert {s.terminal.path: s.score for s in scores} == oracle_scores
             assert taxonomy.node_labels[scored[row]] == best_path(scores).terminal
-            assert taxonomy.node_paths[scored[row]] == expected
+            assert taxonomy.node_labels[scored[row]].path == expected
             assert decode_lcpnb(taxonomy, one_row)[0] == scored[row]
             checked += 1
     assert checked > 500
@@ -118,12 +116,13 @@ def label_tables(model, X):
     """Per-sample label tables of a trained model, built from each local
     model's own probabilities."""
     tax = model.taxonomy
+    paths = list(tax.node_index)  # in id order
     rows = [{} for _ in range(len(X))]
     for v, local in model.node_models.items():
         probs = local.predict_proba(X)
         classes = [tax.node_labels[c] for c in local.classes]
         for row, table in enumerate(rows):
-            table[tax.node_paths[v]] = dict(zip(classes, probs[row]))
+            table[paths[v]] = dict(zip(classes, probs[row]))
     return rows
 
 
@@ -157,7 +156,7 @@ def test_hier_metrics_equal_set_algebra_bit_for_bit():
     for shape in shapes(rng, 80):
         taxonomy = taxonomy_from_shape(shape, seed=int(rng.integers(1000)))
         nodes = taxonomy.nodes()
-        internal = taxonomy.internal_nodes()
+        internal = [n for n, kids in zip(nodes, taxonomy.child_ids[1:]) if kids]
         for pool in (nodes, internal or nodes):  # also labels only at internal nodes
             pairs = [
                 (pool[rng.integers(len(pool))], pool[rng.integers(len(pool))])
@@ -167,8 +166,6 @@ def test_hier_metrics_equal_set_algebra_bit_for_bit():
             assert metrics == set_algebra_hier_metrics(pairs, taxonomy)
             naive = naive_hier_prf([(p.path, t.path) for p, t in pairs])
             assert (metrics.hp, metrics.hr, metrics.hf) == naive
-            for level, value in enumerate(metrics.per_level_f, start=1):
-                assert levelwise_f(pairs, taxonomy, level) == value
             checked += 1
     assert checked > 100
 

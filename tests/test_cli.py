@@ -5,7 +5,7 @@ import pytest
 
 import tehier.cli
 from tehier import (
-    KmerConfig, SvmConfig, build_from_labels, featurize_batch, read_fasta, save_model_file,
+    KmerConfig, SvmConfig, Taxonomy, featurize_batch, read_fasta, save_model_file,
     train_hier,
 )
 from tehier.cli import main
@@ -106,7 +106,7 @@ def test_predict_refuses_a_fasta_for_a_model_without_a_featurization(workspace, 
     X = featurize_batch(records, KmerConfig(normalization="raw"))[:, 1:]
     model_path = tmp_path / "bare.json"
     labels = [r.label for r in records]
-    model = train_hier(X, labels, build_from_labels(labels), SvmConfig(C=16.0, gamma=1e-4))
+    model = train_hier(X, labels, Taxonomy(labels), SvmConfig(C=16.0, gamma=1e-4))
     assert model.kmer_config is None
     save_model_file(model, model_path)
     assert run(["predict", workspace / "data.fasta", "--model", model_path,
@@ -194,6 +194,23 @@ def test_evaluate_identical_files_perfect(workspace, tmp_path, capsys):
     assert run(["predict", workspace / "data.fasta", "--model", model, "--out", pred]) == 0
     assert run(["evaluate", pred, pred]) == 0
     assert "hF: 1.000000" in capsys.readouterr().out
+
+
+def test_evaluate_refuses_an_id_given_twice_in_a_csv(tmp_path, capsys):
+    truth, pred = tmp_path / "truth.csv", tmp_path / "pred.csv"
+    truth.write_text("id,label\na,1.1\nb,1.2\n\na,2.1\n")
+    pred.write_text("id,predicted_label\na,1.1\nb,1.2\n")
+    assert run(["evaluate", pred, truth]) == 2
+    assert capsys.readouterr().err == f"error: line 5: {truth}: id 'a' is given twice\n"
+    assert run(["evaluate", truth, pred]) == 2  # the predictions are read the same way
+
+
+def test_evaluate_refuses_an_id_given_twice_in_a_fasta(tmp_path, capsys):
+    truth, pred = tmp_path / "truth.fasta", tmp_path / "pred.csv"
+    truth.write_text(">a 1.1\nACGT\nACGT\n\n>b 1.2\nACGT\n>a 2.1\nACGT\n")
+    pred.write_text("id,predicted_label\na,1.1\nb,1.2\n")
+    assert run(["evaluate", pred, truth]) == 2
+    assert capsys.readouterr().err == f"error: line 7: {truth}: id 'a' is given twice\n"
 
 
 def test_cv_report_structure(workspace):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import tehier.gridsearch
-from tehier import Grid, GridSearchError, build_from_labels, grid_search, train_final
+from tehier import Grid, GridSearchError, Taxonomy, grid_search, train_final
 from tehier.gridsearch import GridResult
 
 from conftest import hl
 
 
 def grid_dataset(rng):
-    tax = build_from_labels([hl("1"), hl("2"), hl("3")])
+    tax = Taxonomy([hl("1"), hl("2"), hl("3")])
     centers = [(2.5, 0), (-2.5, 0), (0, 2.5)]
     X = np.vstack([rng.normal(0, 0.35, (20, 2)) + c for c in centers])
     labels = [hl(str(c + 1)) for c in range(3) for _ in range(20)]
@@ -70,7 +70,7 @@ def fake_crossval(calls, scores):
 def test_cells_run_dearest_first_and_report_in_lattice_order(monkeypatch, scores, selected):
     calls = []
     monkeypatch.setattr(tehier.gridsearch, "crossval", fake_crossval(calls, scores))
-    tax = build_from_labels([hl("1"), hl("2")])
+    tax = Taxonomy([hl("1"), hl("2")])
     grid = Grid(c_values=(1.0, 2.0, 8.0), gamma_values=(0.25, 0.5, 2.0), folds=3)
     result = grid_search(np.zeros((6, 2)), [hl("1"), hl("2")] * 3, tax, grid, threads=1)
     lattice = [(c, g) for c in grid.c_values for g in grid.gamma_values]
@@ -83,7 +83,7 @@ def test_cells_run_dearest_first_and_report_in_lattice_order(monkeypatch, scores
 
 def test_tie_break_smaller_c_then_smaller_gamma(monkeypatch):
     # compared by value: a grid file may list its axes in any order
-    tax = build_from_labels([hl("1"), hl("2")])
+    tax = Taxonomy([hl("1"), hl("2")])
     grid = Grid(c_values=(1.0, 8.0, 2.0), gamma_values=(0.5, 2.0, 0.25), folds=3)
     for scores, selected in [
         (lambda c, g: 0.9, (1.0, 0.25)),  # all tied: smallest C, then smallest gamma

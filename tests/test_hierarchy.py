@@ -30,7 +30,7 @@ from tehier import (
 import tehier.metrics
 import tehier.svm
 import tehier.synth
-from tehier.hierarchy import HierModel, decode_lcpnb, decode_nllcpn, score_paths
+from tehier.hierarchy import decode_lcpnb, decode_nllcpn, score_paths
 from tehier.labels import HierLabel
 
 from conftest import hl, separable_blobs
@@ -226,7 +226,6 @@ def test_predictions_are_real_taxonomy_nodes(rng):
         table = as_label_table(probas)
         for label in (nllcpn(tax, table), lcpnb(tax, table)[0]):
             assert label in tax
-            assert label.depth >= 1
 
 
 # -- training -------------------------------------------------------------------
@@ -716,6 +715,19 @@ def test_predict_exits_on_a_fixture_fault_with_one_error_line(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_predict_names_the_model_file_of_a_prediction_time_numeric_error(tmp_path, capsys):
+    from tehier.cli import main
+
+    payload = fixture_payload("svm")
+    payload["node_models"][""]["bias"][0] = 1e308  # loads, then overflows
+    model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+    model.write_text(json.dumps(payload))
+    argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: node model (root): prediction failed: overflow"), err
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_an_overflowing_node_raises_numeric_error_naming_it(threads):
     # the faulty node's task may run in a worker process; the type survives
@@ -807,7 +819,7 @@ def test_training_reproduces_the_v3_fixtures_byte_for_byte(tmp_path):
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
 def test_multi_digit_path_components_keep_numeric_label_order(rng, base_kind):
     tax = Taxonomy([hl(t) for t in ("1.2", "1.9", "1.10", "2", "10")])
-    leaves = tax.leaves()
+    leaves = [n for n, kids in zip(tax.nodes(), tax.child_ids[1:]) if not kids]
     assert [str(n) for n in leaves] == ["1.2", "1.9", "1.10", "2", "10"]
     labels = leaves * 12
     centers = {n: rng.normal(0.0, 3.0, 3) for n in leaves}

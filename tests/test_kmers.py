@@ -11,7 +11,6 @@ from oracles import (
     count_kmers_reference,
     featurize_reference,
     naive_feature_vector,
-    naive_kmer_counts,
     valid_window_count,
 )
 

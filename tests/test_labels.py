@@ -29,13 +29,6 @@ def test_ordering_puts_parents_before_children():
     assert parse_label("1") < parse_label("1.1") < parse_label("1.2") < parse_label("2")
 
 
-def test_prefixes_and_parent():
-    label = parse_label("1.2.3")
-    assert label.prefixes() == [parse_label("1"), parse_label("1.2")]
-    assert label.parent == parse_label("1.2")
-    assert parse_label("4").parent is None
-
-
 def test_label_components_must_be_positive_ints():
     with pytest.raises(LabelParseError):
         HierLabel(())

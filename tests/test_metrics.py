@@ -7,30 +7,34 @@ from tehier import (
     SvmConfig,
     Taxonomy,
     TaxonomyError,
-    build_from_labels,
     crossval,
     crossval_strategies,
     f_measure,
     hier_metrics,
-    label_set,
-    levelwise_f,
     stratified_kfold,
 )
 
 from conftest import hl
-from oracles import naive_hier_prf
+from oracles import ancestor_set, naive_hier_prf
 
 
 def pair_taxonomy():
-    return build_from_labels([hl("1.1.1"), hl("1.2"), hl("2")])
+    return Taxonomy([hl("1.1.1"), hl("1.2"), hl("2")])
 
 
 def test_label_set_examples():
+    # a label's set is its row of ancestor ids below the root
     tax = pair_taxonomy()
-    assert label_set(tax, hl("1.1.1")) == {hl("1"), hl("1.1"), hl("1.1.1")}
-    assert label_set(tax, hl("2")) == {hl("2")}
+    rows = tax.ancestor_ids[tax.ids([hl("1.1.1"), hl("2")]), 1:]
+    assert [[tax.node_labels[a] for a in row if a > 0] for row in rows] == [
+        [hl("1"), hl("1.1"), hl("1.1.1")],
+        [hl("2")],
+    ]
+    for node in tax.nodes():
+        row = tax.ancestor_ids[tax.node_index[node.path], 1:]
+        assert {tax.node_labels[a].path for a in row[row > 0]} == ancestor_set(node.path)
     with pytest.raises(TaxonomyError):
-        label_set(tax, hl("3"))
+        tax.ids([hl("3")])
 
 
 def test_single_pair_worked_example():
@@ -82,7 +86,7 @@ def test_matches_naive_set_oracle_on_random_pairs(rng):
             HierLabel(tuple(int(c) for c in rng.integers(1, 4, size=rng.integers(1, 5))))
             for _ in range(int(rng.integers(2, 10)))
         ]
-        tax = build_from_labels(labels)
+        tax = Taxonomy(labels)
         nodes = tax.nodes()
         pairs = [
             (nodes[rng.integers(len(nodes))], nodes[rng.integers(len(nodes))])
@@ -102,38 +106,40 @@ def test_matches_naive_set_oracle_on_random_pairs(rng):
 def test_levelwise_all_correct_at_level_one():
     tax = pair_taxonomy()
     pairs = [(hl("1.1.1"), hl("1.1.1")), (hl("1.2"), hl("1.2"))]
-    assert levelwise_f(pairs, tax, 1) == 1.0
+    assert hier_metrics(pairs, tax).per_level_f[0] == 1.0
 
 
 def test_levelwise_truncation_gives_full_credit_at_level_one():
     tax = pair_taxonomy()
-    assert levelwise_f([(hl("1.2"), hl("1.1"))], tax, 1) == 1.0
+    assert hier_metrics([(hl("1.2"), hl("1.1"))], tax).per_level_f[0] == 1.0
 
 
 def test_levelwise_worked_example_at_level_two():
     tax = pair_taxonomy()
-    assert levelwise_f([(hl("1.2"), hl("1.1"))], tax, 2) == pytest.approx(0.5, abs=1e-12)
+    value = hier_metrics([(hl("1.2"), hl("1.1"))], tax).per_level_f[1]
+    assert value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_levelwise_excludes_shallow_true_paths():
     tax = pair_taxonomy()
     # the only depth-3 truth decides level 3; the depth-1 truth is excluded
     pairs = [(hl("1.1.1"), hl("1.1.1")), (hl("2"), hl("2"))]
-    assert levelwise_f(pairs, tax, 3) == 1.0
-    assert levelwise_f(pairs, tax, 1) == 1.0
+    per_level = hier_metrics(pairs, tax).per_level_f
+    assert per_level[2] == 1.0
+    assert per_level[0] == 1.0
 
 
 def test_levelwise_short_prediction_contributes_prefix():
     tax = pair_taxonomy()
     # prediction depth 1 against truth depth 3 at level 2: P={1}, T={1,1.1}
-    value = levelwise_f([(hl("1"), hl("1.1.1"))], tax, 2)
+    value = hier_metrics([(hl("1"), hl("1.1.1"))], tax).per_level_f[1]
     hp, hr = 1.0, 0.5
     assert value == pytest.approx(2 * hp * hr / (hp + hr), abs=1e-12)
 
 
 def test_levelwise_undefined_when_no_eligible_samples():
     tax = pair_taxonomy()
-    assert levelwise_f([(hl("1.1.1"), hl("2"))], tax, 2) is None
+    assert hier_metrics([(hl("1.1.1"), hl("2"))], tax).per_level_f[1] is None
 
 
 def test_hier_metrics_carries_per_level():
@@ -212,7 +218,7 @@ def test_train_indices_complement():
 
 
 def tiny_dataset(rng):
-    tax = build_from_labels([hl("1"), hl("2")])
+    tax = Taxonomy([hl("1"), hl("2")])
     X = np.vstack(
         [rng.normal(0, 0.3, (20, 2)) + (2, 0), rng.normal(0, 0.3, (20, 2)) - (2, 0)]
     )
@@ -221,7 +227,7 @@ def tiny_dataset(rng):
 
 
 def test_crossval_two_folds_on_four_samples(rng):
-    tax = build_from_labels([hl("1"), hl("2")])
+    tax = Taxonomy([hl("1"), hl("2")])
     X = np.array([[1.0, 0], [1.1, 0], [-1.0, 0], [-1.1, 0]])
     labels = [hl("1"), hl("1"), hl("2"), hl("2")]
     result = crossval(X, labels, tax, strategy="nllcpn", config=LogRegConfig(), k=2, seed=0)

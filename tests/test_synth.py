@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -5,16 +8,16 @@ from tehier import (
     KmerConfig,
     SvmConfig,
     SynthSpec,
-    build_from_labels,
     crossval,
     featurize_batch,
     generate,
     taxonomy_from_shape,
+    wicker_taxonomy,
+    write_fasta,
 )
 import tehier.synth
 from tehier.synth import _sample_sequences, node_allocation
 
-from conftest import hl
 from oracles import generate_reference, sample_sequence_reference
 
 
@@ -48,11 +51,37 @@ def test_labels_cover_taxonomy_and_counts_match():
     assert len(records) == 20 * len(tax.nodes())
     observed = {r.label for r in records}
     assert observed == set(tax.nodes())
-    internal = sum(1 for r in records if tax.children(r.label))
+    internal = sum(1 for r in records if tax.child_ids[tax.node_index[r.label.path]])
     assert internal / len(records) == pytest.approx(0.2, abs=0.01)
     assert node_allocation(spec) == {
         node: sum(1 for r in records if r.label == node) for node in tax.nodes()
     }
+
+
+@pytest.mark.parametrize(
+    "spec, digest, chars",
+    [
+        (
+            SynthSpec(taxonomy_from_shape([2, 4, 3, 5], seed=0), seed=42),
+            "61947a8c44cf6439791b7ff7a70d1b4da325898be352a0b40316af95434394a7",
+            747_236,
+        ),
+        (
+            SynthSpec(wicker_taxonomy(), sequences_per_node=5, length_range=(80, 120), seed=42),
+            "4ddaa22931b36e6fad9756e96ad4ac93279b143fc57c1cf555ef11952c8cc5dd",
+            26_418,
+        ),
+    ],
+    ids=["desk", "wicker"],
+)
+def test_generated_fasta_is_pinned(spec, digest, chars):
+    # the reference generator shares the allocation and the chains with the
+    # package, so only a fixed digest catches a change in either
+    sink = io.StringIO()
+    write_fasta(generate(spec), sink)
+    text = sink.getvalue()
+    assert len(text) == chars
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_sequences_pass_validation_and_lengths():

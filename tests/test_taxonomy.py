@@ -8,30 +8,29 @@ from tehier import (
     HierLabel,
     TaxonomyError,
     Taxonomy,
-    build_from_labels,
-    parse_label,
     read_taxonomy,
     wicker_taxonomy,
     write_taxonomy,
 )
 
 from conftest import hl
+from oracles import ancestor_set
 
 
 def test_build_closes_prefixes():
-    tax = build_from_labels([hl("1.1.1"), hl("2.1")])
+    tax = Taxonomy([hl("1.1.1"), hl("2.1")])
     expected = {hl("1"), hl("1.1"), hl("1.1.1"), hl("2"), hl("2.1")}
     assert set(tax.nodes()) == expected
 
 
 def test_build_deduplicates():
-    tax = build_from_labels([hl("1"), hl("1")])
+    tax = Taxonomy([hl("1"), hl("1")])
     assert set(tax.nodes()) == {hl("1")}
 
 
 def test_build_requires_labels():
     with pytest.raises(TaxonomyError):
-        build_from_labels([])
+        Taxonomy([])
 
 
 def test_repbase_shaped_label_set_counts():
@@ -40,12 +39,12 @@ def test_repbase_shaped_label_set_counts():
     labels += [hl(f"1.{i}") for i in range(1, 5)] + [hl("2.1")]
     labels += [hl(f"1.1.{i}") for i in range(1, 9)] + [hl(f"1.2.{i}") for i in range(1, 5)]
     labels += [hl(f"1.1.1.{i}") for i in range(1, 10)]
-    tax = build_from_labels(labels)
+    tax = Taxonomy(labels)
     assert tax.classes_per_level() == [2, 5, 12, 9]
 
 
 def test_ancestor_ids():
-    tax = build_from_labels([hl("1.1.1"), hl("2")])
+    tax = Taxonomy([hl("1.1.1"), hl("2")])
     # preorder ids: root 0, 1 -> 1, 1.1 -> 2, 1.1.1 -> 3, 2 -> 4
     assert tax.ancestor_ids[tax.node_index[(1, 1, 1)]].tolist() == [0, 1, 2, 3]
     assert tax.ancestor_ids[tax.node_index[(2,)]].tolist() == [0, 4, -1, -1]
@@ -67,10 +66,11 @@ def test_classes_per_level_small(small_taxonomy):
 
 
 def test_children_sorted_and_leaf_queries(small_taxonomy):
-    assert small_taxonomy.roots == [hl("1"), hl("2")]
-    assert small_taxonomy.children(hl("1")) == [hl("1.1")]
-    assert small_taxonomy.internal_nodes() == [hl("1")]
-    assert small_taxonomy.leaves() == [hl("1.1"), hl("2")]
+    labels = small_taxonomy.node_labels
+    assert [labels[c] for c in small_taxonomy.child_ids[0]] == [hl("1"), hl("2")]
+    assert [labels[c] for c in small_taxonomy.child_ids[1]] == [hl("1.1")]
+    assert small_taxonomy.parent_id.tolist() == [-1, 0, 1, 0]
+    assert small_taxonomy.child_ids == [[1, 3], [2], [], []]
 
 
 def test_prefix_closure_property_random_label_sets():
@@ -80,21 +80,21 @@ def test_prefix_closure_property_random_label_sets():
             HierLabel(tuple(int(c) for c in rng.integers(1, 4, size=rng.integers(1, 5))))
             for _ in range(int(rng.integers(1, 12)))
         ]
-        tax = build_from_labels(labels)
-        nodes = set(tax.nodes())
-        for node in nodes:
-            for prefix in node.prefixes():
-                assert prefix in nodes
+        tax = Taxonomy(labels)
+        nodes = {node.path for node in tax.nodes()}
+        assert nodes == set().union(*(ancestor_set(label.path) for label in labels))
         # ancestor ids: the root, then the node's prefixes, then the node
-        for node in nodes:
-            row = tax.ancestor_ids[tax.node_index[node.path]]
-            assert [tax.node_labels[a] for a in row[1 : node.depth]] == node.prefixes()
-            assert row[node.depth] == tax.node_index[node.path] and row[0] == 0
+        for path in nodes:
+            row = tax.ancestor_ids[tax.node_index[path]]
+            assert [tax.node_labels[a].path for a in row[1 : len(path) + 1]] == sorted(
+                ancestor_set(path)
+            )
+            assert row[0] == 0 and (row[len(path) + 1 :] == -1).all()
         assert len(tax) == len(nodes)
 
 
 def test_taxonomy_file_round_trip():
-    tax = build_from_labels([hl("1.1"), hl("1.2"), hl("2")])
+    tax = Taxonomy([hl("1.1"), hl("1.2"), hl("2")])
     tax.names[hl("1.1")] = "Copia"
     sink = io.StringIO()
     write_taxonomy(tax, sink)
@@ -112,4 +112,4 @@ def test_taxonomy_file_errors():
 
 
 def test_taxonomy_equality_ignores_names():
-    assert build_from_labels([hl("1")]) == Taxonomy([hl("1")], names={hl("1"): "x"})
+    assert Taxonomy([hl("1")]) == Taxonomy([hl("1")], names={hl("1"): "x"})
