@@ -1,26 +1,11 @@
 """Probabilistic multiclass classifiers over integer class ids.
 
-Both base classifiers expose the same contract: fit on feature vectors and
-int class ids (a hierarchy's are node ids), then emit a probability
-distribution over the local class set (the sorted distinct ids). The type
-of the config is the choice of base classifier: an ``SvmConfig`` (the
-default) or a ``LogRegConfig``. The SVM flavor reduces one-vs-rest with a
-Platt-calibrated binary SVM per class; all of a node's binary SVMs share
-one kernel provider (the Gram matrix, or the column cache above the
-full-Gram limit), and each fits Platt on the decision values from its SMO
-gradient. A two-class node solves one SVM and negates its dual
-coefficients, bias and Platt B for class 1, the exact solution of the
-flipped problem. A hierarchy passes each node a slice of its training
-set's one Gram; on its own, ``fit_multiclass`` builds the node's provider.
-
-A trained node holds one model. Its SVMs are kept only as one bank
-(``svm_bank``): a single ``BinarySvmModel`` over the distinct support
-vectors of all k SVMs, with an (n_pool, k) dual-coefficient matrix and
-length-k bias, Platt (A, B) and ``converged``, so one kernel block and one
-matrix product give all of its decision values. Logistic regression is a
-single softmax model, a ``LogRegModel``. Single-class data yields a
-constant classifier, with no model, so parent nodes with degenerate
-subsets still produce a probability.
+``fit_multiclass`` trains a local classifier on feature rows and int class
+ids; its ``MulticlassModel`` gives each row a distribution over the sorted
+distinct ids. The type of the config chooses the base classifier: an
+``SvmConfig`` (one-vs-rest Platt-calibrated RBF SVMs, kept as one bank) or
+a ``LogRegConfig`` (softmax regression). A single class gives a constant
+model.
 """
 from __future__ import annotations
 
@@ -75,30 +60,28 @@ class MulticlassModel:
         return probs
 
 
-def svm_bank(binaries: list[BinarySvmModel]) -> BinarySvmModel:
-    """A node's one-vs-rest SVMs as one model over their pooled support
-    vectors, so prediction builds one kernel block per node.
+def svm_bank(svms: list[BinarySvmModel]) -> BinarySvmModel:
+    """One bank of the banks of one in ``svms``, over their pooled support
+    vectors; column c is ``svms[c]``'s, 0 where it does not use a vector.
 
     The pool holds each distinct support vector once, by its bytes, in
-    order of first use in class order; column c of the (n_pool, k) dual
-    coefficients is class c's, 0 where the class does not use a vector.
-    Bias, Platt (A, B) and ``converged`` are length-k arrays.
+    order of first use.
     """
     pool: dict[bytes, int] = {}
-    rows = [np.array(pool_rows(m.support_vectors, pool), dtype=np.intp) for m in binaries]
-    vectors = np.empty((len(pool), binaries[0].support_vectors.shape[1]))
-    coef = np.zeros((len(pool), len(binaries)))
-    for c, (m, used) in enumerate(zip(binaries, rows)):
+    rows = [np.array(pool_rows(m.support_vectors, pool), dtype=np.intp) for m in svms]
+    vectors = np.empty((len(pool), svms[0].support_vectors.shape[1]))
+    coef = np.zeros((len(pool), len(svms)))
+    for c, (m, used) in enumerate(zip(svms, rows)):
         vectors[used] = m.support_vectors
-        np.add.at(coef[:, c], used, m.dual_coef)  # a vector may recur in one SVM
+        np.add.at(coef[:, c], used, m.dual_coef[:, 0])  # a vector may recur in one SVM
     return BinarySvmModel(
         support_vectors=vectors,
         dual_coef=coef,
-        bias=np.array([m.bias for m in binaries]),
-        gamma=binaries[0].gamma,
-        platt_a=np.array([m.platt_a for m in binaries]),
-        platt_b=np.array([m.platt_b for m in binaries]),
-        converged=np.array([m.converged for m in binaries]),
+        bias=np.concatenate([m.bias for m in svms]),
+        gamma=svms[0].gamma,
+        platt_a=np.concatenate([m.platt_a for m in svms]),
+        platt_b=np.concatenate([m.platt_b for m in svms]),
+        converged=np.concatenate([m.converged for m in svms]),
     )
 
 
@@ -118,17 +101,16 @@ def fit_multiclass(
     config: SvmConfig | LogRegConfig = SvmConfig(),
     columns: _KernelColumns | None = None,
 ) -> MulticlassModel:
-    """Train a local classifier; the type of ``config`` chooses the base
-    classifier, and any other value raises ValueError.
+    """Train a local classifier on the rows of ``X`` and their int class ids.
 
-    Classes are the distinct ids observed in the int array ``y``, sorted; a
-    single observed class produces a constant model (``model`` None).
-    ``columns`` is an SVM kernel provider for this ``X`` and
-    ``config.gamma``, such as a slice of the training set's Gram
-    (``_KernelColumns.subset``); by default one is built here. An SVM node
-    trains one binary SVM per class and keeps only their bank (``svm_bank``);
-    with two classes it trains class 0's and negates its dual coefficients,
-    bias and Platt B for class 1, whose probability is then 1 - p.
+    The type of ``config`` chooses the base classifier; any other value
+    raises ValueError. Empty data raises DegenerateDataError, and a row
+    count other than ``len(y)`` DimensionError. One distinct id gives a
+    constant model (``model`` None). ``columns`` is a kernel provider for
+    ``X`` and ``config.gamma``; by default one is built. An SVM node keeps
+    one bank (``svm_bank``) of its one-vs-rest SVMs; with two classes,
+    class 1's is class 0's with dual coefficients, bias and Platt B
+    negated, so its probability is 1 - p.
     """
     if not isinstance(config, SvmConfig | LogRegConfig):
         raise ValueError(
@@ -149,10 +131,10 @@ def fit_multiclass(
     if len(classes) == 2:  # class 1's problem is class 0's with the labels flipped
         svm = train_binary_svm(X, np.where(y_idx == 0, 1.0, -1.0), config, columns)
         mirror = replace(svm, dual_coef=-svm.dual_coef, bias=-svm.bias, platt_b=-svm.platt_b)
-        binaries = [svm, mirror]
+        svms = [svm, mirror]
     else:
-        binaries = [
+        svms = [
             train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
             for c in range(len(classes))
         ]
-    return MulticlassModel(classes, X.shape[1], svm_bank(binaries))
+    return MulticlassModel(classes, X.shape[1], svm_bank(svms))

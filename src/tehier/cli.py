@@ -53,16 +53,6 @@ EXIT_NUMERIC = 3
 _NUMERIC_ERRORS = (DegenerateDataError, GridSearchError, NumericError)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit with code 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        raise _UsageError(f"{self.prog}: error: {message}")
-
-
-class _UsageError(Exception):
-    pass
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -144,9 +134,7 @@ def cmd_featurize(args) -> int:
     records = read_fasta(args.input)
     X = featurize_batch(records, config, threads=args.threads)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_feature_csv(
-            [(X[i], records[i].label) for i in range(len(records))], fh, config
-        )
+        write_feature_csv([(X[i], records[i].label) for i in range(len(records))], fh)
     labeled = sum(1 for r in records if r.label is not None)
     print(f"wrote {len(records)} rows x {config.dimension} features to {args.out} "
           f"({labeled} labeled)")
@@ -263,6 +251,12 @@ def cmd_evaluate(args) -> int:
         raise FormatError(
             f"{len(missing)} ids in the truth file have no prediction "
             f"(first: {missing[0]})"
+        )
+    stray = sorted(set(predicted) - set(truth))
+    if stray:
+        raise FormatError(
+            f"{len(stray)} ids in the predictions file are not in the truth file "
+            f"(first: {stray[0]})"
         )
     pairs = [(predicted[i], truth[i]) for i in sorted(truth)]
     taxonomy = Taxonomy([p for p, _ in pairs] + [t for _, t in pairs])
@@ -427,8 +421,9 @@ def _add_svm_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tehier", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(
+        prog="tehier", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic FASTA dataset")
@@ -532,9 +527,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         if getattr(args, "threads", 1) < 1:
             raise FormatError(f"--threads must be at least 1, got {args.threads}")

@@ -1,53 +1,18 @@
 """Top-down hierarchical classification over per-parent-node local models.
 
-Training is shared by both strategies: every internal node (and the implicit
-root) gets one local multiclass classifier whose classes are the node's
-children plus the node itself (the replicated-self class that lets a
-prediction stop early). The root has no self class. A sample labeled exactly
-at an internal node trains that node's self class; a sample labeled deeper
-trains the child its path passes through. A node's rows are one mask over
-the training labels' ancestor ids (``Taxonomy.ancestor_ids``) and their
-classes are node ids, so ``HierModel.node_models`` maps a node id to a model
-whose ``classes`` are sorted node ids. An SVM hierarchy has one kernel
-provider per training set: the RBF Gram matrix of all training rows is
-computed once, and every node's one-vs-rest SVMs solve on the slice of it
-for the node's rows (above the full-Gram limit, where no Gram is kept, each
-node builds its own provider).
+``train_hier`` fits one local classifier (``fit_multiclass``) per parent
+node, the implicit root included. A node's classes are its children and,
+below the root, the node itself: the self class, for samples labeled at
+the node. ``HierModel.node_models`` maps a taxonomy node id (0 is the root,
+the rest preorder) to that model, whose ``classes`` are node ids.
 
-Prediction works on taxonomy node ids (0 is the root, the rest preorder).
-``HierModel.proba_tables`` runs every local model once over the batch and
-returns a ``ProbaTable`` of ``(n_samples, n_nodes)`` arrays: ``edge[s, v]``
-is the probability of the edge into v at v's parent, ``stay[s, v]`` that of
-v's self class, and ``trained[v]`` marks the nodes that have a model. A
-class missing from a model scores 0. The decoders are pure functions of a
-taxonomy and a table, so stub tables drive them as well as trained models:
+``HierModel.proba_tables`` gives a batch's local probabilities as a
+``ProbaTable``, and ``decode_nllcpn`` (greedy descent) and ``decode_lcpnb``
+(path scoring) map a table to one node id per sample.
 
-* greedy descent ("nllcpn"): move every sample from the root to its local
-  argmax class, depth by depth, until it takes the self class or reaches a
-  leaf or an untrained node. Ties go to the first class in sorted order,
-  which puts the self class before the children.
-* path scoring ("lcpnb"): score every node reachable through trained
-  parents by the mean of the edge probabilities on its root path (a trained
-  internal node adds its self-class probability as a last edge) and take
-  the best; ties go to the deeper node, then the smaller label. Each
-  column is summed edge by edge from the root, in the order of
-  ``sum(edges)``, so scores and ties are exact.
-
-``save_model`` writes schema version 3, the one schema ``load_model`` reads:
-JSON that names every node and class by its dot-path (the root by ""),
-whose scalars are JSON numbers (``repr`` round-trips a float exactly) and
-whose float arrays are base64 of their little-endian float64 bytes. Every
-distinct support vector of the model is stored once, in one ``pool`` of
-``pool_rows`` rows: a node's one-vs-rest SVMs share most of their support
-vectors, and a child node trains on a subset of its parent's rows. An SVM
-node is stored as its bank (``classifiers.svm_bank``): the ``pool_index`` of
-the bank's rows, its (n, k) ``dual_coef``, ``gamma``, and lists of k
-``bias``, ``platt_a``, ``platt_b`` and ``converged`` values. Loading takes
-the bank's rows as ``pool[pool_index]``, so the model and its predictions
-are the ones saved, bit for bit; ids follow label order, so sorted ids are
-sorted labels on file. Files of versions 1 and 2 are refused: retrain the
-model. Files are checked against themselves and the taxonomy on load, and
-refused with ``ModelFileError`` where they hold what training never writes.
+``save_model`` writes schema version 3 JSON, the one schema ``load_model``
+reads. A loaded model predicts bit for bit as the saved one did; a file
+that holds what training never writes raises ``ModelFileError``.
 """
 
 from __future__ import annotations
@@ -81,7 +46,10 @@ _SCHEMA_VERSION = 3
 
 @dataclass(frozen=True)
 class ProbaTable:
-    """Local probabilities of a batch by taxonomy node id (see module doc)."""
+    """Local probabilities of a batch by taxonomy node id: ``edge[s, v]`` is
+    the probability of the edge into v at v's parent, ``stay[s, v]`` that of
+    v's self class (0 for a class missing from a model), and ``trained[v]``
+    marks the nodes that have a model."""
 
     edge: np.ndarray  # (n_samples, n_nodes)
     stay: np.ndarray  # (n_samples, n_nodes)
@@ -98,7 +66,13 @@ class PathScore:
 
 
 def decode_nllcpn(taxonomy: Taxonomy, table: ProbaTable) -> np.ndarray:
-    """Greedy descent: the node id each sample stops at."""
+    """Greedy descent: the node id each sample stops at.
+
+    Each sample moves from the root to its local argmax class until it takes
+    the self class or reaches a leaf or an untrained node; ties go to the
+    first class in sorted order, the self class before the children. Raises
+    TaxonomyError when a sample never leaves the root.
+    """
     n, n_nodes = table.edge.shape
     # step[s, v]: the node sample s moves to from v; v itself ends the descent
     step = np.tile(np.arange(n_nodes), (n, 1))
@@ -135,7 +109,14 @@ def _lcpnb_scores(taxonomy: Taxonomy, table: ProbaTable):
 
 
 def decode_lcpnb(taxonomy: Taxonomy, table: ProbaTable) -> np.ndarray:
-    """Path scoring: the node id of each sample's best-scoring path."""
+    """Path scoring: the node id of each sample's best-scoring path.
+
+    Every node reachable through trained parents scores the mean of the
+    edge probabilities on its root path; a trained internal node adds its
+    self-class probability as a last edge. Ties go to the deeper node, then
+    the smaller id. Sums run edge by edge from the root, so scores and ties
+    are exact. Raises TaxonomyError when the root has no model.
+    """
     candidates, scores, _ = _lcpnb_scores(taxonomy, table)
     # argmax keeps the first maximum: deeper nodes first, then by id, which
     # within one depth is label order
@@ -250,16 +231,13 @@ def train_hier(
     """Train one local classifier per parent node (root included).
 
     The type of ``config`` chooses the base classifier (``fit_multiclass``).
-    Every label must be a taxonomy node, and every feature value finite
-    (FormatError otherwise). Parent nodes whose training subset is empty are
-    left untrained; prediction treats them as terminals. An SVM hierarchy
-    builds one kernel provider for the training set and hands each parent
-    node the slice of it for the node's rows (``_KernelColumns.subset``);
-    above the full-Gram limit each node builds its own. The parent nodes
-    are the tasks that ``threads`` worker processes share
-    (``parallel.run_tasks``); the model is the same for any worker count.
-    The model's ``kmer_config`` is read off ``X`` (``kmer_config_of``), or
-    None where the width is no set of k-mer blocks.
+    A label that is no taxonomy node raises TaxonomyError, and a feature
+    value that is not finite FormatError. A parent node with no training
+    rows is left untrained. An SVM hierarchy builds one kernel provider for
+    ``X`` and hands each node the slice of it for the node's rows. The
+    nodes are the tasks of ``threads`` worker processes; the model is the
+    same for any count. The model's ``kmer_config`` is ``kmer_config_of(X)``,
+    or None where the width is no set of k-mer blocks.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)  # the root node trains on X itself
     if X.ndim != 2 or X.shape[0] == 0:
@@ -362,11 +340,13 @@ def _pool_index(index, pool: np.ndarray, where: str) -> np.ndarray:
 
 
 def _svm_to_dict(bank: BinarySvmModel, pool: dict[bytes, int]) -> dict:
-    """A node bank, its support vectors added to ``pool``.
+    """A node bank, its support vectors added to ``pool``: the pool rows of
+    its support vectors (``pool_index``), its (n, k) ``dual_coef`` in
+    base64, ``gamma``, and k-lists of ``bias``, ``platt_a``, ``platt_b`` and
+    ``converged``.
 
     ``pool`` maps the little-endian bytes of each distinct support vector to
-    its row in the file's pool, in order of first use; the bank keeps the
-    pool rows of its own support vectors, in its own order.
+    its row in the file's pool, in order of first use.
     """
     return {
         "pool_index": pool_rows(bank.support_vectors, pool),
@@ -463,7 +443,14 @@ def _config_from_dict(base_kind: str, d) -> SvmConfig | LogRegConfig:
 
 
 def save_model(model: HierModel, sink: IO[str]) -> None:
-    """Write the model as schema version 3 JSON (see the module docstring)."""
+    """Write the model as schema version 3 JSON.
+
+    Every node and class is named by its dot-path (the root by ""). Scalars
+    are JSON numbers and float arrays base64 of their little-endian float64
+    bytes, so every value reads back exactly. Every distinct support vector
+    of the model is stored once, in one top-level ``pool`` of ``pool_rows``
+    rows.
+    """
     taxonomy_nodes = [
         {"path": render_label(n), "name": model.taxonomy.names.get(n, "")}
         for n in model.taxonomy.nodes()

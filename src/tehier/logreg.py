@@ -46,11 +46,9 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def logreg_loss(weights, bias, X, y_idx, l2_strength, with_probs: bool = False):
-    """Mean cross-entropy plus (l2/2)*||W||^2 (bias excluded).
-
-    Returns the loss as a float, or ``(loss, probs)`` with the softmax of
-    ``X @ weights + bias`` when ``with_probs`` is set.
+def logreg_loss(weights, bias, X, y_idx, l2_strength):
+    """(loss, probs): the mean cross-entropy plus (l2/2)*||W||^2 (bias
+    excluded), and the softmax of ``X @ weights + bias`` it was computed from.
     """
     scores = X @ weights + bias
     # the row max as k - 1 elementwise maxima over columns: exact in any
@@ -60,20 +58,17 @@ def logreg_loss(weights, bias, X, y_idx, l2_strength, with_probs: bool = False):
     total = e.sum(axis=1)
     nll = np.log(total) - shifted[np.arange(X.shape[0]), y_idx]
     loss = float(nll.mean() + 0.5 * l2_strength * np.sum(weights * weights))
-    if with_probs:
-        return loss, e / total[:, None]
-    return loss
+    return loss, e / total[:, None]
 
 
-def logreg_gradient(weights, bias, X, y_idx, l2_strength, probs=None):
+def logreg_gradient(weights, X, y_idx, l2_strength, probs):
     """Gradient of logreg_loss: ((P - onehot)'X / N + l2*W, mean(P - onehot)).
 
-    ``probs`` is P, the softmax of ``X @ weights + bias``, when the caller
-    already has it (``logreg_loss(..., with_probs=True)``); it is not modified.
-    Returns (grad_weights, grad_bias) with the same shapes as (weights, bias).
+    ``probs`` is P, the softmax that ``logreg_loss`` returned for these
+    weights; it is not modified. Returns (grad_weights, grad_bias).
     """
     n = X.shape[0]
-    probs = softmax(X @ weights + bias) if probs is None else probs.copy()
+    probs = probs.copy()
     probs[np.arange(n), y_idx] -= 1.0
     grad_w = X.T @ probs / n + l2_strength * weights
     grad_b = probs.mean(axis=0)
@@ -115,11 +110,11 @@ def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRe
         return theta[:-n_classes].reshape(-1, n_classes), theta[-n_classes:]
 
     def gradient(theta, probs):
-        grad_w, grad_b = logreg_gradient(*split(theta), X, y_idx, l2, probs)
+        grad_w, grad_b = logreg_gradient(split(theta)[0], X, y_idx, l2, probs)
         return np.concatenate([grad_w.ravel(), grad_b])
 
     theta = np.zeros((X.shape[1] + 1) * n_classes)
-    loss, probs = logreg_loss(*split(theta), X, y_idx, l2, with_probs=True)
+    loss, probs = logreg_loss(*split(theta), X, y_idx, l2)
     grad = gradient(theta, probs)
     history = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y) pairs, oldest first
 
@@ -133,7 +128,7 @@ def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRe
         step = 1.0
         for _ in range(40):
             new_theta = theta + step * direction
-            new_loss, new_probs = logreg_loss(*split(new_theta), X, y_idx, l2, with_probs=True)
+            new_loss, new_probs = logreg_loss(*split(new_theta), X, y_idx, l2)
             if new_loss - loss <= _ARMIJO * step * slope:
                 break
             step /= 2.0

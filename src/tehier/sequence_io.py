@@ -25,7 +25,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import FormatError, LabelParseError
-from .kmers import KmerConfig, canonical_feature_order, kmer_config_of
+from .kmers import canonical_feature_order, kmer_config_of
 from .labels import HierLabel, parse_label, render_label
 
 # Uppercase nucleotide alphabet: the four bases plus IUPAC ambiguity codes.
@@ -189,7 +189,7 @@ def read_feature_csv(source) -> tuple[np.ndarray, list[HierLabel | None]]:
     labeled = bool(header) and header[-1].strip().lower() == "label"
     feature_names = header[:-1] if labeled else header
     try:
-        expected = canonical_feature_order(kmer_config_of(np.empty((0, len(feature_names)))))
+        expected = _feature_names(len(feature_names))
     except ValueError as exc:
         raise FormatError(f"header: {exc}", line=1) from None
     dim = len(expected)
@@ -215,6 +215,12 @@ def read_feature_csv(source) -> tuple[np.ndarray, list[HierLabel | None]]:
         X.resize((len(labels), dim), refcheck=False)
         X[start:] = block
     return X, labels
+
+
+def _feature_names(width: int) -> list[str]:
+    """The canonical k-mer names of the one k-mer set of ``width`` columns;
+    ValueError for a width that is no such set."""
+    return canonical_feature_order(kmer_config_of(np.empty((0, width))))
 
 
 def _line_blocks(numbered: Iterator[tuple[int, str]]) -> Iterator[list[tuple[int, str]]]:
@@ -286,21 +292,26 @@ def _is_number(cell: str) -> bool:
 
 
 def write_feature_csv(
-    records: Iterable[tuple[np.ndarray, HierLabel | None]],
-    sink: IO[str],
-    config: KmerConfig | None = None,
+    records: Iterable[tuple[np.ndarray, HierLabel | None]], sink: IO[str]
 ) -> None:
     """Write feature vectors (and labels, when any record carries one).
 
-    Values are written with shortest round-trip float formatting
-    (``repr(float)``), so reading the file back reproduces the vectors bit
-    for bit. Rows are written in blocks of ``_CSV_WRITE_BLOCK_ROWS``, and each
-    distinct bit pattern of a block is formatted once; memory beyond the
-    records is one block's.
+    The header names the canonical k-mers of the one k-mer set the vectors'
+    width allows, as ``read_feature_csv`` reads it. FormatError is raised
+    for no records, a first vector whose width is no k-mer set, and a later
+    vector of another width. Values are written with shortest round-trip
+    float formatting (``repr(float)``), so reading the file back reproduces
+    the vectors bit for bit. Rows are written in blocks of
+    ``_CSV_WRITE_BLOCK_ROWS``, and each distinct bit pattern of a block is
+    formatted once; memory beyond the records is one block's.
     """
-    config = config or KmerConfig()
-    names = canonical_feature_order(config)
     records = list(records)
+    if not records:
+        raise FormatError("no feature vectors to write")
+    try:
+        names = _feature_names(len(records[0][0]))
+    except ValueError as exc:
+        raise FormatError(f"first feature vector: {exc}") from None
     labeled = any(label is not None for _, label in records)
     for vector, _ in records:
         vector = np.asarray(vector, dtype=np.float64)

@@ -129,22 +129,23 @@ class _KernelColumns:
 
 @dataclass
 class BinarySvmModel:
-    """Support vectors (alpha > 0 only), dual coefficients alpha*y, bias,
-    kernel width, and the Platt sigmoid (A, B).
+    """k soft-margin RBF SVMs of one width over shared support vectors.
 
-    Several SVMs of one width can share one model: with ``dual_coef`` of
-    shape (n_sv, k) and length-k ``bias``, ``platt_a``, ``platt_b`` and
-    ``converged``, every output gains a last axis of k, and the kernel block
-    over the support vectors is built once for all k.
+    ``dual_coef`` is (n_sv, k), column c holding alpha*y of SVM c (0 where
+    that SVM does not use a vector); ``bias``, ``platt_a``, ``platt_b`` and
+    ``converged`` are length-k arrays. ``train_binary_svm`` returns a bank
+    of one, and a node's bank holds its k one-vs-rest SVMs. Outputs are
+    (n_samples, k), from one kernel block over the support vectors; a bank
+    with no support vectors gives its bias on every row.
     """
 
     support_vectors: np.ndarray
     dual_coef: np.ndarray
-    bias: float | np.ndarray
+    bias: np.ndarray
     gamma: float
-    platt_a: float | np.ndarray
-    platt_b: float | np.ndarray
-    converged: bool | np.ndarray = True
+    platt_a: np.ndarray
+    platt_b: np.ndarray
+    converged: np.ndarray
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -153,8 +154,6 @@ class BinarySvmModel:
                 f"input has {X.shape[1]} features, model expects "
                 f"{self.support_vectors.shape[1]}"
             )
-        if self.support_vectors.shape[0] == 0:
-            return np.full((X.shape[0], *np.shape(self.bias)), self.bias)
         K = rbf_kernel_matrix(X, self.support_vectors, self.gamma)
         return K @ self.dual_coef + self.bias
 
@@ -162,14 +161,12 @@ class BinarySvmModel:
         return platt_probability(self.decision_function(X), self.platt_a, self.platt_b)
 
 
-def smo_solve(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int):
-    """Core SMO loop over a kernel-column provider.
+def smo_solve(column, y: np.ndarray, C: float, tol: float, max_iter: int):
+    """Core SMO loop; ``column(i)`` returns column i of the kernel matrix.
 
     Returns (alpha, bias, converged, grad), where grad is the dual gradient
-    Q alpha - 1 at the returned alpha. ``K_columns`` is either a callable
-    i -> column or a _KernelColumns instance.
+    Q alpha - 1 at the returned alpha.
     """
-    column = K_columns.column if hasattr(K_columns, "column") else K_columns
     n = y.shape[0]
     labels = y.tolist()
     alpha = [0.0] * n
@@ -252,7 +249,8 @@ def smo_solve(K_columns, y: np.ndarray, C: float, tol: float, max_iter: int):
 def train_binary_svm(
     X: np.ndarray, y: np.ndarray, config: SvmConfig, columns: _KernelColumns | None = None
 ) -> BinarySvmModel:
-    """Train a soft-margin RBF SVM with SMO and fit Platt calibration.
+    """Train a soft-margin RBF SVM with SMO and fit Platt calibration; the
+    result is a bank of one SVM (``BinarySvmModel``).
 
     ``y`` holds +1/-1 labels; both classes must be present. ``columns`` is
     a kernel provider built from this ``X`` and ``config.gamma``, shared by
@@ -269,7 +267,7 @@ def train_binary_svm(
     if columns is None:
         columns = _KernelColumns(X, config.gamma)
     alpha, bias, converged, grad = smo_solve(
-        columns, y, config.C, config.kkt_tolerance, config.max_passes * X.shape[0]
+        columns.column, y, config.C, config.kkt_tolerance, config.max_passes * X.shape[0]
     )
     # f(x_k) = sum_l alpha_l y_l K_kl + b, and grad_k = y_k sum_l alpha_l y_l K_kl - 1
     a, b = platt_calibrate(y * (grad + 1.0) + bias, y)
@@ -277,12 +275,12 @@ def train_binary_svm(
     keep = alpha > 0.0
     return BinarySvmModel(
         support_vectors=X[keep],
-        dual_coef=(alpha[keep] * y[keep]),
-        bias=bias,
+        dual_coef=(alpha[keep] * y[keep])[:, None],
+        bias=np.array([bias]),
         gamma=config.gamma,
-        platt_a=a,
-        platt_b=b,
-        converged=converged,
+        platt_a=np.array([a]),
+        platt_b=np.array([b]),
+        converged=np.array([converged]),
     )
 
 
@@ -318,7 +316,7 @@ def platt_calibrate(decision_values, labels) -> tuple[float, float]:
     a, b = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
     fval = objective(a, b)
     for _ in range(100):
-        p = _platt_sigmoid(a * f + b)
+        p = platt_probability(f, a, b)
         d1 = t - p
         d2 = p * (1.0 - p)
         g1 = float(np.dot(f, d1))
@@ -347,16 +345,12 @@ def platt_calibrate(decision_values, labels) -> tuple[float, float]:
     return float(a), float(b)
 
 
-def platt_probability(decision_values, a: float, b: float) -> np.ndarray:
-    """P(y=1 | f) = 1 / (1 + exp(a*f + b)), numerically stable."""
-    return _platt_sigmoid(a * np.asarray(decision_values, dtype=np.float64) + b)
+def platt_probability(decision_values, a, b) -> np.ndarray:
+    """P(y=1 | f) = 1 / (1 + exp(z)) with z = a*f + b, elementwise.
 
-
-def _platt_sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(z)), as exp(-z) / (1 + exp(-z)) where z >= 0.
-
-    Only exp(-|z|) is evaluated, which is exp(-z) on one side and exp(z) on
-    the other, so no branch overflows and no warning is printed.
+    Computed as exp(-z) / (1 + exp(-z)) where z >= 0: only exp(-|z|) is
+    evaluated, so no branch overflows and no warning is printed.
     """
+    z = a * np.asarray(decision_values, dtype=np.float64) + b
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, e, 1.0) / (1.0 + e)

@@ -153,7 +153,7 @@ def test_smo_kkt_audit_and_qp_oracle():
         C = float(rng.choice([0.5, 1.0, 4.0]))
         gamma = float(rng.choice([0.5, 1.0, 2.0]))
         alpha, bias, converged, _ = smo_solve(
-            _KernelColumns(X, gamma), y, C, tol, 200 * len(y)
+            _KernelColumns(X, gamma).column, y, C, tol, 200 * len(y)
         )
         assert converged
         K = rbf_kernel_matrix(X, X, gamma)
@@ -170,7 +170,7 @@ def test_smo_kkt_audit_and_qp_oracle():
             y[0] = -y[0]
         C, gamma = 1.0, 0.9
         K = rbf_kernel_matrix(X, X, gamma)
-        alpha, _, _, _ = smo_solve(_KernelColumns(X, gamma), y, C, 1e-6, 400 * n)
+        alpha, _, _, _ = smo_solve(_KernelColumns(X, gamma).column, y, C, 1e-6, 400 * n)
         gap = abs(dual_objective(K, y, alpha) - projected_gradient_qp(K, y, C)[1])
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-3
@@ -196,8 +196,9 @@ def test_logreg_gradient_matches_finite_differences():
         weights = rng.normal(scale=0.8, size=(d, k))
         bias = rng.normal(scale=0.5, size=k)
         l2 = float(rng.choice([0.0, 1e-4, 1e-2]))
-        grad_w, grad_b = logreg_gradient(weights, bias, X, y, l2)
-        loss_fn = lambda w, b: logreg_loss(w, b, X, y, l2)
+        _, probs = logreg_loss(weights, bias, X, y, l2)
+        grad_w, grad_b = logreg_gradient(weights, X, y, l2, probs)
+        loss_fn = lambda w, b: logreg_loss(w, b, X, y, l2)[0]
         num_w, num_b = finite_difference_logreg_gradient(loss_fn, weights, bias)
         scale = max(1.0, np.abs(num_w).max(), np.abs(num_b).max())
         err = max(np.abs(grad_w - num_w).max(), np.abs(grad_b - num_b).max()) / scale

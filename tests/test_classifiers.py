@@ -171,18 +171,19 @@ def test_bank_matches_each_binary_svm(rng, monkeypatch, node):
     positives = bank.predict_proba_positive(query)
     assert decisions.shape == positives.shape == (len(query), len(model.classes))
     for c, binary in enumerate(binaries):
-        assert np.allclose(decisions[:, c], binary.decision_function(query), rtol=0, atol=1e-12)
         assert np.allclose(
-            positives[:, c], binary.predict_proba_positive(query), rtol=0, atol=1e-12
+            decisions[:, c : c + 1], binary.decision_function(query), rtol=0, atol=1e-12
         )
-    assert bank.bias.tolist() == [m.bias for m in binaries]
-    assert bank.platt_a.tolist() == [m.platt_a for m in binaries]
-    assert bank.platt_b.tolist() == [m.platt_b for m in binaries]
-    assert bank.converged.tolist() == [m.converged for m in binaries]
+        assert np.allclose(
+            positives[:, c : c + 1], binary.predict_proba_positive(query), rtol=0, atol=1e-12
+        )
+    for name in ("bias", "platt_a", "platt_b", "converged"):
+        columns = np.concatenate([getattr(m, name) for m in binaries])
+        assert getattr(bank, name).tobytes() == columns.tobytes(), name
     # the pool holds each support vector of the node once
     used = {sv.tobytes() for m in binaries for sv in m.support_vectors}
     assert sorted(sv.tobytes() for sv in bank.support_vectors) == sorted(used)
-    scores = np.column_stack([m.predict_proba_positive(query) for m in binaries])
+    scores = np.hstack([m.predict_proba_positive(query) for m in binaries])
     expected = scores / scores.sum(axis=1, keepdims=True)
     assert np.allclose(model.predict_proba(query), expected, rtol=0, atol=1e-12)
 

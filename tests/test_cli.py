@@ -5,10 +5,13 @@ import pytest
 
 import tehier.cli
 from tehier import (
-    KmerConfig, SvmConfig, Taxonomy, featurize_batch, read_fasta, save_model_file,
-    train_hier,
+    KmerConfig, LogRegConfig, NumericError, SvmConfig, Taxonomy, featurize_batch, read_fasta,
+    render_label, save_model_file, train_hier, wicker_taxonomy,
 )
-from tehier.cli import main
+from tehier.cli import build_parser, main
+
+SUBCOMMANDS = ["synth", "featurize", "train", "predict", "evaluate", "cv", "gridsearch", "compare"]
+WICKER = Path(tehier.cli.__file__).parent / "data" / "wicker.txt"
 
 
 def run(args) -> int:
@@ -213,6 +216,18 @@ def test_evaluate_refuses_an_id_given_twice_in_a_fasta(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: line 7: {truth}: id 'a' is given twice\n"
 
 
+def test_evaluate_refuses_predicted_ids_the_truth_file_lacks(tmp_path, capsys):
+    truth, pred = tmp_path / "truth.csv", tmp_path / "pred.csv"
+    truth.write_text("id,label\na,1.1\nb,1.2\n")
+    pred.write_text("id,predicted_label\na,1.1\nb,1.2\nz,7.7.7\n")
+    assert run(["evaluate", pred, truth]) == 2
+    captured = capsys.readouterr()
+    assert "hF" not in captured.out
+    assert captured.err == (
+        "error: 1 ids in the predictions file are not in the truth file (first: z)\n"
+    )
+
+
 def test_cv_report_structure(workspace):
     report = workspace / "cv.csv"
     assert run(["cv", workspace / "data.csv", "--base", "logreg", "--folds", "5",
@@ -270,6 +285,74 @@ def test_compare_emits_all_pairs(workspace):
 def test_usage_errors_exit_one():
     assert run(["nosuchcommand"]) == 1
     assert run(["synth"]) == 1  # missing required --out
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["nosuchcommand"], "tehier"),
+    (["train"], "tehier train"),
+    (["train", "d.csv", "--out", "m.json", "--nosuch"], "tehier"),
+    (["synth", "--out", "s.fa", "--per-node", "x"], "tehier synth"),
+], ids=["command", "no-input", "unknown-option", "bad-int"])
+def test_a_usage_error_prints_the_usage_and_one_error_line(argv, prog, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err[:-1].rsplit("\n", 1)
+    assert usage.startswith(f"usage: {prog}") and "error:" not in usage
+    assert error.startswith(f"{prog}: error: ")
+    if prog == "tehier":
+        assert usage + "\n" == build_parser().format_usage()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_exits_zero_with_empty_stderr(command, capsys):
+    assert main([command, "-h"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: tehier {command}")
+
+
+def test_wicker_hierarchy_through_the_cli(tmp_path):
+    fasta, feats, model, pred = (tmp_path / n for n in ("w.fa", "w.csv", "m.json", "p.csv"))
+    assert run(["synth", "--taxonomy", WICKER, "--per-node", "4", "--length", "120",
+                "--seed", "3", "--out", fasta]) == 0
+    assert run(["featurize", fasta, "--out", feats]) == 0
+    assert run(["train", feats, "--taxonomy", WICKER, "--C", "8", "--gamma", "4",
+                "--out", model]) == 0
+    assert run(["predict", fasta, "--model", model, "--out", pred]) == 0
+    wicker = wicker_taxonomy()
+    nodes = {render_label(label) for label in wicker.nodes()}
+    predicted = [line.split(",")[1] for line in pred.read_text().splitlines()[1:]]
+    assert len(predicted) == len(read_fasta(fasta))
+    assert set(predicted) <= nodes
+    names = {render_label(label): name for label, name in wicker.names.items()}
+    saved = {entry["path"]: entry["name"] for entry in json.loads(model.read_text())["taxonomy"]}
+    assert saved == {path: names.get(path, "") for path in nodes}
+    assert "Copia" in saved.values()
+
+
+def test_compare_writes_a_failed_row_per_strategy_for_a_failing_base(
+    workspace, monkeypatch, capsys
+):
+    crossval = tehier.cli.crossval_strategies
+
+    def logreg_fails(X, labels, taxonomy, config, **kwargs):
+        if isinstance(config, LogRegConfig):
+            raise NumericError("stub failure")
+        return crossval(X, labels, taxonomy, config, **kwargs)
+
+    monkeypatch.setattr(tehier.cli, "crossval_strategies", logreg_fails)
+    out = workspace / "compare.csv"
+    assert run(["compare", workspace / "data.csv", "--bases", "svm,logreg", "--folds", "3",
+                "--C", "8", "--gamma", "4", "--out", out]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[0], r[1], r[4]) for r in rows] == [
+        ("svm", "nllcpn", "ok"), ("svm", "lcpnb", "ok"),
+        ("logreg", "nllcpn", "failed: stub failure"), ("logreg", "lcpnb", "failed: stub failure"),
+    ]
+    assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[:2])
+    assert all(r[2:4] == ["NA", "NA"] for r in rows[2:])
+    assert "logreg" not in capsys.readouterr().out
 
 
 def test_seed_echoed(workspace, capsys):

@@ -677,6 +677,19 @@ def query_rows():
         return read_feature_csv(fh)[0]
 
 
+def test_an_svm_node_with_no_support_vectors_gives_its_bias():
+    payload = fixture_payload("svm")
+    payload["node_models"]["2"].update(pool_index=[], dual_coef="")
+    model = load_model(io.StringIO(json.dumps(payload)))
+    bank = model.node_models[model.taxonomy.node_index[(2,)]].model
+    assert bank.support_vectors.shape == (0, model.n_features)
+    X = query_rows()
+    with np.errstate(all="raise"):
+        decisions = bank.decision_function(X)
+        model.predict(X, "lcpnb")
+    assert decisions.tobytes() == np.tile(bank.bias, (len(X), 1)).tobytes()
+
+
 def set_node(key, field, value, index=None):
     def mutate(p):
         if index is None:

@@ -8,8 +8,13 @@ from oracles import finite_difference_logreg_gradient, train_logreg_reference
 
 
 def finite_difference_gradient(weights, bias, X, y_idx, l2, h=1e-5):
-    loss_fn = lambda w, b: logreg_loss(w, b, X, y_idx, l2)
+    loss_fn = lambda w, b: logreg_loss(w, b, X, y_idx, l2)[0]
     return finite_difference_logreg_gradient(loss_fn, weights, bias, h)
+
+
+def gradient(weights, bias, X, y_idx, l2):
+    """logreg_gradient at (weights, bias), given the softmax logreg_loss returns there."""
+    return logreg_gradient(weights, X, y_idx, l2, logreg_loss(weights, bias, X, y_idx, l2)[1])
 
 
 def test_gradient_at_zero_weights_closed_form(rng):
@@ -18,7 +23,7 @@ def test_gradient_at_zero_weights_closed_form(rng):
     n, d, k = 12, 4, 3
     X = rng.normal(size=(n, d))
     y = rng.integers(0, k, size=n)
-    grad_w, grad_b = logreg_gradient(np.zeros((d, k)), np.zeros(k), X, y, 0.0)
+    grad_w, grad_b = gradient(np.zeros((d, k)), np.zeros(k), X, y, 0.0)
     resid = np.full((n, k), 1.0 / k)
     resid[np.arange(n), y] -= 1.0
     assert np.allclose(grad_w, X.T @ resid / n, atol=1e-12)
@@ -36,7 +41,7 @@ def test_gradient_matches_finite_differences(rng):
         weights = rng.normal(scale=0.8, size=(d, k))
         bias = rng.normal(scale=0.5, size=k)
         l2 = float(rng.choice([0.0, 1e-4, 1e-2]))
-        grad_w, grad_b = logreg_gradient(weights, bias, X, y, l2)
+        grad_w, grad_b = gradient(weights, bias, X, y, l2)
         num_w, num_b = finite_difference_gradient(weights, bias, X, y, l2)
         scale = max(1.0, np.abs(num_w).max(), np.abs(num_b).max())
         err = max(np.abs(grad_w - num_w).max(), np.abs(grad_b - num_b).max()) / scale
@@ -50,10 +55,8 @@ def test_duplicated_dataset_same_gradient(rng):
     y = rng.integers(0, k, size=n)
     weights = rng.normal(size=(d, k))
     bias = rng.normal(size=k)
-    g1 = logreg_gradient(weights, bias, X, y, 0.0)
-    g2 = logreg_gradient(
-        weights, bias, np.vstack([X, X]), np.concatenate([y, y]), 0.0
-    )
+    g1 = gradient(weights, bias, X, y, 0.0)
+    g2 = gradient(weights, bias, np.vstack([X, X]), np.concatenate([y, y]), 0.0)
     assert np.allclose(g1[0], g2[0], atol=1e-12)
     assert np.allclose(g1[1], g2[1], atol=1e-12)
 
@@ -71,8 +74,8 @@ def test_training_reduces_loss_and_separates(rng):
     X, y = separable_blobs(rng, 40, [(2, 0), (-2, 0), (0, 2)])
     config = LogRegConfig()
     model = train_logreg(X, y, 3, config)
-    start = logreg_loss(np.zeros((2, 3)), np.zeros(3), X, y, config.l2_strength)
-    end = logreg_loss(model.weights, model.bias, X, y, config.l2_strength)
+    start, _ = logreg_loss(np.zeros((2, 3)), np.zeros(3), X, y, config.l2_strength)
+    end, _ = logreg_loss(model.weights, model.bias, X, y, config.l2_strength)
     assert end < start
     assert (model.predict_proba(X).argmax(axis=1) == y).mean() >= 0.95
 
@@ -95,8 +98,8 @@ def test_loss_with_probs_hands_back_the_softmax(rng):
     y = rng.integers(0, k, size=n)
     weights = rng.normal(scale=2.0, size=(d, k))
     bias = rng.normal(size=k)
-    loss, probs = logreg_loss(weights, bias, X, y, 1e-4, with_probs=True)
-    assert loss == logreg_loss(weights, bias, X, y, 1e-4)
+    loss, probs = logreg_loss(weights, bias, X, y, 1e-4)
+    assert type(loss) is float
     assert np.array_equal(probs, softmax(X @ weights + bias))
 
 
@@ -108,10 +111,10 @@ def test_gradient_same_bits_with_passed_in_softmax(rng, k):
     for scale in (0.0, 1.0, 50.0):  # 0: every score ties
         weights = rng.normal(scale=scale, size=(d, k))
         bias = rng.normal(scale=scale, size=k)
-        _, probs = logreg_loss(weights, bias, X, y, 1e-4, with_probs=True)
+        _, probs = logreg_loss(weights, bias, X, y, 1e-4)
         kept = probs.copy()
-        passed = logreg_gradient(weights, bias, X, y, 1e-4, probs)
-        fresh = logreg_gradient(weights, bias, X, y, 1e-4)
+        passed = logreg_gradient(weights, X, y, 1e-4, probs)
+        fresh = logreg_gradient(weights, X, y, 1e-4, softmax(X @ weights + bias))
         assert np.array_equal(passed[0], fresh[0]) and np.array_equal(passed[1], fresh[1])
         assert np.array_equal(probs, kept)  # the caller's softmax is left alone
 
@@ -129,9 +132,10 @@ def _bit_identity_problems(rng, k):
 
 
 def _objective_and_gradient_norm(weights, bias, X, y, l2):
-    grad_w, grad_b = logreg_gradient(weights, bias, X, y, l2)
+    loss, probs = logreg_loss(weights, bias, X, y, l2)
+    grad_w, grad_b = logreg_gradient(weights, X, y, l2, probs)
     gnorm = float(np.sqrt(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b)))
-    return logreg_loss(weights, bias, X, y, l2), gnorm
+    return loss, gnorm
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 12])
@@ -147,7 +151,7 @@ def test_training_matches_reference_bit_for_bit(rng, k):
             loss, gnorm = _objective_and_gradient_norm(model.weights, model.bias, X, y, l2)
             assert model.converged == (gnorm <= config.tolerance)
             weights, bias, converged = train_logreg_reference(X, y, k, config)
-            reference_loss = logreg_loss(weights, bias, X, y, l2)
+            reference_loss, _ = logreg_loss(weights, bias, X, y, l2)
             if not converged:
                 assert loss <= reference_loss
             elif model.converged:
@@ -182,7 +186,7 @@ def test_desk_nodes_converge_no_higher_than_reference(desk_nodes):
         loss, gnorm = _objective_and_gradient_norm(model.weights, model.bias, X, y, config.l2_strength)
         assert model.converged and gnorm <= config.tolerance
         weights, bias, _ = train_logreg_reference(X, y, k, config)
-        assert loss <= logreg_loss(weights, bias, X, y, config.l2_strength)
+        assert loss <= logreg_loss(weights, bias, X, y, config.l2_strength)[0]
 
 
 def test_unbounded_objective_ends_finite_and_unconverged(rng):

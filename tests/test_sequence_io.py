@@ -248,6 +248,23 @@ def test_feature_csv_writer_rejects_wrong_width():
         write_feature_csv([(np.zeros(336), None), (np.zeros(335), None)], io.StringIO())
 
 
+@pytest.mark.parametrize("records, message", [
+    ([], "no feature vectors"),
+    ([(np.zeros(335), None)], "first feature vector: 335 feature columns"),
+], ids=["empty", "no-kmer-width"])
+def test_feature_csv_writer_refuses_what_no_header_fits(records, message):
+    with pytest.raises(FormatError, match=message):
+        write_feature_csv(records, io.StringIO())
+
+
+@pytest.mark.parametrize("ks", [(2,), (2, 3), (1, 3, 5)])
+def test_feature_csv_writer_header_is_the_width_s_kmer_set(ks):
+    config = KmerConfig(ks)
+    sink = io.StringIO()
+    write_feature_csv([(np.zeros(config.dimension), None)], sink)
+    assert sink.getvalue().splitlines()[0] == ",".join(canonical_feature_order(config))
+
+
 def test_read_feature_csv_sources_line_ends_and_shared_labels(tmp_path):
     names = canonical_feature_order(KmerConfig())
     row = ",".join(["0.25"] * 336)

@@ -96,7 +96,18 @@ def test_separable_four_points():
     X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
     model = train_binary_svm(X, y, SvmConfig(C=10.0, gamma=1.0))
-    assert (np.sign(model.decision_function(X)) == y).all()
+    assert (np.sign(model.decision_function(X)[:, 0]) == y).all()
+
+
+def test_train_binary_svm_returns_a_bank_of_one(rng):
+    X, y = blob_pair(rng, 20)
+    model = train_binary_svm(X, y, SvmConfig(C=2.0, gamma=1.0))
+    assert model.dual_coef.shape == (len(model.support_vectors), 1)
+    for name in ("bias", "platt_a", "platt_b", "converged"):
+        assert getattr(model, name).shape == (1,), name
+    assert model.converged.dtype == bool
+    assert model.decision_function(X[:5]).shape == (5, 1)
+    assert model.predict_proba_positive(X[:5]).shape == (5, 1)
 
 
 def test_kkt_audit_on_random_blobs(rng):
@@ -105,7 +116,7 @@ def test_kkt_audit_on_random_blobs(rng):
         X, y = blob_pair(rng, 100, separation=1.0 + trial * 0.3)
         K = rbf_kernel_matrix(X, X, config.gamma)
         alpha, bias, converged, _ = smo_solve(
-            _KernelColumns(X, config.gamma), y, config.C, config.kkt_tolerance, 200 * len(y)
+            _KernelColumns(X, config.gamma).column, y, config.C, config.kkt_tolerance, 200 * len(y)
         )
         assert converged
         viol = kkt_violations(K, y, alpha, bias, config.C)
@@ -134,7 +145,8 @@ def test_dual_objective_matches_projected_gradient_oracle(rng):
         model = train_binary_svm(X, y, config)
         K = rbf_kernel_matrix(X, X, config.gamma)
         # recover full alpha by re-solving; equivalently read it off the SVs
-        alpha, _, _, _ = smo_solve(_KernelColumns(X, config.gamma), y, config.C, 1e-6, 200 * n)
+        column = _KernelColumns(X, config.gamma).column
+        alpha, _, _, _ = smo_solve(column, y, config.C, 1e-6, 200 * n)
         smo_obj = dual_objective(K, y, alpha)
         _, pg_obj = projected_gradient_qp(K, y, config.C, iterations=150_000)
         assert smo_obj == pytest.approx(pg_obj, abs=1e-3)
@@ -147,8 +159,8 @@ def test_training_is_deterministic(rng):
     m2 = train_binary_svm(X, y, config)
     assert np.array_equal(m1.dual_coef, m2.dual_coef)
     assert np.array_equal(m1.support_vectors, m2.support_vectors)
-    assert m1.bias == m2.bias
-    assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)
+    for name in ("bias", "platt_a", "platt_b", "converged"):
+        assert np.array_equal(getattr(m1, name), getattr(m2, name)), name
 
 
 def test_duplicated_dataset_keeps_decision_function(rng):
@@ -163,15 +175,16 @@ def test_duplicated_dataset_keeps_decision_function(rng):
     assert np.allclose(base.decision_function(grid), doubled.decision_function(grid), atol=1e-3)
 
 
-def _assert_matches_reference(provider, y, C, tol, max_iter):
-    """smo_solve equals both oracles bit for bit; the in-place one also on grad,
-    which Platt reads its decision values from."""
-    alpha, bias, converged, grad = smo_solve(provider, y, C, tol, max_iter)
-    ref_alpha, ref_bias, ref_converged = smo_reference(provider, y, C, tol, max_iter)
+def _assert_matches_reference(column, y, C, tol, max_iter):
+    """smo_solve on the column function ``column`` equals both oracles bit for
+    bit; the in-place one also on grad, which Platt reads its decision values
+    from."""
+    alpha, bias, converged, grad = smo_solve(column, y, C, tol, max_iter)
+    ref_alpha, ref_bias, ref_converged = smo_reference(column, y, C, tol, max_iter)
     assert np.array_equal(alpha, ref_alpha)
     assert bias == ref_bias
     assert converged == ref_converged
-    in_place = smo_inplace_reference(provider, y, C, tol, max_iter)
+    in_place = smo_inplace_reference(column, y, C, tol, max_iter)
     assert alpha.view(np.uint64).tolist() == in_place[0].view(np.uint64).tolist()
     assert (bias, converged) == in_place[1:3] and type(bias) is float
     assert grad.view(np.uint64).tolist() == in_place[3].view(np.uint64).tolist()
@@ -190,7 +203,7 @@ def test_smo_matches_reference_bit_for_bit(rng):
         gamma = float(rng.choice([0.3, 1.0, 4.0]))
         C = float(rng.choice([0.5, 2.0, 16.0]))
         _, converged = _assert_matches_reference(
-            _KernelColumns(X, gamma), y, C, 1e-3, 200 * len(y)
+            _KernelColumns(X, gamma).column, y, C, 1e-3, 200 * len(y)
         )
         assert converged
 
@@ -200,7 +213,9 @@ def test_smo_matches_in_place_oracle_on_random_blobs(rng, C):
     for _ in range(4):
         X, y = blob_pair(rng, int(rng.integers(20, 60)), separation=float(rng.uniform(0.5, 2.0)))
         order = rng.permutation(len(y))
-        _assert_matches_reference(_KernelColumns(X[order], 2.0), y[order], C, 1e-3, 200 * len(y))
+        _assert_matches_reference(
+            _KernelColumns(X[order], 2.0).column, y[order], C, 1e-3, 200 * len(y)
+        )
 
 
 def test_smo_matches_reference_with_snapped_alphas(rng, monkeypatch):
@@ -209,11 +224,11 @@ def test_smo_matches_reference_with_snapped_alphas(rng, monkeypatch):
     # a snap threshold of 1e-3 * C makes snapping to 0 common; these
     # separable blobs keep every alpha far below C = 100
     X, y = blob_pair(rng, 40, separation=2.0)
-    provider = _KernelColumns(X, 1.0)
-    default = smo_solve(provider, y, 100.0, 1e-3, 4000)[0]
+    column = _KernelColumns(X, 1.0).column
+    default = smo_solve(column, y, 100.0, 1e-3, 4000)[0]
     monkeypatch.setattr(tehier.svm, "_SNAP", 1e-3)
     monkeypatch.setattr(oracles, "_SNAP", 1e-3)
-    snapped, _ = _assert_matches_reference(provider, y, 100.0, 1e-3, 4000)
+    snapped, _ = _assert_matches_reference(column, y, 100.0, 1e-3, 4000)
     assert not np.array_equal(snapped, default) and snapped.max() < 50.0
     monkeypatch.undo()
 
@@ -238,13 +253,13 @@ def test_smo_matches_reference_on_exactly_tied_values(rng):
 def test_smo_matches_reference_with_alphas_at_c(rng):
     X, y = blob_pair(rng, 60, separation=0.5, spread=0.8)
     C = 0.1
-    alpha, _ = _assert_matches_reference(_KernelColumns(X, 1.0), y, C, 1e-3, 200 * len(y))
+    alpha, _ = _assert_matches_reference(_KernelColumns(X, 1.0).column, y, C, 1e-3, 200 * len(y))
     assert (alpha == C).sum() > 10  # precondition: many alphas pinned at the box bound
 
 
 def test_smo_matches_reference_when_budget_runs_out(rng):
     X, y = blob_pair(rng, 50, separation=1.0)
-    _, converged = _assert_matches_reference(_KernelColumns(X, 1.0), y, 1.0, 1e-3, 5)
+    _, converged = _assert_matches_reference(_KernelColumns(X, 1.0).column, y, 1.0, 1e-3, 5)
     assert not converged
 
 
@@ -257,7 +272,7 @@ def test_smo_matches_reference_on_plain_callable(rng):
 def test_smo_matches_reference_on_column_cache(rng, monkeypatch):
     monkeypatch.setattr(tehier.svm, "_FULL_GRAM_LIMIT", 10)
     X, y = blob_pair(rng, 40, separation=1.2)
-    _assert_matches_reference(_KernelColumns(X, 0.7), y, 2.0, 1e-3, 200 * len(y))
+    _assert_matches_reference(_KernelColumns(X, 0.7).column, y, 2.0, 1e-3, 200 * len(y))
 
 
 def test_subset_slices_the_training_set_gram(rng, monkeypatch):
@@ -297,9 +312,9 @@ def test_platt_inputs_from_gradient_match_decision_function(
     X, y = blob_pair(rng, 60, separation=0.8, spread=0.6)
     model = train_binary_svm(X, y, SvmConfig(C=4.0, gamma=2.0, kkt_tolerance=tol,
                                              max_passes=max_passes))
-    assert model.converged == converges
+    assert model.converged.tolist() == [converges]
     (from_gradient,) = captured
-    assert np.allclose(from_gradient, model.decision_function(X), rtol=0, atol=1e-9)
+    assert np.allclose(from_gradient, model.decision_function(X)[:, 0], rtol=0, atol=1e-9)
 
 
 def test_single_class_rejected():
