@@ -3,12 +3,13 @@
 from tehier import (
     Grid,
     KmerConfig,
+    SvmConfig,
     SynthSpec,
     featurize_batch,
     generate,
     grid_search,
     taxonomy_from_shape,
-    train_final,
+    train_hier,
 )
 
 taxonomy = taxonomy_from_shape([2, 3], seed=5)
@@ -33,11 +34,12 @@ print(f"{'C':>8s} {'gamma':>8s} {'mean hF':>9s} {'std':>7s}  status")
 for cell in result.cells:
     hf = "  --  " if cell.mean_hf is None else f"{cell.mean_hf:9.4f}"
     std = "  --  " if cell.std_hf is None else f"{cell.std_hf:7.4f}"
-    marker = " <== selected" if (cell.C, cell.gamma) == result.selected else ""
+    marker = " <== selected" if cell is result.selected else ""
     print(f"{cell.C:8g} {cell.gamma:8g} {hf} {std}  {cell.status}{marker}")
 
-model = train_final(X, labels, taxonomy, result)
+best = result.selected
+model = train_hier(X, labels, taxonomy, SvmConfig(C=best.C, gamma=best.gamma))
 print(f"\nfinal model trained on all {len(labels)} samples "
-      f"with C={result.selected[0]:g}, gamma={result.selected[1]:g}")
+      f"with C={best.C:g}, gamma={best.gamma:g}")
 print(f"local models: {len(model.node_models)}; "
       f"untrained nodes: {[str(n) for n in model.untrained_nodes] or 'none'}")

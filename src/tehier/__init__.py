@@ -20,7 +20,7 @@ from .errors import (
     TaxonomyError,
     TehierError,
 )
-from .gridsearch import Grid, GridResult, grid_search, train_final
+from .gridsearch import Grid, GridResult, grid_search
 from .hierarchy import (
     LCPNB,
     NLLCPN,

@@ -1,14 +1,8 @@
-"""Command-line interface.
+"""Command-line interface to the tehier pipeline.
 
-Subcommands cover the whole pipeline: ``synth`` makes labeled FASTA,
-``featurize`` turns FASTA into feature CSV, ``train``/``predict`` fit and
-apply a hierarchical model, ``evaluate`` scores prediction files, ``cv``
-cross-validates, ``gridsearch`` tunes the SVM, and ``compare`` sweeps
-base-classifier/strategy combinations.
-
-Every command takes an explicit ``--seed`` (echoed to stdout) and writes
-machine-readable artifacts only through ``--out`` paths; given the same
-arguments the outputs are byte-identical, regardless of ``--threads``.
+synth -> featurize -> train -> predict -> evaluate; cv, gridsearch and
+compare cross-validate. Tables are written as CSV, and given the same
+arguments every output is byte-identical, whatever --threads.
 
 Exit codes: 0 success, 1 usage, 2 data/format problem, 3 numeric failure.
 """
@@ -16,6 +10,7 @@ Exit codes: 0 success, 1 usage, 2 data/format problem, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import functools
 import json
@@ -99,9 +94,9 @@ def _load_labeled_features(path):
 
 def _write_csv_rows(path, header: list[str], rows: list[list[str]]):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -152,10 +147,8 @@ def cmd_train(args) -> int:
 
 
 def _read_prediction_inputs(path, model):
-    """(ids, X) from FASTA (featurized per the model) or a feature CSV, whose
-    width the model checks. A FASTA needs the model's featurization, and a
-    CSV whose rows cannot hold the model's normalization is refused; rows
-    that fit both normalizations pass."""
+    """(ids, X) from a FASTA, featurized as the model records, or a feature
+    CSV; a CSV whose rows cannot hold the model's normalization is refused."""
     config = model.kmer_config
     with open(path, "rb") as fh:
         head = fh.read(1)
@@ -223,15 +216,18 @@ def _read_label_file(path) -> dict[str, object]:
         return out
     out = {}
     parse = functools.cache(parse_label)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 2 or header[0] != "id":
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        if len(header) != 2 or header[0].strip() != "id":
             raise FormatError(f"{path}: expected an 'id,<label>' CSV header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+        for row in rows:
+            if not "".join(row).strip():
                 continue
-            ident, _, token = line.partition(",")
+            lineno = rows.line_num
+            if len(row) != 2:
+                raise FormatError(f"{path}: expected an id and a label, got {row!r}", line=lineno)
+            ident, token = row[0].strip(), row[1]
             if ident in out:
                 raise FormatError(f"{path}: id {ident!r} is given twice", line=lineno)
             try:
@@ -358,16 +354,17 @@ def cmd_gridsearch(args) -> int:
         rows = [
             [
                 _fmt(cell.C), _fmt(cell.gamma),
-                _fmt_or_na(cell.mean_hf), _fmt_or_na(cell.std_hf), cell.status,
+                _fmt_or_na(cell.mean_hf), _fmt_or_na(cell.std_hf),
+                cell.status if cell.status == "ok" else f"failed: {cell.error}",
             ]
             for cell in result.cells
         ]
         _write_csv_rows(args.out, ["C", "gamma", "mean_hF", "std_hF", "status"], rows)
     failed = sum(1 for c in result.cells if c.status == "failed")
     print(f"evaluated {len(result.cells)} cells ({failed} failed)")
-    if result.selected is None:
+    chosen = result.selected
+    if chosen is None:
         raise GridSearchError("no viable cell: every grid cell failed")
-    chosen = result.selected_cell
     print(f"selected C={chosen.C:g} gamma={chosen.gamma:g} "
           f"(mean hF={chosen.mean_hf:.4f})")
     return EXIT_OK

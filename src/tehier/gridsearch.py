@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridSearchError, TehierError
-from .hierarchy import LCPNB, HierModel, train_hier
+from .errors import TehierError
+from .hierarchy import LCPNB
 from .labels import HierLabel
 from .metrics import crossval
 from .parallel import run_tasks
@@ -53,15 +53,7 @@ class GridCell:
 @dataclass
 class GridResult:
     cells: list[GridCell]
-    selected: tuple[float, float] | None
-
-    @property
-    def selected_cell(self) -> GridCell | None:
-        if self.selected is None:
-            return None
-        return next(
-            c for c in self.cells if (c.C, c.gamma) == self.selected and c.status == "ok"
-        )
+    selected: GridCell | None  # the winning cell; None when every cell failed
 
 
 def grid_search(
@@ -71,15 +63,12 @@ def grid_search(
     grid: Grid | None = None,
     threads: int = 1,
 ) -> GridResult:
-    """Evaluate every (C, gamma) cell by cross-validated hF on the given data.
+    """Every (C, gamma) cell scored by cross-validated hF, and the winner.
 
-    Failed cells are recorded and excluded from selection; ties go to the
-    smaller C, then the smaller gamma. The cells are the tasks that
-    ``threads`` worker processes share (``parallel.run_tasks``); the result
-    is the same for any worker count. Cells are handed out dearest first:
-    larger gamma, then larger C, the order of their cost on the desk corpus.
-    So no worker is left alone with the slowest cell at the end.
-    ``GridResult.cells`` is still in lattice order.
+    A cell that raises is recorded as failed and never selected; ties go to
+    the smaller C, then the smaller gamma. Cells run dearest first (larger
+    gamma, then larger C) on ``threads`` worker processes; the result is the
+    same for any worker count, with ``cells`` in lattice order.
     """
     grid = grid or Grid()
     lattice = [(c, g) for c in grid.c_values for g in grid.gamma_values]
@@ -106,19 +95,4 @@ def grid_search(
         key=lambda cell: (-cell.mean_hf, cell.C, cell.gamma),
         default=None,
     )
-    return GridResult(cells=cells, selected=None if best is None else (best.C, best.gamma))
-
-
-def train_final(
-    X: np.ndarray,
-    labels: list[HierLabel],
-    taxonomy: Taxonomy,
-    grid_result: GridResult,
-    threads: int = 1,
-) -> HierModel:
-    """Train on all provided data with the selected (C, gamma)."""
-    if grid_result.selected is None:
-        raise GridSearchError("no viable cell: every grid cell failed")
-    c_value, gamma = grid_result.selected
-    config = SvmConfig(C=c_value, gamma=gamma)
-    return train_hier(X, labels, taxonomy, config, threads)
+    return GridResult(cells=cells, selected=best)

@@ -1,17 +1,8 @@
-"""k-mer feature extraction.
-
-Every sequence maps to one fixed-length vector: for each window size k the
-counts (or per-block relative frequencies) of all 4^k k-mers, blocks
-concatenated in ascending k. The canonical coordinate order is lexicographic
-over A<C<G<T within each block; with the default K=2,3,4 the vector has
-16+64+256 = 336 coordinates and index 0 is AA, 16 is AAA, 80 is AAAA.
-
-Counting uses direct 2-bit indexing (A=0, C=1, G=2, T=3). Any window touching
-a non-ACGT character (N or another ambiguity code, lowercase included) is
-skipped entirely. Sequences are counted a block at a time: the block's codes
-are concatenated, one rolling index serves every k, and each k takes one
-``bincount`` over (row, k-mer) pairs, so no Python loop runs per sequence or
-per residue.
+"""k-mer features: per window size k, the counts or the per-block relative
+frequencies of all 4^k k-mers, blocks in ascending k, each lexicographic
+over A<C<G<T. With k = 2, 3, 4 a vector has 336 coordinates, and index 0
+is AA, 16 is AAA and 80 is AAAA. A window that touches a character other
+than uppercase A, C, G or T counts for nothing.
 """
 
 from __future__ import annotations
@@ -71,11 +62,10 @@ class KmerConfig:
 def kmer_config_of(X: np.ndarray) -> KmerConfig:
     """The featurization of an (n_rows, width) feature matrix, read off it.
 
-    The k values are those whose 4^k blocks add up to the width; the base-4
-    digits of the width name the only such set, and any other width raises
-    ValueError. The matrix holds relative frequencies when every k-block of
-    every row sums to 0 or to 1 (within 1e-9), raw counts otherwise. A row
-    whose blocks all sum to 0 or 1 is the same vector in both modes.
+    The k values are the one set whose 4^k blocks add up to the width
+    (ValueError for a width with none). The matrix holds relative frequencies
+    when every k-block of every row sums to 0 or 1 (within 1e-9), raw counts
+    otherwise.
     """
     width = X.shape[1]
     ks = tuple(k for k in range(1, _MAX_K + 1) if (width >> 2 * k) & 3)
@@ -87,10 +77,7 @@ def kmer_config_of(X: np.ndarray) -> KmerConfig:
 
 
 def canonical_feature_order(config: KmerConfig | None = None) -> list[str]:
-    """All k-mer names in vector-coordinate order.
-
-    This order is the contract for CSV columns and vector indices.
-    """
+    """All k-mer names in vector-coordinate order, the order of CSV columns."""
     config = config or KmerConfig()
     names: list[str] = []
     for k in config.k_values:
@@ -99,11 +86,7 @@ def canonical_feature_order(config: KmerConfig | None = None) -> list[str]:
 
 
 def count_kmers(residues, k: int) -> np.ndarray:
-    """Exact counts of every 4^k k-mer in a sequence (int64 vector).
-
-    Windows containing a non-ACGT character count for nothing; sequences
-    shorter than k give all zeros. k must be in 1..12, as in ``KmerConfig``.
-    """
+    """Counts of every 4^k k-mer in a sequence (int64 vector), k in 1..12."""
     if not 1 <= k <= _MAX_K:
         raise ValueError(f"k must be in 1..{_MAX_K}, got {k}")
     return _count_block([getattr(residues, "residues", residues)], (k,))[0][0]
@@ -117,12 +100,8 @@ def featurize(sequence, config: KmerConfig | None = None) -> np.ndarray:
 def featurize_batch(
     sequences: SequenceType, config: KmerConfig | None = None, threads: int = 1
 ) -> np.ndarray:
-    """Row-per-sequence feature matrix; row order matches input order.
-
-    The sequences are cut into one contiguous chunk per worker, and the
-    chunks are the tasks that ``threads`` worker processes share
-    (``parallel.run_tasks``); the result is identical for any worker count.
-    """
+    """Row-per-sequence feature matrix in input order, the same for any
+    number of ``threads`` (one contiguous chunk of sequences per worker)."""
     config = config or KmerConfig()
     residues = [getattr(s, "residues", s) for s in sequences]
     if not residues:
@@ -136,13 +115,9 @@ def featurize_batch(
 
 
 def _features(residues: list[str], config: KmerConfig) -> np.ndarray:
-    """Feature rows of ``residues``, counted a block of rows at a time.
-
-    A block holds whole sequences up to ``_BLOCK_RESIDUES`` residues (or one
-    longer sequence alone), so the transient arrays stay a few MB whatever
-    the input size. Each row of a block is divided by its own total, as a
-    row counted alone would be.
-    """
+    """Feature rows of ``residues``, counted in blocks of whole sequences of
+    up to ``_BLOCK_RESIDUES`` residues; each row is normalized by its own
+    totals."""
     out = np.empty((len(residues), config.dimension), dtype=np.float64)
     for start, stop in _blocks([len(r) for r in residues]):
         counts = _count_block(residues[start:stop], config.k_values)
@@ -170,12 +145,9 @@ def _blocks(lengths: list[int]):
 def _count_block(residues: list[str], k_values) -> list[np.ndarray]:
     """One ``(len(residues), 4**k)`` int64 count matrix per k.
 
-    The 2-bit codes of all sequences are concatenated, and one rolling index
-    for the largest k is built in uint32: bits 2j..2j+1 at position p hold
-    the code at p - j, so each smaller k masks out its index. The window
-    ending at p counts for k when the run of ACGT characters ending at p,
-    inside p's own sequence, is at least k long. Each k then takes one
-    bincount over ``row * 4**k + index``.
+    One rolling uint32 index for the largest k serves every k: bits 2j..2j+1
+    at position p hold the code at p - j. The window ending at p counts for k
+    when the ACGT run ending at p, inside p's own sequence, is k or longer.
     """
     text = "".join(residues).encode("ascii", errors="replace")
     codes = _ENCODE[np.frombuffer(text, dtype=np.uint8)]

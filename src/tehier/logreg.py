@@ -1,13 +1,8 @@
-"""Multinomial logistic regression (softmax) with L2-regularized weights.
-
-Fitting is L-BFGS (Liu & Nocedal 1989; Nocedal & Wright ch. 7) over weights
-and bias as one flat vector: a two-loop recursion over the last 10 curvature
-pairs, Armijo backtracking from the unit step, stopped on the gradient norm
-or an iteration cap. The bias row is never regularized. Each line-search
-trial's loss also yields the softmax of its scores, and each gradient reuses
-the softmax of the accepted trial, so an iteration computes ``X @ W`` and
-``exp`` once per trial and ``X.T @ (P - onehot)`` once. A line search that
-finds no descent step ends the fit with ``converged=False``.
+"""Multinomial logistic regression (softmax) with an L2 penalty on the
+weights, not the bias, fitted by L-BFGS (Nocedal & Wright ch. 7) over the
+last 10 curvature pairs with Armijo backtracking from the unit step. A
+line search that finds no descent step ends the fit with
+``converged=False``.
 """
 
 from __future__ import annotations
@@ -62,11 +57,8 @@ def logreg_loss(weights, bias, X, y_idx, l2_strength):
 
 
 def logreg_gradient(weights, X, y_idx, l2_strength, probs):
-    """Gradient of logreg_loss: ((P - onehot)'X / N + l2*W, mean(P - onehot)).
-
-    ``probs`` is P, the softmax that ``logreg_loss`` returned for these
-    weights; it is not modified. Returns (grad_weights, grad_bias).
-    """
+    """(grad_weights, grad_bias) of ``logreg_loss``, from the softmax
+    ``probs`` it returned for these weights; ``probs`` is not modified."""
     n = X.shape[0]
     probs = probs.copy()
     probs[np.arange(n), y_idx] -= 1.0
@@ -91,12 +83,8 @@ class LogRegModel:
 
 
 def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRegConfig) -> LogRegModel:
-    """Fit softmax regression on class-index targets 0..n_classes-1.
-
-    ``converged`` is true only when the gradient norm fell to the tolerance;
-    an exhausted iteration budget or a line search that found no step
-    lowering the loss leaves it false.
-    """
+    """Softmax regression on class indices 0..n_classes-1; ``converged`` is
+    true only when the gradient norm fell to the tolerance."""
     X = np.asarray(X, dtype=np.float64)
     y_idx = np.asarray(y_idx, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y_idx.shape[0]:

@@ -82,7 +82,6 @@ class FoldPlan:
     classes too small to reach every fold."""
 
     k: int
-    seed: int
     test_folds: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...] = ()
 
@@ -127,7 +126,6 @@ def stratified_kfold(labels: list[HierLabel], k: int, seed: int = 0) -> FoldPlan
         offset = (offset + len(indices)) % k
     return FoldPlan(
         k=k,
-        seed=seed,
         test_folds=tuple(tuple(sorted(f)) for f in folds),
         warnings=tuple(warnings),
     )
@@ -135,9 +133,7 @@ def stratified_kfold(labels: list[HierLabel], k: int, seed: int = 0) -> FoldPlan
 
 @dataclass
 class CrossvalResult:
-    strategy: str
     fold_metrics: list[HierMetrics]
-    seed: int
 
     @property
     def mean_hp(self) -> float:
@@ -156,14 +152,8 @@ class CrossvalResult:
         return float(np.std([m.hf for m in self.fold_metrics]))
 
     def mean_level_f(self, level: int) -> float | None:
-        values = [
-            m.per_level_f[level - 1]
-            for m in self.fold_metrics
-            if level <= len(m.per_level_f) and m.per_level_f[level - 1] is not None
-        ]
-        if not values:
-            return None
-        return float(np.mean(values))
+        values = [f for m in self.fold_metrics if (f := m.per_level_f[level - 1]) is not None]
+        return float(np.mean(values)) if values else None
 
 
 def crossval_strategies(
@@ -203,11 +193,7 @@ def crossval_strategies(
     fold_results = run_tasks(run_fold, k, threads)
 
     return {
-        strategy: CrossvalResult(
-            strategy=strategy,
-            fold_metrics=[fr[strategy] for fr in fold_results],
-            seed=seed,
-        )
+        strategy: CrossvalResult([fr[strategy] for fr in fold_results])
         for strategy in strategies
     }
 

@@ -1,21 +1,15 @@
-"""The one task runner behind every ``threads=`` argument.
+"""``run_tasks(fn, n, workers)``, the one runner behind every ``threads=``.
 
-``run_tasks(fn, n, workers)`` returns ``[fn(0), ..., fn(n - 1)]``. With more
-than one worker it forks ``min(workers, n, os.cpu_count()) - 1`` child
-processes and the calling process works as well, so Python loops such as
-SMO run in parallel instead of taking turns under the GIL. Every worker
-claims the next task index from one shared counter, which balances uneven
-tasks; the caller always runs task 0, so every function the tasks call also
-runs in the calling process. A child keeps its results and sends them back
-through a pipe once the counter runs out.
-
-The outcome does not depend on the worker count: results come back in index
-order, and when tasks fail every task still runs and the failure with the
-lowest index is raised with its own type and attributes, as a serial loop
-over the same tasks would raise it first. A child that dies before sending
-its results raises ``WorkerError``. A call made inside a task runs serially,
-so workers never fork, and without the ``fork`` start method every call
-runs serially in the caller.
+It returns ``[fn(0), ..., fn(n - 1)]`` whatever the worker count. With
+more than one worker it forks ``min(workers, n, os.cpu_count()) - 1``
+children, so Python loops such as SMO run in parallel; every process,
+the caller too, claims task indices from one shared counter. The caller
+always runs task 0, so whatever the tasks call runs in the caller too. A
+child sends its results through a pipe at the end. When tasks fail, every
+task still runs and the lowest-index failure is raised with its own type,
+as a serial loop would raise it; a child that dies raises ``WorkerError``.
+A call made inside a task, or without the ``fork`` start method, runs
+serially.
 """
 
 from __future__ import annotations

@@ -1,17 +1,10 @@
-"""FASTA and feature-CSV input/output.
+"""FASTA and feature-CSV input and output; both formats round-trip exactly.
 
-FASTA records may carry a hierarchy label as the second whitespace-delimited
-header token (``>id 1.1.1``). Feature CSV files have a mandatory header of
-canonical k-mer column names, whose count alone fixes the k values, one row
-per sequence, and an optional trailing ``label`` column; a file's k values
-and normalization are read off it, never restated. Both formats round-trip
-exactly.
-
-The readers take text, bytes or an open text or binary stream; a stream is
-read line by line. Each distinct label token is parsed once per read. The
-feature-CSV writer works in blocks of rows and formats every distinct float
-bit pattern of a block once, and the reader parses each block of about 1 MB
-of rows as one matrix.
+A FASTA header may carry a hierarchy label as its second token
+(``>id 1.1.1``). A feature CSV has a header of canonical k-mer names, whose
+count fixes the k values, and an optional trailing ``label`` column. The
+readers take text, bytes, or an open text or binary stream, which they read
+line by line.
 """
 
 from __future__ import annotations
@@ -19,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -57,11 +51,8 @@ class Sequence:
 
 
 def _text_lines(source) -> Iterator[str]:
-    """The lines of text, bytes or a text or binary stream, without line ends.
-
-    A stream is read line by line, never whole; text is split on ``\n`` as
-    ``readlines`` would split it.
-    """
+    """The lines of text, bytes or a text or binary stream, without line
+    ends; a stream is read line by line."""
     if isinstance(source, (bytes, bytearray)):
         source = source.decode("utf-8")
     if isinstance(source, str):
@@ -77,13 +68,11 @@ def _text_lines(source) -> Iterator[str]:
 
 
 def parse_fasta(source) -> list[Sequence]:
-    """Parse FASTA text, bytes, or a readable stream into Sequence records.
+    """Sequence records from FASTA text, bytes or a readable stream.
 
-    Multi-line bodies are concatenated, residues are uppercased, and a second
-    header token is parsed as the record's hierarchy label; records with the
-    same token share one label object. Line endings may be LF or CRLF. Raises
-    FormatError (with a line number where possible) for structural problems
-    and LabelParseError for bad label tokens.
+    Bodies are joined and uppercased; a second header token is the label, one
+    object per distinct token. Raises FormatError, with a line number where
+    possible, for a structural problem and LabelParseError for a bad label.
     """
     parse = functools.cache(parse_label)
     records: list[Sequence] = []
@@ -158,28 +147,15 @@ def save_fasta(sequences: Iterable[Sequence], path) -> None:
 
 
 def read_feature_csv(source) -> tuple[np.ndarray, list[HierLabel | None]]:
-    """Read a feature CSV into an (n_rows, n_features) matrix and a list of
-    n_rows optional labels.
+    """(X, labels) of a feature CSV: an (n_rows, n_features) float matrix, and
+    a label or None per row, one object per distinct label token.
 
-    The header must list the canonical k-mer names of the one set of k
-    values its width allows (``kmers.kmer_config_of``), optionally followed
-    by a ``label`` column; the file carries its own featurization, so
-    ``kmer_config_of`` of the matrix also tells frequencies from raw
-    counts. Raises FormatError
-    with the offending row number for layout or numeric problems, including
-    ``nan`` and ``inf`` values, which would poison every kernel of a node.
-
-    The data rows are read in blocks of about 1 MB of text, so the text
-    held at once stays bounded whatever the file size. Each block's numbers
-    are parsed as one matrix (``np.loadtxt``, which rounds as ``float``
-    does) and checked for finiteness once. A block that this fast path
-    refuses is read again row by row with ``csv`` and ``float``, which
-    either names the first bad row or accepts what ``float`` accepts (quoted
-    cells, say); blocks are parsed in file order, so the first bad row of
-    the file is the one reported. Each block is copied onto the end of the
-    one result matrix, which grows in place (``ndarray.resize``), so no
-    second copy of the matrix is ever held. Rows with the same label token
-    share one label object.
+    The header must name the canonical k-mers of the one k-mer set its width
+    allows, then optionally ``label``. FormatError names the first bad row,
+    and the column of a non-numeric, ``nan`` or ``inf`` value. Blocks of about
+    1 MB of rows are parsed with ``np.loadtxt``, and a block it refuses row by
+    row with ``float``, which accepts quoted cells; X grows in place, so no
+    second copy of it is held.
     """
     lines = _text_lines(source)
     header = next(csv.reader(itertools.islice(lines, 1)), None)
@@ -263,19 +239,18 @@ def _parse_row(lineno: int, line: str, expected: list[str], labeled: bool, parse
         raise FormatError(
             f"expected {dim} features, row has {len(row) - labeled}", line=lineno
         )
-    try:
-        vector = np.array([float(cell) for cell in row[:dim]], dtype=np.float64)
-    except ValueError:
-        bad = next(c for c in row[:dim] if not _is_number(c))
-        raise FormatError(f"non-numeric feature value {bad!r}", line=lineno) from None
-    finite = np.isfinite(vector)
-    if not finite.all():
-        col = int(np.argmin(finite))
-        raise FormatError(
-            f"non-finite feature value {row[col]!r} in column {col + 1} "
-            f"({expected[col]!r})",
-            line=lineno,
-        )
+    vector = np.empty(dim)
+    for col, cell in enumerate(row[:dim]):
+        try:
+            vector[col] = value = float(cell)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value):
+            kind = "non-numeric" if value is None else "non-finite"
+            raise FormatError(
+                f"{kind} feature value {cell!r} in column {col + 1} ({expected[col]!r})",
+                line=lineno,
+            )
     token = row[dim].strip() if labeled else ""
     try:
         return vector, parse(token) if token else None
@@ -283,27 +258,15 @@ def _parse_row(lineno: int, line: str, expected: list[str], labeled: bool, parse
         raise LabelParseError(str(exc), line=lineno) from None
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
 def write_feature_csv(
     records: Iterable[tuple[np.ndarray, HierLabel | None]], sink: IO[str]
 ) -> None:
-    """Write feature vectors (and labels, when any record carries one).
+    """Write feature vectors, with a ``label`` column if any record has one.
 
-    The header names the canonical k-mers of the one k-mer set the vectors'
-    width allows, as ``read_feature_csv`` reads it. FormatError is raised
-    for no records, a first vector whose width is no k-mer set, and a later
-    vector of another width. Values are written with shortest round-trip
-    float formatting (``repr(float)``), so reading the file back reproduces
-    the vectors bit for bit. Rows are written in blocks of
-    ``_CSV_WRITE_BLOCK_ROWS``, and each distinct bit pattern of a block is
-    formatted once; memory beyond the records is one block's.
+    The header is the canonical k-mer set of the vectors' width, as
+    ``read_feature_csv`` reads it. Raises FormatError for no records, a first
+    width that is no k-mer set, or a later vector of another width. Values are
+    written as ``repr(float)``, so they read back bit for bit.
     """
     records = list(records)
     if not records:

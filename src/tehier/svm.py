@@ -1,25 +1,10 @@
-"""Binary soft-margin SVM trained with SMO, plus Platt score calibration.
+"""Binary soft-margin RBF SVMs trained with SMO, with Platt-calibrated outputs.
 
-The dual problem  min 1/2 a'Qa - 1'a  s.t.  y'a = 0, 0 <= a <= C  (with
-Q_ij = y_i y_j K_ij and an RBF kernel) is solved by sequential minimal
-optimization with maximal-violating-pair working-set selection. Training
-stops when the KKT gap m(a) - M(a) drops below the configured tolerance,
-which guarantees every sample then satisfies the KKT conditions within that
-tolerance once the bias is set to the midpoint of the gap.
-
-The kernel comes from one provider per training set (``_KernelColumns``):
-the full Gram matrix up to ``_FULL_GRAM_LIMIT`` rows, otherwise an LRU cache
-of columns. A one-vs-rest caller builds it once and shares it across all of
-its binary problems, which see the same rows and differ only in labels.
-``rbf_kernel_matrix`` takes each squared row norm as one dot product and
-builds the kernel in the result's buffer, so a Gram build or a column
-holds no other array of the result's size.
-
-Decision values are mapped to probabilities with Platt's sigmoid
-P(y=1|f) = 1 / (1 + exp(A f + B)), fitted by smoothed-target maximum
-likelihood with a Newton iteration. The training decision values Platt needs
-are read off the final SMO gradient, f_k = y_k (grad_k + 1) + b, so fitting
-never evaluates a kernel beyond the columns SMO requested.
+SMO solves the dual with maximal-violating-pair working-set selection and
+stops when the KKT gap drops below ``SvmConfig.kkt_tolerance``. The kernel
+comes from one ``_KernelColumns`` provider per row set. Platt's sigmoid
+P(y=1|f) = 1 / (1 + exp(A f + B)) is fitted to the training decision values,
+which are read off the final SMO gradient, so it evaluates no further kernel.
 """
 
 from __future__ import annotations
@@ -38,11 +23,8 @@ _SNAP = 1e-12
 
 @dataclass(frozen=True)
 class SvmConfig:
-    """Soft-margin cost, RBF width, and SMO stopping controls.
-
-    ``max_passes`` bounds the optimizer at ``max_passes * n_samples`` pair
-    updates.
-    """
+    """Soft-margin cost, RBF width and SMO stopping controls; SMO makes at
+    most ``max_passes * n_samples`` pair updates."""
 
     C: float = 1.0
     gamma: float = 1.0
@@ -81,13 +63,10 @@ def rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
 
 
 class _KernelColumns:
-    """Column provider for the training Gram matrix of one row set.
-
-    Full matrix when the problem is small, otherwise an LRU cache of
-    individual columns. Columns depend only on X and gamma, so one provider
-    serves every binary problem on the same rows, and a full Gram also
-    serves every subset of its rows (``subset``).
-    """
+    """Columns of the Gram matrix of one row set: the full matrix up to
+    ``_FULL_GRAM_LIMIT`` rows, otherwise an LRU cache of columns. Columns
+    depend only on X and gamma, so one provider serves every binary problem
+    on the same rows."""
 
     def __init__(self, X: np.ndarray, gamma: float, full: np.ndarray | None = None):
         self._X = X
@@ -98,14 +77,9 @@ class _KernelColumns:
         self._cache: OrderedDict[int, np.ndarray] = OrderedDict() if full is None else None
 
     def subset(self, rows: np.ndarray, X_rows: np.ndarray) -> _KernelColumns:
-        """The provider for ``X_rows``, which is ``X[rows]`` for ascending rows.
-
-        A full Gram is shared when ``rows`` is every row and sliced
-        otherwise: ``K.take(rows, 0).take(rows, 1)``, whose rows are
-        C-contiguous like the Gram's. Without one (above
-        ``_FULL_GRAM_LIMIT``) the rows get a provider of their own, built
-        from ``X_rows``, so this provider's cache never fills.
-        """
+        """The provider for ``X_rows``, which is ``X[rows]`` for ascending
+        rows: a slice of the full Gram, or, without one, a provider built from
+        ``X_rows``, so this provider's cache never fills."""
         if self._full is None:
             return _KernelColumns(X_rows, self._gamma)
         full = self._full
@@ -132,11 +106,8 @@ class BinarySvmModel:
     """k soft-margin RBF SVMs of one width over shared support vectors.
 
     ``dual_coef`` is (n_sv, k), column c holding alpha*y of SVM c (0 where
-    that SVM does not use a vector); ``bias``, ``platt_a``, ``platt_b`` and
-    ``converged`` are length-k arrays. ``train_binary_svm`` returns a bank
-    of one, and a node's bank holds its k one-vs-rest SVMs. Outputs are
-    (n_samples, k), from one kernel block over the support vectors; a bank
-    with no support vectors gives its bias on every row.
+    SVM c does not use the vector); ``bias``, ``platt_a``, ``platt_b`` and
+    ``converged`` have length k. Outputs are (n_samples, k).
     """
 
     support_vectors: np.ndarray
@@ -162,10 +133,9 @@ class BinarySvmModel:
 
 
 def smo_solve(column, y: np.ndarray, C: float, tol: float, max_iter: int):
-    """Core SMO loop; ``column(i)`` returns column i of the kernel matrix.
+    """SMO on +1/-1 labels ``y``; ``column(i)`` is column i of the kernel.
 
-    Returns (alpha, bias, converged, grad), where grad is the dual gradient
-    Q alpha - 1 at the returned alpha.
+    Returns (alpha, bias, converged, grad), grad being Q alpha - 1 at alpha.
     """
     n = y.shape[0]
     labels = y.tolist()
@@ -249,13 +219,10 @@ def smo_solve(column, y: np.ndarray, C: float, tol: float, max_iter: int):
 def train_binary_svm(
     X: np.ndarray, y: np.ndarray, config: SvmConfig, columns: _KernelColumns | None = None
 ) -> BinarySvmModel:
-    """Train a soft-margin RBF SVM with SMO and fit Platt calibration; the
-    result is a bank of one SVM (``BinarySvmModel``).
+    """A bank of one SVM, trained by SMO and Platt-calibrated.
 
-    ``y`` holds +1/-1 labels; both classes must be present. ``columns`` is
-    a kernel provider built from this ``X`` and ``config.gamma``, shared by
-    callers that train several problems on the same rows; by default one is
-    built here.
+    ``y`` holds +1/-1 labels, both present. ``columns`` is a kernel provider
+    for this ``X`` and ``config.gamma``; by default one is built here.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -285,13 +252,9 @@ def train_binary_svm(
 
 
 def platt_calibrate(decision_values, labels) -> tuple[float, float]:
-    """Fit sigmoid parameters (A, B) by smoothed-target maximum likelihood.
-
-    Targets are (N+ + 1)/(N+ + 2) for positives and 1/(N- + 2) for negatives;
-    the Newton iteration on the cross-entropy objective uses a small ridge
-    term and backtracking line search, so it is robust to perfectly
-    separated inputs.
-    """
+    """Sigmoid parameters (A, B) by maximum likelihood on the smoothed targets
+    (N+ + 1)/(N+ + 2) and 1/(N- + 2), by a ridged Newton iteration with
+    backtracking that also fits perfectly separated inputs."""
     f = np.asarray(decision_values, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if f.shape != y.shape or f.ndim != 1:
@@ -346,11 +309,8 @@ def platt_calibrate(decision_values, labels) -> tuple[float, float]:
 
 
 def platt_probability(decision_values, a, b) -> np.ndarray:
-    """P(y=1 | f) = 1 / (1 + exp(z)) with z = a*f + b, elementwise.
-
-    Computed as exp(-z) / (1 + exp(-z)) where z >= 0: only exp(-|z|) is
-    evaluated, so no branch overflows and no warning is printed.
-    """
+    """P(y=1 | f) = 1 / (1 + exp(a*f + b)), elementwise, evaluating only
+    exp(-|z|) so that nothing overflows."""
     z = a * np.asarray(decision_values, dtype=np.float64) + b
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, e, 1.0) / (1.0 + e)

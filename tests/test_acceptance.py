@@ -251,7 +251,7 @@ def test_end_to_end_desk_scale_experiment(pgsb_shaped_dataset):
     )
     tuned = grid_search(X, labels, taxonomy, grid, threads=4)
     assert tuned.selected is not None
-    c_star, gamma_star = tuned.selected
+    c_star, gamma_star = tuned.selected.C, tuned.selected.gamma
 
     result = crossval(
         X, labels, taxonomy,

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -265,6 +266,50 @@ def test_gridsearch_report_and_selection(workspace, capsys):
     assert lines[0] == "C,gamma,mean_hF,std_hF,status"
     assert len(lines) == 3
     assert "selected C=" in capsys.readouterr().out
+
+
+def test_gridsearch_reports_why_a_cell_failed(workspace, monkeypatch, capsys):
+    crossval = tehier.gridsearch.crossval
+
+    def failing_below(limit):
+        def stub(X, labels, taxonomy, **kwargs):
+            if kwargs["config"].C < limit:
+                raise NumericError(f"stub failure, C={kwargs['config'].C:g}")
+            return crossval(X, labels, taxonomy, **kwargs)
+
+        return stub
+
+    grid_file, report = workspace / "grid.json", workspace / "grid.csv"
+    grid_file.write_text(json.dumps({"c_values": [1.0, 8.0], "gamma_values": [2.0]}))
+    argv = ["gridsearch", workspace / "data.csv", "--grid", grid_file, "--folds", "3",
+            "--out", report]
+    monkeypatch.setattr(tehier.gridsearch, "crossval", failing_below(2.0))
+    assert run(argv) == 0
+    rows = list(csv.reader(report.read_text().splitlines()))
+    assert [row[4] for row in rows[1:]] == ["failed: stub failure, C=1", "ok"]
+    assert rows[1][2:4] == ["NA", "NA"]
+    assert "(1 failed)" in capsys.readouterr().out
+    monkeypatch.setattr(tehier.gridsearch, "crossval", failing_below(100.0))
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "error: no viable cell: every grid cell failed\n"
+    rows = list(csv.reader(report.read_text().splitlines()))
+    assert [row[4] for row in rows[1:]] == ["failed: stub failure, C=1", "failed: stub failure, C=8"]
+
+
+def test_predict_output_reads_back_with_a_comma_or_quote_in_an_id(workspace, tmp_path, capsys):
+    text = (workspace / "data.fasta").read_text()
+    for old, new in (("synth-1.1-0000", "synth,1.1-0000"), ("synth-1.1-0001", 'synth"1.1-0001')):
+        assert f">{old} " in text
+        text = text.replace(f">{old} ", f">{new} ")
+    fasta, model, pred = tmp_path / "odd.fa", tmp_path / "m.json", tmp_path / "p.csv"
+    fasta.write_text(text)
+    assert run(["train", workspace / "data.csv", "--C", "16", "--gamma", "8", "--out", model]) == 0
+    assert run(["predict", fasta, "--model", model, "--out", pred]) == 0
+    lines = pred.read_text().splitlines()
+    assert '"synth,1.1-0000",1.1' in lines and '"synth""1.1-0001",1.1' in lines
+    capsys.readouterr()
+    assert run(["evaluate", pred, fasta]) == 0
+    assert "hF: 1.000000" in capsys.readouterr().out
 
 
 def test_compare_emits_all_pairs(workspace):

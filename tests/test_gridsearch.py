@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import tehier.gridsearch
-from tehier import Grid, GridSearchError, Taxonomy, grid_search, train_final
-from tehier.gridsearch import GridResult
+from tehier import Grid, Taxonomy, grid_search
 
 from conftest import hl
 
@@ -30,14 +29,16 @@ def test_single_cell_grid_selects_it(rng):
     tax, X, labels = grid_dataset(rng)
     grid = Grid(c_values=(4.0,), gamma_values=(1.0,), folds=3, seed=0)
     result = grid_search(X, labels, tax, grid)
-    assert result.selected == (4.0, 1.0)
+    assert result.selected is result.cells[0]
+    assert (result.selected.C, result.selected.gamma) == (4.0, 1.0)
 
 
 def test_selected_cell_is_argmax_and_good(rng):
     tax, X, labels = grid_dataset(rng)
     grid = Grid(c_values=(0.5, 4.0, 32.0), gamma_values=(0.25, 1.0, 4.0), folds=3, seed=0)
     result = grid_search(X, labels, tax, grid)
-    chosen = result.selected_cell
+    chosen = result.selected
+    assert chosen in result.cells and chosen.status == "ok"
     for cell in result.cells:
         if cell.status == "ok":
             assert chosen.mean_hf >= cell.mean_hf
@@ -78,7 +79,7 @@ def test_cells_run_dearest_first_and_report_in_lattice_order(monkeypatch, scores
     assert calls == sorted(lattice, key=lambda cell: (-cell[1], -cell[0]))
     assert [(cell.C, cell.gamma) for cell in result.cells] == lattice
     assert [cell.mean_hf for cell in result.cells] == [scores(c, g) for c, g in lattice]
-    assert result.selected == selected
+    assert (result.selected.C, result.selected.gamma) == selected
 
 
 def test_tie_break_smaller_c_then_smaller_gamma(monkeypatch):
@@ -94,7 +95,7 @@ def test_tie_break_smaller_c_then_smaller_gamma(monkeypatch):
         assert [(cell.C, cell.gamma) for cell in result.cells] == [
             (c, g) for c in grid.c_values for g in grid.gamma_values
         ]
-        assert result.selected == selected
+        assert (result.selected.C, result.selected.gamma) == selected
 
 
 def test_grid_determinism_and_threads(rng):
@@ -113,24 +114,6 @@ def test_cell_failure_is_recorded_not_fatal(rng):
     result = grid_search(X[:2], labels[:2], tax, grid)
     assert all(c.status == "failed" for c in result.cells)
     assert result.selected is None
-
-
-def test_train_final_requires_viable_cell(rng):
-    tax, X, labels = grid_dataset(rng)
-    with pytest.raises(GridSearchError, match="no viable cell"):
-        train_final(X, labels, tax, GridResult(cells=[], selected=None))
-
-
-def test_train_final_equals_manual_training(rng):
-    from tehier import SvmConfig, train_hier
-
-    tax, X, labels = grid_dataset(rng)
-    grid = Grid(c_values=(2.0,), gamma_values=(1.0,), folds=3, seed=0)
-    result = grid_search(X, labels, tax, grid)
-    final = train_final(X, labels, tax, result)
-    manual = train_hier(X, labels, tax, config=SvmConfig(C=2.0, gamma=1.0))
-    queries = rng.normal(size=(50, 2))
-    assert final.predict(queries, "lcpnb") == manual.predict(queries, "lcpnb")
 
 
 def test_grid_validation():

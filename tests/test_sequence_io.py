@@ -300,6 +300,14 @@ def test_read_feature_csv_reports_the_first_bad_row():
     assert err.value.line == 2
 
 
+def test_read_feature_csv_names_the_column_of_a_non_numeric_cell():
+    row = ["0"] * 336
+    row[5] = "abc"
+    with pytest.raises(FormatError) as err:
+        read_feature_csv(_csv_text([",".join(["0"] * 336), ",".join(row)]))
+    assert str(err.value) == "line 3: non-numeric feature value 'abc' in column 6 ('CC')"
+
+
 def test_fasta_records_share_label_objects():
     records = parse_fasta(">a 1.2\nAC\n>b 1.2\nGT\n")
     assert records[0].label is records[1].label == parse_label("1.2")
