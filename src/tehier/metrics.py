@@ -183,12 +183,12 @@ def crossval_strategies(
         train_idx = plan.train_indices(fold)
         test_idx = plan.test_indices(fold)
         model = train_hier(X[train_idx], [labels[i] for i in train_idx], taxonomy, config)
-        out = {}
-        for strategy in strategies:
-            predicted = model.predict(X[test_idx], strategy)
-            truth = [labels[i] for i in test_idx]
-            out[strategy] = hier_metrics(list(zip(predicted, truth)), taxonomy)
-        return out
+        X_test = X[test_idx]
+        truth = [labels[i] for i in test_idx]
+        return {
+            strategy: hier_metrics(list(zip(model.predict(X_test, strategy), truth)), taxonomy)
+            for strategy in strategies
+        }
 
     fold_results = run_tasks(run_fold, k, threads)
 

@@ -13,6 +13,7 @@ import csv
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -24,6 +25,7 @@ from .labels import HierLabel, parse_label, render_label
 
 # Uppercase nucleotide alphabet: the four bases plus IUPAC ambiguity codes.
 NUCLEOTIDE_ALPHABET = frozenset("ACGTNRYSWKMBDHV")
+_RESIDUES = re.compile("[ACGTNRYSWKMBDHV]+")  # fullmatch: nonempty, in the alphabet
 
 _FASTA_WRAP = 70
 _CSV_BLOCK_CHARS = 1 << 20  # text of the data rows parsed per np.loadtxt call
@@ -39,12 +41,12 @@ class Sequence:
     label: HierLabel | None = None
 
     def __post_init__(self):
-        if not self.id or any(c.isspace() for c in self.id):
+        if self.id.split() != [self.id]:
             raise FormatError(f"sequence id {self.id!r} must be nonempty without whitespace")
         if not self.residues:
             raise FormatError(f"sequence {self.id!r} has no residues")
-        bad = set(self.residues) - NUCLEOTIDE_ALPHABET
-        if bad:
+        if _RESIDUES.fullmatch(self.residues) is None:
+            bad = set(self.residues) - NUCLEOTIDE_ALPHABET
             raise FormatError(
                 f"sequence {self.id!r} contains illegal characters {sorted(bad)!r}"
             )
@@ -112,8 +114,8 @@ def parse_fasta(source) -> list[Sequence]:
             if seq_id is None:
                 raise FormatError("sequence data before any '>' header", line=lineno)
             chunk = line.strip().upper()
-            bad = set(chunk) - NUCLEOTIDE_ALPHABET
-            if bad:
+            if _RESIDUES.fullmatch(chunk) is None:
+                bad = set(chunk) - NUCLEOTIDE_ALPHABET
                 raise FormatError(
                     f"illegal character(s) {sorted(bad)!r} in sequence {seq_id!r}",
                     line=lineno,

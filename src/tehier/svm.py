@@ -63,38 +63,44 @@ def rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
 
 
 class _KernelColumns:
-    """Columns of the Gram matrix of one row set: the full matrix up to
-    ``_FULL_GRAM_LIMIT`` rows, otherwise an LRU cache of columns. Columns
+    """Columns of the Gram matrix of one row set: rows of the full matrix up
+    to ``_FULL_GRAM_LIMIT`` rows, otherwise an LRU cache of computed columns;
+    a subset of a full Gram gathers its columns into that cache. Columns
     depend only on X and gamma, so one provider serves every binary problem
     on the same rows."""
 
-    def __init__(self, X: np.ndarray, gamma: float, full: np.ndarray | None = None):
+    def __init__(self, X: np.ndarray, gamma: float, full=None, rows=None):
         self._X = X
         self._gamma = gamma
         if full is None and X.shape[0] <= _FULL_GRAM_LIMIT:
             full = rbf_kernel_matrix(X, X, gamma)
         self._full = full
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict() if full is None else None
+        self._rows = rows  # X's rows of ``full``; None when they are all of them
+        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
 
     def subset(self, rows: np.ndarray, X_rows: np.ndarray) -> _KernelColumns:
         """The provider for ``X_rows``, which is ``X[rows]`` for ascending
-        rows: a slice of the full Gram, or, without one, a provider built from
+        rows of this provider's whole row set: it reads the full Gram by row
+        index and copies no slice, or, without one, it is built from
         ``X_rows``, so this provider's cache never fills."""
         if self._full is None:
             return _KernelColumns(X_rows, self._gamma)
-        full = self._full
-        if len(rows) < len(full):
-            full = full.take(rows, axis=0).take(rows, axis=1)  # C-contiguous rows
-        return _KernelColumns(X_rows, self._gamma, full)
+        return _KernelColumns(
+            X_rows, self._gamma, self._full, rows if len(rows) < len(self._full) else None
+        )
 
     def column(self, i: int) -> np.ndarray:
-        if self._full is not None:
-            return self._full[i]  # symmetric, and rows are contiguous
+        full, rows = self._full, self._rows
+        if full is not None and rows is None:
+            return full[i]  # symmetric, and rows are contiguous
         cached = self._cache.get(i)
         if cached is not None:
             self._cache.move_to_end(i)
             return cached
-        col = rbf_kernel_matrix(self._X, self._X[i : i + 1], self._gamma)[:, 0]
+        if full is None:
+            col = rbf_kernel_matrix(self._X, self._X[i : i + 1], self._gamma)[:, 0]
+        else:
+            col = full[rows[i]].take(rows)  # the elements K[np.ix_(rows, rows)][i]
         self._cache[i] = col
         if len(self._cache) > _ROW_CACHE_SIZE:
             self._cache.popitem(last=False)
@@ -269,24 +275,26 @@ def platt_calibrate(decision_values, labels) -> tuple[float, float]:
     t = np.where(y > 0, hi, lo)
 
     def objective(a, b):
+        """The loss at (a, b), with z = a f + b and exp(-|z|) for the sigmoid."""
         z = a * f + b
+        e = np.exp(-np.abs(z))
         # log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|)), which cannot overflow
-        softplus = np.where(z >= 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-        return float(np.sum(t * z + softplus - z))
-        # note: -t*log(p) - (1-t)*log(1-p) == t*z + log(1+exp(-z)) == t*z + softplus(z) - z
+        softplus = np.where(z >= 0, z, 0.0) + np.log1p(e)
+        return float(np.sum(t * z + softplus - z)), z, e
 
     sigma = 1e-12
     a, b = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
-    fval = objective(a, b)
+    fval, z, e = objective(a, b)
+    ff = f * f
     for _ in range(100):
-        p = platt_probability(f, a, b)
+        p = np.where(z >= 0, e, 1.0) / (1.0 + e)  # platt_probability(f, a, b)
         d1 = t - p
         d2 = p * (1.0 - p)
         g1 = float(np.dot(f, d1))
         g2 = float(np.sum(d1))
         if abs(g1) < 1e-5 and abs(g2) < 1e-5:
             break
-        h11 = float(np.dot(f * f, d2)) + sigma
+        h11 = float(np.dot(ff, d2)) + sigma
         h22 = float(np.sum(d2)) + sigma
         h21 = float(np.dot(f, d2))
         det = h11 * h22 - h21 * h21
@@ -298,9 +306,9 @@ def platt_calibrate(decision_values, labels) -> tuple[float, float]:
         while stepsize >= 1e-10:
             new_a = a + stepsize * da
             new_b = b + stepsize * db
-            new_f = objective(new_a, new_b)
+            new_f, new_z, new_e = objective(new_a, new_b)
             if new_f < fval + 1e-4 * stepsize * gd:
-                a, b, fval = new_a, new_b, new_f
+                a, b, fval, z, e = new_a, new_b, new_f, new_z, new_e
                 break
             stepsize /= 2.0
         else:

@@ -747,6 +747,61 @@ def platt_probability_reference(decision_values, a: float, b: float) -> np.ndarr
     return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
 
 
+def platt_calibrate_stable_reference(decision_values, labels) -> tuple[float, float]:
+    """The overflow-free Platt fit written plainly: every Newton step
+    recomputes z = a f + b and exp(-|z|) for its sigmoid, and h11 forms f * f
+    again."""
+    f = np.asarray(decision_values, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n_pos = int((y > 0).sum())
+    n_neg = int((y <= 0).sum())
+    hi = (n_pos + 1.0) / (n_pos + 2.0)
+    lo = 1.0 / (n_neg + 2.0)
+    t = np.where(y > 0, hi, lo)
+
+    def objective(a, b):
+        z = a * f + b
+        softplus = np.where(z >= 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        return float(np.sum(t * z + softplus - z))
+
+    def probability(a, b):
+        z = a * f + b
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, e, 1.0) / (1.0 + e)
+
+    sigma = 1e-12
+    a, b = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
+    fval = objective(a, b)
+    for _ in range(100):
+        p = probability(a, b)
+        d1 = t - p
+        d2 = p * (1.0 - p)
+        g1 = float(np.dot(f, d1))
+        g2 = float(np.sum(d1))
+        if abs(g1) < 1e-5 and abs(g2) < 1e-5:
+            break
+        h11 = float(np.dot(f * f, d2)) + sigma
+        h22 = float(np.sum(d2)) + sigma
+        h21 = float(np.dot(f, d2))
+        det = h11 * h22 - h21 * h21
+        da = -(h22 * g1 - h21 * g2) / det
+        db = -(-h21 * g1 + h11 * g2) / det
+        gd = g1 * da + g2 * db
+
+        stepsize = 1.0
+        while stepsize >= 1e-10:
+            new_a = a + stepsize * da
+            new_b = b + stepsize * db
+            new_f = objective(new_a, new_b)
+            if new_f < fval + 1e-4 * stepsize * gd:
+                a, b, fval = new_a, new_b, new_f
+                break
+            stepsize /= 2.0
+        else:
+            break
+    return float(a), float(b)
+
+
 def _logreg_loss_reference(weights, bias, X, y_idx, l2_strength) -> float:
     scores = X @ weights + bias
     shifted = scores - scores.max(axis=1, keepdims=True)

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -414,6 +415,24 @@ def test_nodes_above_the_gram_limit_build_their_own_providers(rng, monkeypatch):
     assert len(sizes) == len(model.node_models) - 1 and max(sizes) <= len(X) // 2
     reference = train_hier_per_node_reference(X, labels, tax, config)
     assert model_text(model) == model_text(reference)
+
+
+def test_train_hier_holds_one_gram_and_no_per_node_copy():
+    # desk-shaped: 1,540 rows of 336 k-mer frequencies under the 2/4/3/5 tree
+    tax = tehier.synth.taxonomy_from_shape([2, 4, 3, 5], seed=0)
+    spec = tehier.synth.SynthSpec(
+        taxonomy=tax, sequences_per_node=110, length_range=(250, 250), seed=3
+    )
+    records = tehier.synth.generate(spec)
+    X = featurize_batch(records)
+    tracemalloc.start()
+    try:
+        train_hier(X, [r.label for r in records], tax, config=SvmConfig(C=16.0, gamma=8.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a node's copied Gram slice and its (r, n) intermediate push this past 1.5
+    assert peak < 1.25 * (len(X) ** 2 * 8 + X.nbytes)
 
 
 def test_unknown_strategy_rejected(rng):

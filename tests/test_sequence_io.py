@@ -103,6 +103,21 @@ def test_iupac_ambiguity_codes_accepted():
     assert record.residues == "ACGTRYSWKMBDHVN"
 
 
+def test_bad_id_and_residue_messages():
+    with pytest.raises(FormatError) as err:
+        Sequence(id="s\t1", residues="ACGT")
+    assert str(err.value) == "sequence id 's\\t1' must be nonempty without whitespace"
+    with pytest.raises(FormatError) as err:
+        Sequence(id="", residues="ACGT")
+    assert str(err.value) == "sequence id '' must be nonempty without whitespace"
+    with pytest.raises(FormatError) as err:
+        Sequence(id="s1", residues="ACéGTXé")
+    assert str(err.value) == "sequence 's1' contains illegal characters ['X', 'é']"
+    with pytest.raises(FormatError) as err:
+        parse_fasta(">s1\nACGT\nACéG\n")  # bodies are uppercased before the check
+    assert str(err.value) == "line 3: illegal character(s) ['É'] in sequence 's1'"
+
+
 # -- feature CSV ---------------------------------------------------------------
 
 

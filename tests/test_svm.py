@@ -18,6 +18,7 @@ from oracles import (
     dual_objective,
     kkt_violations,
     platt_calibrate_reference,
+    platt_calibrate_stable_reference,
     platt_probability_reference,
     projected_gradient_qp,
     rbf_kernel,
@@ -296,6 +297,36 @@ def test_subset_slices_the_training_set_gram(rng, monkeypatch):
     assert not root._cache
 
 
+def test_subset_gathers_its_columns_through_a_small_cache(rng, monkeypatch):
+    monkeypatch.setattr(tehier.svm, "_ROW_CACHE_SIZE", 4)
+    X = rng.normal(size=(400, 5))
+    K = rbf_kernel_matrix(X, X, 0.7)
+    rows = np.sort(rng.choice(400, 200, replace=False))
+    sliced = _KernelColumns(X, 0.7).subset(rows, X[rows])
+    expected = K[np.ix_(rows, rows)]
+    order = [0, 5, 199, 5, 17, 42, 3, 0, 88, 199]  # 0 and 199 come back after eviction
+    for i in order + list(range(200)):
+        assert np.array_equal(sliced.column(i), expected[i])
+    assert len(sliced._cache) == 4
+
+
+def test_subset_copies_no_slice_of_the_gram(rng):
+    X = rng.normal(size=(2000, 3))
+    root = _KernelColumns(X, 0.7)
+    rows = np.arange(0, 2000, 10)
+    X_rows = X[rows]
+    tracemalloc.start()
+    try:
+        sliced = root.subset(rows, X_rows)
+        for i in range(20):
+            sliced.column(i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copied (r, n) intermediate alone would be 200 * 2000 * 8 bytes
+    assert peak < 200 * 2000 * 8
+
+
 @pytest.mark.parametrize(
     "tol, max_passes, converges", [(1e-3, 200, True), (1e-12, 1, False)]
 )
@@ -393,4 +424,25 @@ def test_platt_bit_identical_to_both_branch_expressions(rng):
         assert np.array_equal(
             platt_probability(probe, a, b).view(np.uint64),
             platt_probability_reference(probe, a, b).view(np.uint64),
+        )
+
+
+def test_platt_bit_identical_to_the_plain_overflow_free_fit(rng):
+    cases = []
+    for n, scale in [(40, 1.0), (200, 3.0), (7, 0.1)]:  # random, overlapping classes
+        f = np.concatenate([rng.normal(scale, 1.0, n), rng.normal(-scale, 1.0, n)])
+        y = np.concatenate([np.ones(n), -np.ones(n)])
+        y[rng.random(2 * n) < 0.15] *= -1.0
+        cases.append((f, y))
+    for gap in (0.5, 40.0, 900.0):  # perfectly separated, up to |z| past exp's range
+        f = np.concatenate([rng.uniform(0.0, 5.0, 30) + gap, -rng.uniform(0.0, 5.0, 20) - gap])
+        cases.append((f, np.where(f > 0, 1.0, -1.0)))
+    tied = rng.integers(-2, 3, 60).astype(float)  # few distinct values, each in both classes
+    cases.append((tied, np.where(rng.random(60) < 0.5, 1.0, -1.0)))
+    cases.append((np.zeros(10), np.repeat([1.0, -1.0], 5)))  # every value tied
+    for f, y in cases:
+        a, b = platt_calibrate(f, y)
+        a_ref, b_ref = platt_calibrate_stable_reference(f, y)
+        assert np.array([a, b]).view(np.uint64).tolist() == (
+            np.array([a_ref, b_ref]).view(np.uint64).tolist()
         )
