@@ -34,11 +34,12 @@ print(f"dataset: {len(records)} sequences over {taxonomy}")
 # the config's type chooses the base classifier
 model = train_hier(X, labels, taxonomy, SvmConfig(C=16, gamma=8))
 # node models are keyed by taxonomy node id, and their classes are node ids;
-# a node with one class holds no model, and its kind is "constant"
+# a node with one class holds no model (constant), every other an SVM bank
 names = ["root", *map(str, taxonomy.nodes())]
 print("local models trained at: " + ", ".join(names[v] for v in sorted(model.node_models)))
 for v, local in sorted(model.node_models.items()):
-    print(f"  {names[v]}: classes {[names[c] for c in local.classes]} ({local.kind})")
+    kind = "constant" if local.model is None else "svm"
+    print(f"  {names[v]}: classes {[names[c] for c in local.classes]} ({kind})")
 
 greedy = model.predict(X, "nllcpn")
 scored = model.predict(X, "lcpnb")

@@ -32,13 +32,6 @@ class MulticlassModel:
     n_features: int
     model: BinarySvmModel | LogRegModel | None = None
 
-    @property
-    def kind(self) -> str:
-        """The model's name in a model file: "svm", "logreg" or "constant"."""
-        if self.model is None:
-            return "constant"
-        return SVM if isinstance(self.model, BinarySvmModel) else LOGREG
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Row-per-sample distributions over self.classes (rows sum to 1)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -85,6 +78,19 @@ def svm_bank(svms: list[BinarySvmModel]) -> BinarySvmModel:
     )
 
 
+def mirrored(svm: BinarySvmModel) -> BinarySvmModel:
+    """The two-class bank of class 0's bank ``svm``: class 1's SVM is class
+    0's with dual coefficients, bias and Platt B negated (probability 1 - p)."""
+    return replace(
+        svm,
+        dual_coef=np.hstack([svm.dual_coef, -svm.dual_coef]),
+        bias=np.concatenate([svm.bias, -svm.bias]),
+        platt_a=np.concatenate([svm.platt_a, svm.platt_a]),
+        platt_b=np.concatenate([svm.platt_b, -svm.platt_b]),
+        converged=np.concatenate([svm.converged, svm.converged]),
+    )
+
+
 def pool_rows(vectors: np.ndarray, pool: dict[bytes, int]) -> list[int]:
     """The row of each of ``vectors`` in ``pool``, adding the new ones.
 
@@ -109,8 +115,7 @@ def fit_multiclass(
     constant model (``model`` None). ``columns`` is a kernel provider for
     ``X`` and ``config.gamma``; by default one is built. An SVM node keeps
     one bank (``svm_bank``) of its one-vs-rest SVMs; with two classes,
-    class 1's is class 0's with dual coefficients, bias and Platt B
-    negated, so its probability is 1 - p.
+    class 0's SVM and its mirror (``mirrored``).
     """
     if not isinstance(config, SvmConfig | LogRegConfig):
         raise ValueError(
@@ -128,13 +133,9 @@ def fit_multiclass(
         return MulticlassModel(classes, X.shape[1], train_logreg(X, y_idx, len(classes), config))
     if columns is None:
         columns = _KernelColumns(X, config.gamma)
-    if len(classes) == 2:  # class 1's problem is class 0's with the labels flipped
-        svm = train_binary_svm(X, np.where(y_idx == 0, 1.0, -1.0), config, columns)
-        mirror = replace(svm, dual_coef=-svm.dual_coef, bias=-svm.bias, platt_b=-svm.platt_b)
-        svms = [svm, mirror]
-    else:
-        svms = [
-            train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
-            for c in range(len(classes))
-        ]
-    return MulticlassModel(classes, X.shape[1], svm_bank(svms))
+    svms = [
+        train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
+        for c in range(1 if len(classes) == 2 else len(classes))
+    ]
+    bank = svm_bank(svms)
+    return MulticlassModel(classes, X.shape[1], mirrored(bank) if len(classes) == 2 else bank)

@@ -371,8 +371,12 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # an unknown name fails before any fold runs
-    bases = [(base, _base_config(base, args)) for base in args.bases.split(",")]
+    # an unknown or repeated name fails before the input is read
+    names = args.bases.split(",")
+    bases = [(base, _base_config(base, args)) for base in names]
+    for i, base in enumerate(names):
+        if base in names[:i]:
+            raise ValueError(f"base classifier {base!r} given twice")
     X, labels = _load_labeled_features(args.input)
     taxonomy = Taxonomy(labels)
     _check_folds(args, labels)

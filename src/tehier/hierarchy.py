@@ -10,7 +10,7 @@ the rest preorder) to that model, whose ``classes`` are node ids.
 ``ProbaTable``, and ``decode_nllcpn`` (greedy descent) and ``decode_lcpnb``
 (path scoring) map a table to one node id per sample.
 
-``save_model`` writes schema version 3 JSON, the one schema ``load_model``
+``save_model`` writes schema version 4 JSON, the one schema ``load_model``
 reads. A loaded model predicts bit for bit as the saved one did; a file
 that holds what training never writes raises ``ModelFileError``.
 """
@@ -26,11 +26,11 @@ from typing import IO
 
 import numpy as np
 
-from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, pool_rows
+from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, mirrored, pool_rows
 from .errors import (
     DimensionError, FormatError, LabelParseError, ModelFileError, NumericError, TaxonomyError
 )
-from .kmers import KmerConfig, kmer_config_of
+from .kmers import KmerConfig, k_values_of, kmer_config_of
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig, LogRegModel
 from .parallel import run_tasks
@@ -41,7 +41,7 @@ NLLCPN = "nllcpn"
 LCPNB = "lcpnb"
 STRATEGIES = (NLLCPN, LCPNB)
 
-_SCHEMA_VERSION = 3
+_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def train_hier(
     or None where the width is no set of k-mer blocks.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)  # the root node trains on X itself
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or X.size == 0:  # a model file's pool rows need a width
         raise TaxonomyError("training data must be nonempty")
     if X.shape[0] != len(labels):
         raise DimensionError(f"{X.shape[0]} rows but {len(labels)} labels")
@@ -294,11 +294,20 @@ def _finite(where: str, values) -> None:
 
 
 def _decode(text, shape: tuple[int, ...], where: str, name: str) -> np.ndarray:
-    """Inverse of _encode for an array of ``shape`` whose values are finite."""
+    """Inverse of _encode for an array of ``shape`` whose values are finite;
+    a first dimension of -1 is as many rows as the bytes hold."""
     try:
         raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError):  # binascii.Error is a ValueError
         raise ModelFileError(f"{where}: {name} is not base64 text") from None
+    if shape[0] == -1:
+        row = 8 * math.prod(shape[1:])
+        if len(raw) % row:
+            raise ModelFileError(
+                f"{where}: {name} holds {len(raw)} bytes, not a whole number of "
+                f"rows of {row // 8} float64 values"
+            )
+        shape = (len(raw) // row, *shape[1:])
     if len(raw) != 8 * math.prod(shape):
         raise ModelFileError(
             f"{where}: {name} holds {len(raw)} bytes, but {shape} float64 values "
@@ -340,46 +349,45 @@ def _pool_index(index, pool: np.ndarray, where: str) -> np.ndarray:
 
 
 def _svm_to_dict(bank: BinarySvmModel, pool: dict[bytes, int]) -> dict:
-    """A node bank, its support vectors added to ``pool``: the pool rows of
-    its support vectors (``pool_index``), its (n, k) ``dual_coef`` in
-    base64, ``gamma``, and k-lists of ``bias``, ``platt_a``, ``platt_b`` and
-    ``converged``.
+    """A node bank of k columns, its support vectors added to ``pool``: the
+    pool rows of its support vectors (``pool_index``), its stored columns of
+    ``dual_coef`` in base64, and lists of their ``bias``, ``platt_a``,
+    ``platt_b`` and ``converged``. A two-class bank stores column 0 only,
+    as column 1 is its mirror (``mirrored``).
 
     ``pool`` maps the little-endian bytes of each distinct support vector to
     its row in the file's pool, in order of first use.
     """
+    k = 1 if bank.dual_coef.shape[1] == 2 else bank.dual_coef.shape[1]
     return {
         "pool_index": pool_rows(bank.support_vectors, pool),
-        "dual_coef": _encode(bank.dual_coef),
-        "gamma": bank.gamma,
-        "bias": bank.bias.tolist(),
-        "platt_a": bank.platt_a.tolist(),
-        "platt_b": bank.platt_b.tolist(),
-        "converged": bank.converged.tolist(),
+        "dual_coef": _encode(bank.dual_coef[:, :k]),
+        "bias": bank.bias[:k].tolist(),
+        "platt_a": bank.platt_a[:k].tolist(),
+        "platt_b": bank.platt_b[:k].tolist(),
+        "converged": bank.converged[:k].tolist(),
     }
 
 
-def _svm_from_dict(d: dict, pool: np.ndarray, k: int, where: str) -> BinarySvmModel:
+def _svm_from_dict(d: dict, pool: np.ndarray, k: int, gamma: float, where: str) -> BinarySvmModel:
     """The bank of a node with k classes."""
     index = _pool_index(d["pool_index"], pool, where)
-    return BinarySvmModel(
+    stored = 1 if k == 2 else k
+    bank = BinarySvmModel(
         support_vectors=pool[index],
-        dual_coef=_decode(d["dual_coef"], (len(index), k), where, "dual_coef"),
-        bias=_listed(d["bias"], k, where, "bias"),
-        gamma=_listed([d["gamma"]], 1, where, "gamma").item(),
-        platt_a=_listed(d["platt_a"], k, where, "platt_a"),
-        platt_b=_listed(d["platt_b"], k, where, "platt_b"),
-        converged=_listed(d["converged"], k, where, "converged", flags=True),
+        dual_coef=_decode(d["dual_coef"], (len(index), stored), where, "dual_coef"),
+        bias=_listed(d["bias"], stored, where, "bias"),
+        gamma=gamma,
+        platt_a=_listed(d["platt_a"], stored, where, "platt_a"),
+        platt_b=_listed(d["platt_b"], stored, where, "platt_b"),
+        converged=_listed(d["converged"], stored, where, "converged", flags=True),
     )
+    return mirrored(bank) if k == 2 else bank
 
 
 def _multiclass_to_dict(m: MulticlassModel, paths: list[str], pool: dict[bytes, int]) -> dict:
     """One node's model; ``paths`` renders each node id as its dot-path."""
-    out = {
-        "kind": m.kind,
-        "classes": [paths[c] for c in m.classes.tolist()],
-        "n_features": m.n_features,
-    }
+    out = {"classes": [paths[c] for c in m.classes.tolist()]}
     if isinstance(m.model, BinarySvmModel):
         out.update(_svm_to_dict(m.model, pool))
     elif isinstance(m.model, LogRegModel):
@@ -389,18 +397,12 @@ def _multiclass_to_dict(m: MulticlassModel, paths: list[str], pool: dict[bytes, 
     return out
 
 
-def _integer(value, where: str, name: str) -> int:
-    """``value``, which must be a JSON integer of at least 0."""
-    if type(value) is not int or value < 0:
-        raise ModelFileError(f"{where}: {name} {value!r} is not a nonnegative integer")
-    return value
-
-
 def _multiclass_from_dict(
-    d: dict, taxonomy: Taxonomy, node: int | None, key: str, n_features: int, pool
+    d: dict, taxonomy: Taxonomy, node: int | None, key: str, n_features: int, pool, base_config
 ):
     """The model of node id ``node``, stored under the dot-path ``key`` ("" for
-    the root), checked against the taxonomy and the feature width."""
+    the root), checked against the taxonomy and the feature width: constant
+    for one class, otherwise of ``base_config``'s classifier."""
     where = f"node model {key or '(root)'}"
     if node is None or not taxonomy.child_ids[node]:
         raise ModelFileError(f"{where} is not the root or an internal node of the taxonomy")
@@ -415,21 +417,17 @@ def _multiclass_from_dict(
             f"{where}: classes {names} are not sorted, distinct and drawn from "
             f"the node's children{' and itself' if node else ''}"
         )
-    if _integer(d["n_features"], where, "n_features") != n_features:
-        raise ModelFileError(f"{where} has {d['n_features']} features, not {n_features}")
-    kind, model = d["kind"], None
-    if kind == SVM:
-        model = _svm_from_dict(d, pool, len(classes), where)
-    elif kind == LOGREG:
-        model = LogRegModel(
-            weights=_decode(d["weights"], (n_features, len(classes)), where, "weights"),
-            bias=_decode(d["bias"], (len(classes),), where, "bias"),
-            converged=_listed([d["converged"]], 1, where, "converged", flags=True).item(),
+    if len(classes) == 1:
+        return MulticlassModel(classes, n_features)
+    if isinstance(base_config, SvmConfig):
+        return MulticlassModel(
+            classes, n_features, _svm_from_dict(d, pool, len(classes), base_config.gamma, where)
         )
-    elif kind != "constant":
-        raise ModelFileError(f"{where}: unknown local model kind {kind!r}")
-    elif len(classes) != 1:
-        raise ModelFileError(f"{where}: a constant model has {len(classes)} classes, not 1")
+    model = LogRegModel(
+        weights=_decode(d["weights"], (n_features, len(classes)), where, "weights"),
+        bias=_decode(d["bias"], (len(classes),), where, "bias"),
+        converged=_listed([d["converged"]], 1, where, "converged", flags=True).item(),
+    )
     return MulticlassModel(classes, n_features, model)
 
 
@@ -443,13 +441,16 @@ def _config_from_dict(base_kind: str, d) -> SvmConfig | LogRegConfig:
 
 
 def save_model(model: HierModel, sink: IO[str]) -> None:
-    """Write the model as schema version 3 JSON.
+    """Write the model as schema version 4 JSON, which states each fact once.
 
     Every node and class is named by its dot-path (the root by ""). Scalars
     are JSON numbers and float arrays base64 of their little-endian float64
     bytes, so every value reads back exactly. Every distinct support vector
-    of the model is stored once, in one top-level ``pool`` of ``pool_rows``
-    rows.
+    of the model is stored once, in one top-level ``pool`` of
+    ``n_features``-wide rows. A node's classifier is constant for one class
+    and ``base_kind`` otherwise, its width is the file's and its gamma
+    ``base_config``'s; ``kmer_config`` holds the normalization, the width
+    the k values (``k_values_of``).
     """
     taxonomy_nodes = [
         {"path": render_label(n), "name": model.taxonomy.names.get(n, "")}
@@ -465,17 +466,13 @@ def save_model(model: HierModel, sink: IO[str]) -> None:
         "base_kind": SVM if isinstance(model.base_config, SvmConfig) else LOGREG,
         "n_features": model.n_features,
         "kmer_config": (
-            {
-                "k_values": list(model.kmer_config.k_values),
-                "normalization": model.kmer_config.normalization,
-            }
+            {"normalization": model.kmer_config.normalization}
             if model.kmer_config is not None
             else None
         ),
         "base_config": dataclasses.asdict(model.base_config),
         "taxonomy": taxonomy_nodes,
         "node_models": node_models,
-        "pool_rows": len(pool),
         "pool": _encode(np.frombuffer(b"".join(pool), dtype="<f8")),
     }
     json.dump(payload, sink, indent=1)
@@ -496,7 +493,7 @@ def load_model(source: IO[str]) -> HierModel:
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise ModelFileError("model file has no schema_version field")
     version = payload["schema_version"]
-    if version in (1, 2):
+    if version in (1, 2, 3):
         raise ModelFileError(
             f"model schema version {version} is no longer read; retrain the model to write "
             f"a version {_SCHEMA_VERSION} file"
@@ -515,22 +512,13 @@ def load_model(source: IO[str]) -> HierModel:
             if entry.get("name"):
                 names[label] = entry["name"]
         taxonomy = Taxonomy(labels, names)
-        kc = payload.get("kmer_config")
-        kmer_config = (
-            KmerConfig(k_values=tuple(kc["k_values"]), normalization=kc["normalization"])
-            if kc
-            else None
-        )
-        n_features = _integer(payload["n_features"], "model file", "n_features")
-        if kmer_config is not None and kmer_config.dimension != n_features:
-            raise ModelFileError(
-                f"model file: kmer_config k_values {list(kmer_config.k_values)} make "
-                f"{kmer_config.dimension} features, not n_features {n_features}"
-            )
-        shape = (_integer(payload["pool_rows"], "model file", "pool_rows"), n_features)
-        pool = _decode(payload["pool"], shape, "model file", "pool")
-        base_kind = payload["base_kind"]
-        base_config = _config_from_dict(base_kind, payload["base_config"])
+        n_features = payload["n_features"]
+        if type(n_features) is not int or n_features < 1:
+            raise ModelFileError(f"model file: n_features {n_features!r} is not a positive integer")
+        kc = payload.get("kmer_config")  # the width gives the k values, if it has any
+        kmer_config = KmerConfig(k_values_of(n_features), kc["normalization"]) if kc else None
+        pool = _decode(payload["pool"], (-1, n_features), "model file", "pool")
+        base_config = _config_from_dict(payload["base_kind"], payload["base_config"])
         node_models = {}
         for key, entry in _object(payload["node_models"], "node_models").items():
             node = taxonomy.node_index.get(parse_label(key).path if key else ())
@@ -539,16 +527,9 @@ def load_model(source: IO[str]) -> HierModel:
                     f"model file: node_models holds two entries for node "
                     f"{taxonomy.node_labels[node]}, the second under {key!r}"
                 )
-            model = _multiclass_from_dict(entry, taxonomy, node, key, n_features, pool)
-            where = f"node model {key or '(root)'}"
-            if model.kind not in (base_kind, "constant"):
-                raise ModelFileError(f"{where} is a {model.kind} model in a {base_kind} file")
-            if model.kind == SVM and model.model.gamma != base_config.gamma:
-                raise ModelFileError(
-                    f"{where}: gamma {model.model.gamma!r} is not the gamma "
-                    f"{base_config.gamma!r} of base_config, which every node trains with"
-                )
-            node_models[node] = model
+            node_models[node] = _multiclass_from_dict(
+                entry, taxonomy, node, key, n_features, pool, base_config
+            )
         if 0 not in node_models:
             raise ModelFileError('model file: node_models holds no root model (key "")')
         return HierModel(

@@ -59,18 +59,23 @@ class KmerConfig:
         return out
 
 
-def kmer_config_of(X: np.ndarray) -> KmerConfig:
-    """The featurization of an (n_rows, width) feature matrix, read off it.
-
-    The k values are the one set whose 4^k blocks add up to the width
-    (ValueError for a width with none). The matrix holds relative frequencies
-    when every k-block of every row sums to 0 or 1 (within 1e-9), raw counts
-    otherwise.
-    """
-    width = X.shape[1]
+def k_values_of(width: int) -> tuple[int, ...]:
+    """The one set of k values whose 4^k blocks add up to ``width``
+    (ValueError for a width with none)."""
     ks = tuple(k for k in range(1, _MAX_K + 1) if (width >> 2 * k) & 3)
     if not ks or sum(4**k for k in ks) != width:
         raise ValueError(f"{width} feature columns do not split into k-mer blocks of 4^k columns")
+    return ks
+
+
+def kmer_config_of(X: np.ndarray) -> KmerConfig:
+    """The featurization of an (n_rows, width) feature matrix, read off it.
+
+    The k values are ``k_values_of(width)``. The matrix holds relative
+    frequencies when every k-block of every row sums to 0 or 1 (within
+    1e-9), raw counts otherwise.
+    """
+    ks = k_values_of(X.shape[1])
     sums = np.add.reduceat(X, np.cumsum([0] + [4**k for k in ks[:-1]]), axis=1)
     freq = (np.abs(sums - (sums > 0.5)) <= 1e-9).all()
     return KmerConfig(ks, RELATIVE_FREQUENCY if freq else RAW_COUNTS)

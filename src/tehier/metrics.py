@@ -173,9 +173,11 @@ def crossval_strategies(
     The folds are the tasks that ``threads`` worker processes share
     (``parallel.run_tasks``); the result is the same for any worker count.
     """
-    for strategy in strategies:
+    for i, strategy in enumerate(strategies):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
+        if strategy in strategies[:i]:
+            raise ValueError(f"strategy {strategy!r} given twice")
     X = np.asarray(X, dtype=np.float64)
     plan = stratified_kfold(labels, k, seed)
 

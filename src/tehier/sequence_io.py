@@ -20,7 +20,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import FormatError, LabelParseError
-from .kmers import canonical_feature_order, kmer_config_of
+from .kmers import KmerConfig, canonical_feature_order, k_values_of
 from .labels import HierLabel, parse_label, render_label
 
 # Uppercase nucleotide alphabet: the four bases plus IUPAC ambiguity codes.
@@ -198,7 +198,7 @@ def read_feature_csv(source) -> tuple[np.ndarray, list[HierLabel | None]]:
 def _feature_names(width: int) -> list[str]:
     """The canonical k-mer names of the one k-mer set of ``width`` columns;
     ValueError for a width that is no such set."""
-    return canonical_feature_order(kmer_config_of(np.empty((0, width))))
+    return canonical_feature_order(KmerConfig(k_values_of(width)))
 
 
 def _line_blocks(numbered: Iterator[tuple[int, str]]) -> Iterator[list[tuple[int, str]]]:

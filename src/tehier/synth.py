@@ -34,8 +34,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sequences_per_node < 0:
-            raise ValueError("sequences_per_node must be >= 0")
+        if self.sequences_per_node < 1:  # featurize refuses a FASTA of no sequences
+            raise ValueError(f"sequences_per_node must be >= 1, got {self.sequences_per_node}")
         lo, hi = self.length_range
         if lo < 1 or hi < lo:
             raise ValueError(f"bad length range {self.length_range}")

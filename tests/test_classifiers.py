@@ -13,6 +13,8 @@ from tehier import (
     fit_multiclass,
     train_binary_svm,
 )
+from tehier.logreg import LogRegModel
+from tehier.svm import BinarySvmModel
 
 from conftest import separable_blobs
 
@@ -20,7 +22,7 @@ from conftest import separable_blobs
 def test_single_class_constant_model(rng):
     X = rng.normal(size=(6, 4))
     model = fit_multiclass(X, np.full(6, 4))
-    assert model.model is None and model.kind == "constant"
+    assert model.model is None
     probs = model.predict_proba(X)
     assert probs.shape == (6, 1)
     assert (probs == 1.0).all()
@@ -32,7 +34,7 @@ def test_three_class_blobs(rng, kind):
     X, y = separable_blobs(rng, 50, [(2.5, 0), (-2.5, 0), (0, 2.5)])
     config = SvmConfig(C=10.0, gamma=0.5) if kind == "svm" else LogRegConfig()
     model = fit_multiclass(X, y + 1, config)
-    assert model.kind == kind
+    assert isinstance(model.model, BinarySvmModel if kind == "svm" else LogRegModel)
     probs = model.predict_proba(X)
     accuracy = np.mean(model.classes[probs.argmax(axis=1)] == y + 1)
     assert accuracy >= 0.95

@@ -7,7 +7,7 @@ import pytest
 import tehier.cli
 from tehier import (
     KmerConfig, LogRegConfig, NumericError, SvmConfig, Taxonomy, featurize_batch, read_fasta,
-    render_label, save_model_file, train_hier, wicker_taxonomy,
+    load_model_file, render_label, save_model_file, train_hier, wicker_taxonomy,
 )
 from tehier.cli import build_parser, main
 
@@ -168,9 +168,9 @@ def test_train_records_the_k_values_of_its_csv(workspace, tmp_path):
     narrow, model = tmp_path / "narrow.csv", tmp_path / "narrow.json"
     assert run(["featurize", workspace / "data.fasta", "--kmers", "2", "--out", narrow]) == 0
     assert run(["train", narrow, "--base", "logreg", "--out", model]) == 0
-    assert json.loads(model.read_text())["kmer_config"] == {
-        "k_values": [2], "normalization": "freq"
-    }
+    # the file holds the normalization; the 16-column width gives k = 2
+    assert json.loads(model.read_text())["kmer_config"] == {"normalization": "freq"}
+    assert load_model_file(model).kmer_config == KmerConfig((2,), "freq")
 
 
 @pytest.mark.parametrize("flag", [["--kmers", "2,3,4"], ["--norm", "freq"]])
@@ -188,6 +188,18 @@ def test_compare_refuses_an_unknown_base_before_any_fold(workspace, capsys):
     captured = capsys.readouterr()
     assert captured.out == "seed: 0\n"
     assert captured.err == "error: unknown base classifier 'forest'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, names, error", [
+    ("--bases", "svm,svm", "base classifier 'svm' given twice"),
+    ("--strategies", "lcpnb,lcpnb", "strategy 'lcpnb' given twice"),
+])
+def test_compare_refuses_a_name_given_twice(workspace, capsys, flag, names, error):
+    out = workspace / "compare.csv"
+    assert run(["compare", workspace / "data.csv", flag, names, "--folds", "3",
+                "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 
@@ -330,6 +342,14 @@ def test_compare_emits_all_pairs(workspace):
 def test_usage_errors_exit_one():
     assert run(["nosuchcommand"]) == 1
     assert run(["synth"]) == 1  # missing required --out
+
+
+@pytest.mark.parametrize("per_node", ["0", "-3"])
+def test_synth_of_no_sequences_per_node_exits_one_and_writes_nothing(tmp_path, capsys, per_node):
+    out = tmp_path / "s.fa"
+    assert run(["synth", "--shape", "2", "--per-node", per_node, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: sequences_per_node must be >= 1, got {per_node}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, prog", [

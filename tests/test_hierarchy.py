@@ -26,11 +26,13 @@ from tehier import (
     load_model_file,
     read_feature_csv,
     save_model,
+    train_binary_svm,
     train_hier,
 )
 import tehier.metrics
 import tehier.svm
 import tehier.synth
+from tehier.classifiers import fit_multiclass, svm_bank
 from tehier.hierarchy import decode_lcpnb, decode_nllcpn, score_paths
 from tehier.labels import HierLabel
 
@@ -263,7 +265,7 @@ def test_train_hier_leaf_only_labels_have_no_self_class(rng):
     labels = [hl("1.1")] * 60 + [hl("2")] * 30
     model = train_hier(X, labels, tax, config=LogRegConfig())
     [one] = node_ids(tax, "1")
-    assert model.node_models[one].kind == "constant"
+    assert model.node_models[one].model is None  # a constant model
     assert model.node_models[one].classes.tolist() == node_ids(tax, "1.1")
 
 
@@ -291,6 +293,8 @@ def test_train_hier_rejects_unknown_labels(rng):
         train_hier(rng.normal(size=(2, 2)), [hl("9")] * 2, tax)
     with pytest.raises(TaxonomyError):
         train_hier(np.zeros((0, 2)), [], tax)
+    with pytest.raises(TaxonomyError, match="nonempty"):
+        train_hier(np.zeros((2, 0)), [hl("1")] * 2, tax)
 
 
 def test_train_hier_rejects_a_config_of_no_base_classifier(rng):
@@ -473,9 +477,24 @@ def test_save_load_round_trip(rng, base_kind):
     assert resaved.getvalue() == sink.getvalue()  # stable serialization
 
 
-@pytest.mark.parametrize("version", [1, 2])
+# a version 3 file stated each node's kind, width and gamma, and the k values
+# and row count of the pool, beside what version 4 keeps
+V3_PAYLOAD = {
+    "schema_version": 3,
+    "base_kind": "logreg",
+    "n_features": 2,
+    "kmer_config": None,
+    "base_config": dataclasses.asdict(LogRegConfig()),
+    "taxonomy": [{"path": "1", "name": ""}, {"path": "2", "name": ""}],
+    "node_models": {"": {"kind": "constant", "classes": ["1"], "n_features": 2}},
+    "pool_rows": 0,
+    "pool": "",
+}
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_refuses_an_old_schema_file(rng, version):
-    payload = saved_payload(rng, "logreg")
+    payload = saved_payload(rng, "logreg") if version < 3 else dict(V3_PAYLOAD)
     payload["schema_version"] = version
     with pytest.raises(ModelFileError, match=f"version {version} is no longer read; retrain"):
         load_model(io.StringIO(json.dumps(payload)))
@@ -486,8 +505,8 @@ def test_load_rejects_unknown_schema_version(rng):
     model = train_hier(X, labels, tax, config=LogRegConfig())
     sink = io.StringIO()
     save_model(model, sink)
-    assert '"schema_version": 3' in sink.getvalue()
-    tampered = sink.getvalue().replace('"schema_version": 3', '"schema_version": 99')
+    assert '"schema_version": 4' in sink.getvalue()
+    tampered = sink.getvalue().replace('"schema_version": 4', '"schema_version": 99')
     with pytest.raises(ModelFileError):
         load_model(io.StringIO(tampered))
 
@@ -537,7 +556,7 @@ def set_at(index, value):
     return edit
 
 
-# (base kind, mutation of the JSON of a version 3 file, words the error must name)
+# (base kind, mutation of the JSON of a version 4 file, words the error must name)
 MODEL_FILE_FAULTS = {
     "leaf node": ("logreg", lambda p: move_node(p, "1", "2"), "not the root or an internal node"),
     "unknown node": ("logreg", lambda p: move_node(p, "1", "1.7"), "not the root or an internal"),
@@ -571,13 +590,8 @@ MODEL_FILE_FAULTS = {
     ),
     "n_features as text": ("svm", lambda p: p.__setitem__("n_features", "2"), "n_features '2'"),
     "n_features as a float": ("logreg", lambda p: p.__setitem__("n_features", 2.9), "n_features"),
-    "node n_features as a float": (
-        "logreg", lambda p: p["node_models"]["1"].__setitem__("n_features", 2.0), "n_features"
-    ),
-    "pool_rows as a float": (
-        "svm", lambda p: p.__setitem__("pool_rows", float(p["pool_rows"])), "pool_rows"
-    ),
-    "negative pool_rows": ("svm", lambda p: p.__setitem__("pool_rows", -1), "pool_rows"),
+    # the pool's rows are n_features wide, so no width of 0 can carry them
+    "n_features 0": ("logreg", lambda p: p.__setitem__("n_features", 0), "not a positive integer"),
     "node_models as a list": (
         "svm", lambda p: p.__setitem__("node_models", []), "node_models is not a JSON object"
     ),
@@ -587,23 +601,28 @@ MODEL_FILE_FAULTS = {
     "unknown config key": (
         "logreg", lambda p: p["base_config"].__setitem__("learning_rate", 1.0), "learning_rate"
     ),
-    # the pool's rows, the support vectors, are n_features wide
-    "support vector width": ("svm", lambda p: p.__setitem__("n_features", 3), "pool holds"),
+    # the pool's rows, the support vectors, are n_features wide: wider rows
+    # split the pool into no whole number of rows, or into fewer than indexed
+    "support vector width": (
+        "svm", lambda p: p.__setitem__("n_features", 3), "not a whole number|not a row of the"
+    ),
     "dual_coef length": (
         "svm", lambda p: edit_b64(p["node_models"][""], "dual_coef", lambda v: v[:-1]), "dual_coef"
     ),
     "pool index out of range": (
-        "svm", lambda p: p["node_models"]["1"]["pool_index"].__setitem__(0, p["pool_rows"]),
+        "svm", lambda p: p["node_models"]["1"]["pool_index"].__setitem__(0, pool_size(p)),
         "not a row of the",
     ),
-    "bias length": ("svm", lambda p: p["node_models"][""]["bias"].pop(), "bias is not a list of 2"),
+    "bias length": ("svm", lambda p: p["node_models"][""]["bias"].pop(), "bias is not a list of 1"),
     "platt_b as text": (
-        "svm", lambda p: p["node_models"]["1"].__setitem__("platt_b", ["0.5", "0.5"]), "platt_b"
+        "svm",
+        lambda p: p["node_models"]["1"].__setitem__("platt_b", ["0.5"]),
+        "platt_b is not a list of 1 numbers",
     ),
     "converged as text": (
         "svm",
         lambda p: p["node_models"]["1"]["converged"].__setitem__(0, "false"),
-        "converged is not a list of 2 booleans",
+        "converged is not a list of 1 booleans",
     ),
     "logreg converged as text": (
         "logreg",
@@ -621,7 +640,7 @@ MODEL_FILE_FAULTS = {
         "non-finite",
     ),
     "non-finite platt_a": (
-        "svm", lambda p: p["node_models"]["1"]["platt_a"].__setitem__(1, np.inf), "non-finite"
+        "svm", lambda p: p["node_models"]["1"]["platt_a"].__setitem__(0, np.inf), "non-finite"
     ),
     "non-finite logreg weight": (
         "logreg", lambda p: edit_b64(p["node_models"]["1"], "weights", set_at(0, -np.inf)),
@@ -631,29 +650,27 @@ MODEL_FILE_FAULTS = {
     "non-finite pool value": ("svm", lambda p: edit_b64(p, "pool", set_at(3, np.nan)), "non-finite"),
     "bad base64": ("svm", lambda p: p.__setitem__("pool", p["pool"][:-3] + "#=="), "base64"),
     "pool as a list": ("svm", lambda p: p.__setitem__("pool", [0.5, 0.5]), "base64"),
-    "pool byte length": ("svm", lambda p: p.__setitem__("pool_rows", p["pool_rows"] + 1), "bytes"),
+    "pool byte length": (
+        "svm", lambda p: edit_b64(p, "pool", lambda v: v[:-1]), r"pool holds \d+ bytes, not a whole"
+    ),
     "negative pool index": (
         "svm", lambda p: p["node_models"][""]["pool_index"].__setitem__(0, -1), "not a row of the"
     ),
     "unknown base kind": ("svm", lambda p: p.__setitem__("base_kind", "tree"), "base classifier"),
-    # every node trains with the gamma of base_config
-    "node gamma is not the base gamma": (
+    # the width fixes the k values, and 2 features are no set of k-mer blocks
+    "normalization of no k-mer width": (
         "svm",
-        lambda p: p["node_models"]["1"].__setitem__("gamma", 2.0),
-        r"node model 1: gamma 2.0 is not the gamma 1.0 of base_config",
-    ),
-    "kmer_config of another width": (
-        "svm",
-        lambda p: p.__setitem__("kmer_config", {"k_values": [2, 3], "normalization": "freq"}),
-        r"k_values \[2, 3\] make 80 features, not n_features 2",
+        lambda p: p.__setitem__("kmer_config", {"normalization": "freq"}),
+        r"malformed: 2 feature columns do not split into k-mer blocks",
     ),
     "no root model": ("logreg", lambda p: p["node_models"].pop(""), "no root model"),
     "empty node_models": ("svm", lambda p: p["node_models"].clear(), "no root model"),
-    # a file whose base_kind names a classifier that its nodes do not use
+    # a file whose base_kind names a classifier that its nodes do not use:
+    # the logreg nodes lack the SVM fields
     "node kind is not the base kind": (
         "logreg",
         lambda p: p.update(base_kind="svm", base_config=dataclasses.asdict(SvmConfig())),
-        r"node model \(root\) is a logreg model in a svm file",
+        r"truncated or malformed: 'pool_index'",
     ),
 }
 
@@ -662,20 +679,25 @@ MODEL_FILE_FAULTS = {
 def test_load_rejects_inconsistent_model_file(rng, fault):
     base_kind, mutate, cause = MODEL_FILE_FAULTS[fault]
     payload = saved_payload(rng, base_kind)
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     mutate(payload)
     with pytest.raises(ModelFileError, match=cause):
         load_model(io.StringIO(json.dumps(payload)))
+
+
+def pool_size(payload) -> int:
+    """The rows of a payload's pool: its bytes over 8 * n_features."""
+    return len(base64.b64decode(payload["pool"])) // (8 * payload["n_features"])
 
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
-def test_v3_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
+def test_v4_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
     from tehier.cli import main
 
-    model = DATA / f"model_v3_{base_kind}.json"
+    model = DATA / f"model_v4_{base_kind}.json"
     resaved = io.StringIO()
     save_model(load_model_file(model), resaved)
     assert resaved.getvalue().encode("utf-8") == model.read_bytes()
@@ -683,12 +705,12 @@ def test_v3_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
         out = tmp_path / f"pred_{strategy}.csv"
         argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--strategy", strategy]
         assert main([*argv, "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA / f"predict_v3_{base_kind}_{strategy}.csv").read_bytes()
+        assert out.read_bytes() == (DATA / f"predict_v4_{base_kind}_{strategy}.csv").read_bytes()
 
 
 def fixture_payload(base_kind):
-    """The committed version 3 file of ``base_kind`` (see data/README.md)."""
-    return json.loads((DATA / f"model_v3_{base_kind}.json").read_text())
+    """The committed version 4 file of ``base_kind`` (see data/README.md)."""
+    return json.loads((DATA / f"model_v4_{base_kind}.json").read_text())
 
 
 def query_rows():
@@ -721,13 +743,13 @@ def set_node(key, field, value, index=None):
 
 # (mutation of the SVM fixture, exit code of predict)
 SVM_FIXTURE_FAULTS = {
-    "node gamma -1": (set_node("", "gamma", -1.0), 2),
-    "node gamma 0": (set_node("2", "gamma", 0.0), 2),
-    "node gamma -1e308": (set_node("3", "gamma", -1e308), 2),
+    "base gamma -1": (lambda p: p["base_config"].__setitem__("gamma", -1.0), 2),
+    "base gamma 0": (lambda p: p["base_config"].__setitem__("gamma", 0.0), 2),
+    "base gamma -1e308": (lambda p: p["base_config"].__setitem__("gamma", -1e308), 2),
     "root bias 1e308": (set_node("", "bias", 1e308, index=0), 3),
     "no root model": (lambda p: p["node_models"].pop(""), 2),
     "empty node_models": (lambda p: p["node_models"].clear(), 2),
-    "k_values [2, 3]": (lambda p: p["kmer_config"].__setitem__("k_values", [2, 3]), 2),
+    "pool cut by one value": (lambda p: edit_b64(p, "pool", lambda v: v[:-1]), 2),
 }
 
 
@@ -764,7 +786,7 @@ def test_predict_names_the_model_file_of_a_prediction_time_numeric_error(tmp_pat
 def test_an_overflowing_node_raises_numeric_error_naming_it(threads):
     # the faulty node's task may run in a worker process; the type survives
     payload = fixture_payload("svm")
-    payload["node_models"]["3"]["bias"][1] = -1e308
+    payload["node_models"]["3"]["bias"][0] = -1e308
     model = load_model(io.StringIO(json.dumps(payload)))
     with pytest.raises(NumericError, match=r"node model 3: prediction failed: overflow"):
         model.proba_tables(query_rows(), threads=threads)
@@ -797,7 +819,7 @@ def single_field_mutations(payload):
 
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
 def test_every_single_field_mutation_is_refused_or_predicts_finite(base_kind):
-    text = (DATA / f"model_v3_{base_kind}.json").read_text()
+    text = (DATA / f"model_v4_{base_kind}.json").read_text()
     queries = query_rows()
     outcomes = {"refused": 0, "numeric": 0, "predicted": 0}
     for path, mutate in single_field_mutations(json.loads(text)):
@@ -827,7 +849,7 @@ def test_every_single_field_mutation_is_refused_or_predicts_finite(base_kind):
     assert outcomes["numeric"] > 0 or base_kind == "logreg"
 
 
-def test_training_reproduces_the_v3_fixtures_byte_for_byte(tmp_path):
+def test_training_reproduces_the_v4_fixtures_byte_for_byte(tmp_path):
     # the commands of data/README.md; a change that moves model bits must
     # regenerate the fixtures with them and say why
     from tehier.cli import main
@@ -842,9 +864,9 @@ def test_training_reproduces_the_v3_fixtures_byte_for_byte(tmp_path):
     run("synth", *synth, "--per-node", 3, "--seed", 4, "--out", tmp_path / "query.fasta")
     run("featurize", tmp_path / "query.fasta", "--kmers", 2, "--out", tmp_path / "query.csv")
     train = ["train", tmp_path / "train.csv"]
-    run(*train, "--base", "svm", "--C", 16, "--gamma", 64, "--out", tmp_path / "model_v3_svm.json")
-    run(*train, "--base", "logreg", "--out", tmp_path / "model_v3_logreg.json")
-    for name in ("query.csv", "model_v3_svm.json", "model_v3_logreg.json"):
+    run(*train, "--base", "svm", "--C", 16, "--gamma", 64, "--out", tmp_path / "model_v4_svm.json")
+    run(*train, "--base", "logreg", "--out", tmp_path / "model_v4_logreg.json")
+    for name in ("query.csv", "model_v4_svm.json", "model_v4_logreg.json"):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
@@ -879,7 +901,39 @@ def test_pool_stores_each_support_vector_once(rng):
     payload = json.loads(sink.getvalue())
     rows = {sv.tobytes() for m in model.node_models.values() for sv in m.model.support_vectors}
     stored = sum(len(node["pool_index"]) for node in payload["node_models"].values())
-    assert payload["pool_rows"] == len(rows) < stored
+    assert pool_size(payload) == len(rows) < stored
+
+
+def bank_bytes(bank) -> dict:
+    return {f.name: np.asarray(getattr(bank, f.name)).tobytes() for f in dataclasses.fields(bank)}
+
+
+def test_a_two_class_svm_node_stores_one_column_and_loads_as_trained(rng):
+    tax, X, labels = hier_training_setup(rng)
+    config = SvmConfig(C=5.0, gamma=1.0)
+    model = train_hier(X, labels, tax, config=config)
+    sink = io.StringIO()
+    save_model(model, sink)
+    entries = json.loads(sink.getvalue())["node_models"]
+    loaded = load_model(io.StringIO(sink.getvalue()))
+    root, one = node_ids(tax, "", "1")
+    for v, key in ((root, ""), (one, "1")):
+        trained = model.node_models[v].model
+        assert trained.dual_coef.shape[1] == 2
+        n_sv = len(entries[key]["pool_index"])
+        assert len(base64.b64decode(entries[key]["dual_coef"])) == 8 * n_sv
+        for field in ("bias", "platt_a", "platt_b", "converged"):
+            assert len(entries[key][field]) == 1
+        assert bank_bytes(loaded.node_models[v].model) == bank_bytes(trained)
+    # fit_multiclass's bank is class 0's SVM pooled with its negation
+    y = np.array([1 if str(label).startswith("1") else 2 for label in labels])
+    svm = train_binary_svm(X, np.where(y == 1, 1.0, -1.0), config)
+    flipped = dataclasses.replace(
+        svm, dual_coef=-svm.dual_coef, bias=-svm.bias, platt_b=-svm.platt_b
+    )
+    bank = fit_multiclass(X, y, config).model
+    assert bank_bytes(bank) == bank_bytes(svm_bank([svm, flipped]))
+    assert bank_bytes(bank) == bank_bytes(model.node_models[root].model)
 
 
 def test_predict_cli_exits_2_on_inconsistent_model_file(rng, tmp_path, capsys):

@@ -261,6 +261,12 @@ def test_crossval_strategies_share_training(rng):
     assert both["nllcpn"].fold_metrics == single.fold_metrics
 
 
+def test_crossval_strategies_refuses_a_strategy_given_twice(rng):
+    tax, X, labels = tiny_dataset(rng)
+    with pytest.raises(ValueError, match="strategy 'lcpnb' given twice"):
+        crossval_strategies(X, labels, tax, LogRegConfig(), strategies=("lcpnb", "lcpnb"), k=4)
+
+
 def test_crossval_thread_count_independent(rng):
     tax, X, labels = tiny_dataset(rng)
     serial = crossval(X, labels, tax, strategy="lcpnb", config=LogRegConfig(), k=4, seed=1, threads=1)

@@ -131,6 +131,9 @@ def test_spec_validation():
     tax = taxonomy_from_shape([2], seed=0)
     with pytest.raises(ValueError):
         SynthSpec(taxonomy=tax, sequences_per_node=-1)
+    # no sequences make a FASTA that featurize refuses
+    with pytest.raises(ValueError, match="sequences_per_node must be >= 1, got 0"):
+        SynthSpec(taxonomy=tax, sequences_per_node=0)
     with pytest.raises(ValueError):
         SynthSpec(taxonomy=tax, length_range=(10, 5))
     with pytest.raises(ValueError):
