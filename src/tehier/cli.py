@@ -26,7 +26,7 @@ from .gridsearch import (
     grid_search,
 )
 from .hierarchy import LCPNB, STRATEGIES, load_model_file, save_model_file, train_hier
-from .kmers import RAW_COUNTS, RELATIVE_FREQUENCY, KmerConfig, featurize_batch, kmer_config_of
+from .kmers import RAW_COUNTS, RELATIVE_FREQUENCY, KmerConfig, featurize_batch, holds_normalization
 from .labels import parse_label, render_label
 from .logreg import LogRegConfig
 from .metrics import crossval_strategies, hier_metrics
@@ -106,13 +106,20 @@ def cmd_synth(args) -> int:
     if args.taxonomy:
         taxonomy = load_taxonomy(args.taxonomy)
     else:
-        shape = [int(t) for t in args.shape.split(",")]
+        try:
+            shape = [int(t) for t in args.shape.split(",")]
+        except ValueError:
+            raise ValueError(f"--shape must be N,N,... class counts, got {args.shape!r}") from None
         taxonomy = taxonomy_from_shape(shape, seed=args.seed)
-    lo, _, hi = args.length.partition(":")
+    lo, colon, hi = args.length.partition(":")
+    try:
+        length_range = (int(lo), int(hi if colon else lo))
+    except ValueError:
+        raise ValueError(f"--length must be N or MIN:MAX, got {args.length!r}") from None
     spec = SynthSpec(
         taxonomy=taxonomy,
         sequences_per_node=args.per_node,
-        length_range=(int(lo), int(hi or lo)),
+        length_range=length_range,
         separability=args.separability,
         internal_label_fraction=args.internal_fraction,
         seed=args.seed,
@@ -165,15 +172,12 @@ def _read_prediction_inputs(path, model):
     if not len(X):
         raise FormatError(f"{path}: no feature rows")
     if config is not None and X.shape[1] == config.dimension:
-        if config.normalization == RELATIVE_FREQUENCY:
-            found = kmer_config_of(X).normalization
-        else:  # raw counts are whole numbers
-            found = RELATIVE_FREQUENCY if (X % 1.0).any() else RAW_COUNTS
-        if found != config.normalization:
+        norm = config.normalization
+        if not holds_normalization(X, norm):
+            found = RAW_COUNTS if norm == RELATIVE_FREQUENCY else RELATIVE_FREQUENCY
             raise FormatError(
                 f"{path}: the rows hold {found!r} features but the model was trained on "
-                f"{config.normalization!r} features; featurize the query with "
-                f"--norm {config.normalization}"
+                f"{norm!r} features; featurize the query with --norm {norm}"
             )
     return [f"row{i + 1}" for i in range(len(X))], X
 

@@ -30,7 +30,9 @@ from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, mirrored,
 from .errors import (
     DimensionError, FormatError, LabelParseError, ModelFileError, NumericError, TaxonomyError
 )
-from .kmers import KmerConfig, k_values_of, kmer_config_of
+from .kmers import (
+    RELATIVE_FREQUENCY, KmerConfig, holds_normalization, k_values_of, kmer_config_of
+)
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig, LogRegModel
 from .parallel import run_tasks
@@ -518,6 +520,14 @@ def load_model(source: IO[str]) -> HierModel:
         kc = payload.get("kmer_config")  # the width gives the k values, if it has any
         kmer_config = KmerConfig(k_values_of(n_features), kc["normalization"]) if kc else None
         pool = _decode(payload["pool"], (-1, n_features), "model file", "pool")
+        # training calls every matrix that is not frequencies raw, whole or not,
+        # so only a frequency pool can be checked against its featurization
+        freq = kmer_config is not None and kmer_config.normalization == RELATIVE_FREQUENCY
+        if freq and not holds_normalization(pool, RELATIVE_FREQUENCY):
+            raise ModelFileError(
+                f"model file: the pool's {n_features}-wide rows do not hold 'freq' "
+                "features; n_features or the pool is wrong"
+            )
         base_config = _config_from_dict(payload["base_kind"], payload["base_config"])
         node_models = {}
         for key, entry in _object(payload["node_models"], "node_models").items():

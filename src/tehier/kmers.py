@@ -68,17 +68,24 @@ def k_values_of(width: int) -> tuple[int, ...]:
     return ks
 
 
-def kmer_config_of(X: np.ndarray) -> KmerConfig:
-    """The featurization of an (n_rows, width) feature matrix, read off it.
-
-    The k values are ``k_values_of(width)``. The matrix holds relative
-    frequencies when every k-block of every row sums to 0 or 1 (within
-    1e-9), raw counts otherwise.
-    """
+def holds_normalization(X: np.ndarray, normalization: str) -> bool:
+    """Whether every row of an (n_rows, width) feature matrix can hold
+    features of ``normalization``: for relative frequencies, every k-block
+    (of ``k_values_of(width)``) sums to 0 or 1 within 1e-9; for raw counts,
+    every entry is a whole number."""
+    if normalization == RAW_COUNTS:
+        return not (X % 1.0).any()
     ks = k_values_of(X.shape[1])
     sums = np.add.reduceat(X, np.cumsum([0] + [4**k for k in ks[:-1]]), axis=1)
-    freq = (np.abs(sums - (sums > 0.5)) <= 1e-9).all()
-    return KmerConfig(ks, RELATIVE_FREQUENCY if freq else RAW_COUNTS)
+    return bool((np.abs(sums - (sums > 0.5)) <= 1e-9).all())
+
+
+def kmer_config_of(X: np.ndarray) -> KmerConfig:
+    """The featurization of an (n_rows, width) feature matrix, read off it:
+    the k values of ``k_values_of(width)``, and relative frequencies when the
+    rows hold them (``holds_normalization``), raw counts otherwise."""
+    freq = holds_normalization(X, RELATIVE_FREQUENCY)
+    return KmerConfig(k_values_of(X.shape[1]), RELATIVE_FREQUENCY if freq else RAW_COUNTS)
 
 
 def canonical_feature_order(config: KmerConfig | None = None) -> list[str]:

@@ -18,8 +18,8 @@ from .labels import HierLabel
 from .sequence_io import Sequence
 from .taxonomy import Taxonomy
 
-_LETTERS = np.frombuffer(b"ACGT", dtype=np.uint8)
-_BLOCK_CELLS = 1 << 20  # positions walked at once; the draws take 8 bytes each
+_LETTERS = bytes.maketrans(bytes(range(4)), b"ACGT")
+_BLOCK_CELLS = 1 << 20  # cells of one block of float draws, and of one block of the walk
 _CHILD_DRIFT = 0.6  # how far a child's random matrix moves from its parent's
 _DIRICHLET_ALPHA = 1.5
 
@@ -97,33 +97,27 @@ def _node_chain(
     )
 
 
-def _sample_sequences(rng: np.random.Generator, chain: np.ndarray, lengths) -> list[str]:
-    """Markov-chain sequences of the given lengths, walked in lockstep.
+def _transition_codes(chain: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """One uint8 code per draw: bits 2s..2s+1 hold the next state from state s.
 
-    The draws are taken per sequence, in order: the first base
-    (``rng.integers(4)``), then ``length - 1`` uniforms for the transitions.
-    All sequences of a block of rows then advance one position per step; the
-    next state is the number of cumulative transition probabilities at or
-    below the draw (``searchsorted(side="right")``), clamped to T, since a row
-    whose sum rounds below 1 can leave a draw above its last entry.
+    From state s, a draw walks to the count of row s's first three cumulative
+    probabilities at or below it. That is the count of all four clamped to T,
+    since a cumulative row never decreases; a row whose sum rounds below 1
+    leaves a draw above its last entry, and the clamp walks it to T. The code
+    depends only on the draw's rank, the count of the chain's (at most 12)
+    distinct thresholds at or below it, so a table of at most 13 codes,
+    indexed by rank, does the rest.
     """
-    cumulative = np.cumsum(chain, axis=1)
-    width = int(max(lengths))
-    rows_per_block = max(1, _BLOCK_CELLS // width)
-    sequences: list[str] = []
-    for start in range(0, len(lengths), rows_per_block):
-        block = lengths[start : start + rows_per_block]
-        states = np.empty((len(block), width), dtype=np.uint8)
-        draws = np.zeros((len(block), width - 1))
-        for i, length in enumerate(block):
-            states[i, 0] = rng.integers(4)
-            draws[i, : length - 1] = rng.random(length - 1)
-        for j in range(1, width):
-            below = cumulative[states[:, j - 1]] <= draws[:, j - 1, None]
-            states[:, j] = np.minimum(below.sum(axis=1), 3)
-        letters = _LETTERS[states]
-        sequences.extend(letters[i, :length].tobytes().decode() for i, length in enumerate(block))
-    return sequences
+    cumulative = np.cumsum(chain, axis=1)[:, :3]
+    # sorted in Python: a first np.unique call maps about 1.5 MB of code pages
+    thresholds = np.array(sorted(set(cumulative.ravel().tolist())))
+    next_states = (cumulative[None] <= thresholds[:, None, None]).sum(axis=2)
+    table = np.zeros(len(thresholds) + 1, dtype=np.uint8)
+    table[1:] = (next_states << 2 * np.arange(4)).sum(axis=1)
+    ranks = np.zeros(draws.shape, dtype=np.uint8)
+    for threshold in thresholds:  # a pass per threshold beats a binary search per draw
+        np.add(ranks, draws >= threshold, out=ranks)
+    return table[ranks]
 
 
 def node_allocation(spec: SynthSpec) -> dict[HierLabel, int]:
@@ -141,22 +135,75 @@ def node_allocation(spec: SynthSpec) -> dict[HierLabel, int]:
     }
 
 
-def generate(spec: SynthSpec) -> list[Sequence]:
-    """Deterministic labeled sequences, in taxonomy preorder."""
+def _draw_codes(
+    spec: SynthSpec, nodes: list[tuple[HierLabel, np.random.Generator, np.ndarray]], width: int
+) -> np.ndarray:
+    """A (width, rows) uint8 array: row 0 holds each sequence's first state,
+    row j the code of its step j; the rows of all nodes, in preorder."""
     rng_base = np.random.default_rng([spec.seed, 3])
     base = rng_base.dirichlet([_DIRICHLET_ALPHA] * 4, size=4)
     random_parts: dict[tuple, np.ndarray] = {}
-    records: list[Sequence] = []
-    lo, hi = spec.length_range
-    for node, count in node_allocation(spec).items():
-        if count == 0:
-            continue
+    walk = np.zeros((width, sum(len(lengths) for _, _, lengths in nodes)), dtype=np.uint8)
+    row = 0
+    for node, rng, lengths in nodes:
         chain = _node_chain(spec, base, random_parts, node)
-        rng = np.random.default_rng([spec.seed, 11, *node.path])
-        lengths = rng.integers(lo, hi + 1, size=count)
-        residues = _sample_sequences(rng, chain, lengths)
+        node_width = int(lengths.max())
+        rows_per_block = max(1, _BLOCK_CELLS // node_width)
+        for start in range(0, len(lengths), rows_per_block):
+            block = lengths[start : start + rows_per_block]
+            draws = np.zeros((len(block), node_width - 1))
+            for i, length in enumerate(block):
+                walk[0, row + i] = rng.integers(4)
+                rng.random(out=draws[i, : length - 1])
+            walk[1:node_width, row : row + len(block)] = _transition_codes(chain, draws).T
+            row += len(block)
+    return walk
+
+
+def _walk(walk: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The residues of every row, walked in place, all rows together."""
+    width = len(walk)
+    rows_per_block = max(1, _BLOCK_CELLS // width)
+    residues: list[str] = []
+    for start in range(0, len(lengths), rows_per_block):
+        states = walk[:, start : start + rows_per_block]
+        shifts = np.empty(states.shape[1], dtype=np.uint8)
+        for j in range(1, width):
+            np.left_shift(states[j - 1], 1, out=shifts)
+            np.right_shift(states[j], shifts, out=states[j])
+            np.bitwise_and(states[j], 3, out=states[j])
+        # row by row: a text copy of the whole block would be as large as the walk
+        block = lengths[start : start + rows_per_block].tolist()
+        residues.extend(
+            states[:n, i].tobytes().translate(_LETTERS).decode() for i, n in enumerate(block)
+        )
+    return residues
+
+
+def generate(spec: SynthSpec) -> list[Sequence]:
+    """Deterministic labeled sequences, in taxonomy preorder.
+
+    The draws are taken per node, in preorder, from the node's own generator:
+    the lengths, then per sequence the first base (``rng.integers(4)``) and
+    ``length - 1`` uniforms, into a float block of at most ``_BLOCK_CELLS``
+    cells of that node's rows. Each block becomes one byte of transition code
+    per draw (``_transition_codes``). The rows of all nodes then advance
+    together, one position per step, ``state = (code >> 2 * state) & 3``, in
+    blocks of at most ``_BLOCK_CELLS`` cells.
+    """
+    lo, hi = spec.length_range
+    nodes = []
+    for node, count in node_allocation(spec).items():
+        if count:
+            rng = np.random.default_rng([spec.seed, 11, *node.path])
+            nodes.append((node, rng, rng.integers(lo, hi + 1, size=count)))
+    lengths = np.concatenate([node_lengths for _, _, node_lengths in nodes])
+    residues = iter(_walk(_draw_codes(spec, nodes, int(lengths.max())), lengths))
+    records: list[Sequence] = []
+    for node, _, node_lengths in nodes:
+        prefix = f"synth-{node}-"
         records.extend(
-            Sequence(id=f"synth-{node}-{i:04d}", residues=r, label=node)
-            for i, r in enumerate(residues)
+            Sequence(id=f"{prefix}{i:04d}", residues=next(residues), label=node)
+            for i in range(len(node_lengths))
         )
     return records

@@ -352,6 +352,20 @@ def test_synth_of_no_sequences_per_node_exits_one_and_writes_nothing(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, form", [
+    ("--length", ":500", "N or MIN:MAX"),
+    ("--length", "500:", "N or MIN:MAX"),
+    ("--length", "1:2:3", "N or MIN:MAX"),
+    ("--shape", "2,x", "N,N,... class counts"),
+    ("--shape", "", "N,N,... class counts"),
+])
+def test_synth_names_the_flag_it_cannot_parse(tmp_path, capsys, flag, value, form):
+    out = tmp_path / "s.fa"
+    assert run(["synth", flag, value, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be {form}, got {value!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, prog", [
     (["nosuchcommand"], "tehier"),
     (["train"], "tehier train"),

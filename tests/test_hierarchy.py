@@ -750,6 +750,7 @@ SVM_FIXTURE_FAULTS = {
     "no root model": (lambda p: p["node_models"].pop(""), 2),
     "empty node_models": (lambda p: p["node_models"].clear(), 2),
     "pool cut by one value": (lambda p: edit_b64(p, "pool", lambda v: v[:-1]), 2),
+    "n_features 16 -> 4": (lambda p: p.__setitem__("n_features", 4), 2),
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tehier import (
     write_fasta,
 )
 import tehier.synth
-from tehier.synth import _sample_sequences, node_allocation
+from tehier.synth import node_allocation
 
 from oracles import generate_reference, sample_sequence_reference
 
@@ -143,7 +144,7 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("shape", [[1], [2, 2], [3, 1, 4], [2, 4, 3, 5]])
-@pytest.mark.parametrize("length_range", [(1, 90), (1, 1), (37, 37)])
+@pytest.mark.parametrize("length_range", [(1, 90), (1, 1), (37, 37), (1, 3), (1, 500)])
 @pytest.mark.parametrize("separability", [0.0, 0.5, 1.0])
 def test_generate_equals_one_sequence_at_a_time_reference(shape, length_range, separability):
     spec = SynthSpec(
@@ -164,19 +165,62 @@ def test_lockstep_blocks_of_rows_equal_reference(monkeypatch):
         assert generate(spec) == expected
 
 
-def test_draw_above_a_row_sum_below_one_walks_to_t():
+def test_one_sequence_per_node_equals_reference():
+    # internal nodes draw no sequence under the internal-label fraction, so
+    # the walk holds rows of nodes far apart in preorder side by side
+    spec = SynthSpec(
+        taxonomy=wicker_taxonomy(), sequences_per_node=1, length_range=(1, 200), seed=13,
+    )
+    assert 0 in node_allocation(spec).values()
+    assert generate(spec) == generate_reference(spec)
+
+
+def test_walk_blocks_across_node_boundaries_equal_reference(monkeypatch):
+    spec = SynthSpec(
+        taxonomy=taxonomy_from_shape([2, 4], seed=1), sequences_per_node=4,
+        length_range=(30, 30), internal_label_fraction=0.0, seed=6,
+    )
+    counts = [count for count in node_allocation(spec).values() if count]
+    assert counts == [6, 6, 6, 6]
+    expected = generate_reference(spec)
+    # blocks of 6 and 12 rows end on node boundaries; 5, 7 and 17 inside nodes
+    for rows in (6, 12, 5, 7, 17):
+        monkeypatch.setattr(tehier.synth, "_BLOCK_CELLS", rows * 30)
+        assert generate(spec) == expected
+
+
+def test_generate_peak_memory_on_the_desk_spec():
+    # every row's float draws at once would take 1,400 x 499 x 8 = 5.6 MB
+    spec = SynthSpec(taxonomy_from_shape([2, 4, 3, 5], seed=0), seed=42)
+    generate(spec)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_draw_above_a_row_sum_below_one_walks_to_t(monkeypatch):
     # every row sums to 0.4, so each draw >= 0.4 finds no cumulative entry
     # above it; the one-at-a-time walk then indexes a fifth state and fails
     chain = np.full((4, 4), 0.1)
-    lengths = np.array([1, 7, 30, 2])
     with pytest.raises(IndexError):
         sample_sequence_reference(np.random.default_rng(5), chain, 30)
-    walked = _sample_sequences(np.random.default_rng(5), chain, lengths)
-    replay = np.random.default_rng(5)
+    monkeypatch.setattr(tehier.synth, "_node_chain", lambda *args: chain)
+    spec = SynthSpec(
+        taxonomy=taxonomy_from_shape([2], seed=0), sequences_per_node=3,
+        length_range=(20, 30), seed=5,
+    )
+    records = iter(generate(spec))
     cumulative = np.cumsum(chain[0])
-    for residues, length in zip(walked, lengths):
-        first = "ACGT"[replay.integers(4)]
-        draws = replay.random(length - 1)
-        steps = np.minimum(np.searchsorted(cumulative, draws, side="right"), 3)
-        assert residues == first + "".join("ACGT"[s] for s in steps)
-    assert walked[2].count("T") > 10
+    for node, count in node_allocation(spec).items():  # replay each node's draws
+        replay = np.random.default_rng([spec.seed, 11, *node.path])
+        for length in replay.integers(20, 31, size=count):
+            first = "ACGT"[replay.integers(4)]
+            draws = replay.random(length - 1)
+            steps = np.minimum(np.searchsorted(cumulative, draws, side="right"), 3)
+            residues = next(records).residues
+            assert residues == first + "".join("ACGT"[s] for s in steps)
+            assert residues.count("T") > length // 3
