@@ -130,7 +130,7 @@ def fit_multiclass(
     if len(classes) == 1:
         return MulticlassModel(classes, X.shape[1])
     if isinstance(config, LogRegConfig):
-        return MulticlassModel(classes, X.shape[1], train_logreg(X, y_idx, len(classes), config))
+        return MulticlassModel(classes, X.shape[1], train_logreg(X, y_idx, len(classes)))
     if columns is None:
         columns = _KernelColumns(X, config.gamma)
     svms = [

@@ -26,7 +26,7 @@ from .gridsearch import (
     grid_search,
 )
 from .hierarchy import LCPNB, STRATEGIES, load_model_file, save_model_file, train_hier
-from .kmers import RAW_COUNTS, RELATIVE_FREQUENCY, KmerConfig, featurize_batch, holds_normalization
+from .kmers import KmerConfig, featurize_batch, holds_normalization, kmer_config_of
 from .labels import parse_label, render_label
 from .logreg import LogRegConfig
 from .metrics import crossval_strategies, hier_metrics
@@ -174,9 +174,12 @@ def _read_prediction_inputs(path, model):
     if config is not None and X.shape[1] == config.dimension:
         norm = config.normalization
         if not holds_normalization(X, norm):
-            found = RAW_COUNTS if norm == RELATIVE_FREQUENCY else RELATIVE_FREQUENCY
+            try:
+                found = repr(kmer_config_of(X).normalization)
+            except ValueError:
+                found = "neither 'freq' nor 'raw'"
             raise FormatError(
-                f"{path}: the rows hold {found!r} features but the model was trained on "
+                f"{path}: the rows hold {found} features but the model was trained on "
                 f"{norm!r} features; featurize the query with --norm {norm}"
             )
     return [f"row{i + 1}" for i in range(len(X))], X

@@ -34,8 +34,10 @@ class Grid:
     def __post_init__(self):
         if not self.c_values or not self.gamma_values:
             raise ValueError("grid axes must be nonempty")
-        if any(v <= 0 for v in self.c_values) or any(v <= 0 for v in self.gamma_values):
-            raise ValueError("grid values must be positive")
+        for value in self.c_values:
+            SvmConfig(C=value)
+        for value in self.gamma_values:
+            SvmConfig(gamma=value)
         if self.folds < 2:
             raise ValueError("grid folds must be >= 2")
 

@@ -10,7 +10,7 @@ the rest preorder) to that model, whose ``classes`` are node ids.
 ``ProbaTable``, and ``decode_nllcpn`` (greedy descent) and ``decode_lcpnb``
 (path scoring) map a table to one node id per sample.
 
-``save_model`` writes schema version 4 JSON, the one schema ``load_model``
+``save_model`` writes schema version 5 JSON, the one schema ``load_model``
 reads. A loaded model predicts bit for bit as the saved one did; a file
 that holds what training never writes raises ``ModelFileError``.
 """
@@ -30,9 +30,7 @@ from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, mirrored,
 from .errors import (
     DimensionError, FormatError, LabelParseError, ModelFileError, NumericError, TaxonomyError
 )
-from .kmers import (
-    RELATIVE_FREQUENCY, KmerConfig, holds_normalization, k_values_of, kmer_config_of
-)
+from .kmers import KmerConfig, holds_normalization, k_values_of, kmer_config_of
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig, LogRegModel
 from .parallel import run_tasks
@@ -43,7 +41,7 @@ NLLCPN = "nllcpn"
 LCPNB = "lcpnb"
 STRATEGIES = (NLLCPN, LCPNB)
 
-_SCHEMA_VERSION = 4
+_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -239,7 +237,7 @@ def train_hier(
     ``X`` and hands each node the slice of it for the node's rows. The
     nodes are the tasks of ``threads`` worker processes; the model is the
     same for any count. The model's ``kmer_config`` is ``kmer_config_of(X)``,
-    or None where the width is no set of k-mer blocks.
+    or None where the rows hold no k-mer features.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)  # the root node trains on X itself
     if X.ndim != 2 or X.size == 0:  # a model file's pool rows need a width
@@ -434,7 +432,7 @@ def _multiclass_from_dict(
 
 
 def _config_from_dict(base_kind: str, d) -> SvmConfig | LogRegConfig:
-    _finite("base_config", list(_object(d, "base_config").values()))
+    _object(d, "base_config")
     if base_kind == SVM:
         return SvmConfig(**d)
     if base_kind == LOGREG:
@@ -443,7 +441,7 @@ def _config_from_dict(base_kind: str, d) -> SvmConfig | LogRegConfig:
 
 
 def save_model(model: HierModel, sink: IO[str]) -> None:
-    """Write the model as schema version 4 JSON, which states each fact once.
+    """Write the model as schema version 5 JSON, which states each fact once.
 
     Every node and class is named by its dot-path (the root by ""). Scalars
     are JSON numbers and float arrays base64 of their little-endian float64
@@ -451,8 +449,9 @@ def save_model(model: HierModel, sink: IO[str]) -> None:
     of the model is stored once, in one top-level ``pool`` of
     ``n_features``-wide rows. A node's classifier is constant for one class
     and ``base_kind`` otherwise, its width is the file's and its gamma
-    ``base_config``'s; ``kmer_config`` holds the normalization, the width
-    the k values (``k_values_of``).
+    ``base_config``'s, which holds C and gamma for an SVM model and nothing
+    for logreg; ``kmer_config`` holds the normalization, the width the k
+    values (``k_values_of``).
     """
     taxonomy_nodes = [
         {"path": render_label(n), "name": model.taxonomy.names.get(n, "")}
@@ -495,7 +494,7 @@ def load_model(source: IO[str]) -> HierModel:
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise ModelFileError("model file has no schema_version field")
     version = payload["schema_version"]
-    if version in (1, 2, 3):
+    if version in range(1, _SCHEMA_VERSION):
         raise ModelFileError(
             f"model schema version {version} is no longer read; retrain the model to write "
             f"a version {_SCHEMA_VERSION} file"
@@ -520,13 +519,10 @@ def load_model(source: IO[str]) -> HierModel:
         kc = payload.get("kmer_config")  # the width gives the k values, if it has any
         kmer_config = KmerConfig(k_values_of(n_features), kc["normalization"]) if kc else None
         pool = _decode(payload["pool"], (-1, n_features), "model file", "pool")
-        # training calls every matrix that is not frequencies raw, whole or not,
-        # so only a frequency pool can be checked against its featurization
-        freq = kmer_config is not None and kmer_config.normalization == RELATIVE_FREQUENCY
-        if freq and not holds_normalization(pool, RELATIVE_FREQUENCY):
+        if kmer_config is not None and not holds_normalization(pool, kmer_config.normalization):
             raise ModelFileError(
-                f"model file: the pool's {n_features}-wide rows do not hold 'freq' "
-                "features; n_features or the pool is wrong"
+                f"model file: the pool's {n_features}-wide rows do not hold "
+                f"{kmer_config.normalization!r} features; n_features or the pool is wrong"
             )
         base_config = _config_from_dict(payload["base_kind"], payload["base_config"])
         node_models = {}

@@ -83,9 +83,12 @@ def holds_normalization(X: np.ndarray, normalization: str) -> bool:
 def kmer_config_of(X: np.ndarray) -> KmerConfig:
     """The featurization of an (n_rows, width) feature matrix, read off it:
     the k values of ``k_values_of(width)``, and relative frequencies when the
-    rows hold them (``holds_normalization``), raw counts otherwise."""
-    freq = holds_normalization(X, RELATIVE_FREQUENCY)
-    return KmerConfig(k_values_of(X.shape[1]), RELATIVE_FREQUENCY if freq else RAW_COUNTS)
+    rows hold them (``holds_normalization``), else raw counts when every
+    entry is a whole number; ValueError when the rows hold neither."""
+    for normalization in (RELATIVE_FREQUENCY, RAW_COUNTS):
+        if holds_normalization(X, normalization):
+            return KmerConfig(k_values_of(X.shape[1]), normalization)
+    raise ValueError("the rows hold neither 'freq' nor 'raw' k-mer features")
 
 
 def canonical_feature_order(config: KmerConfig | None = None) -> list[str]:

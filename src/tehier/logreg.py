@@ -17,21 +17,14 @@ from .errors import DegenerateDataError, DimensionError
 
 _MEMORY = 10  # L-BFGS curvature pairs kept
 _ARMIJO = 1e-4  # sufficient-decrease constant c1
+_L2_STRENGTH = 1e-4
+_MAX_ITERATIONS = 500
+_TOLERANCE = 1e-6  # on the gradient norm
 
 
 @dataclass(frozen=True)
 class LogRegConfig:
-    l2_strength: float = 1e-4
-    max_iterations: int = 500
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if self.l2_strength < 0:
-            raise ValueError("l2_strength must be nonnegative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+    """Chooses softmax regression as the base classifier; it has no settings."""
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -82,9 +75,9 @@ class LogRegModel:
         return softmax(X @ self.weights + self.bias)
 
 
-def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRegConfig) -> LogRegModel:
+def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> LogRegModel:
     """Softmax regression on class indices 0..n_classes-1; ``converged`` is
-    true only when the gradient norm fell to the tolerance."""
+    true only when the gradient norm fell to ``_TOLERANCE``."""
     X = np.asarray(X, dtype=np.float64)
     y_idx = np.asarray(y_idx, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y_idx.shape[0]:
@@ -92,23 +85,21 @@ def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRe
     if n_classes < 2:
         raise DegenerateDataError("softmax regression needs at least two classes")
 
-    l2 = config.l2_strength
-
     def split(theta):  # the flat vector holds W row by row, then b
         return theta[:-n_classes].reshape(-1, n_classes), theta[-n_classes:]
 
     def gradient(theta, probs):
-        grad_w, grad_b = logreg_gradient(split(theta)[0], X, y_idx, l2, probs)
+        grad_w, grad_b = logreg_gradient(split(theta)[0], X, y_idx, _L2_STRENGTH, probs)
         return np.concatenate([grad_w.ravel(), grad_b])
 
     theta = np.zeros((X.shape[1] + 1) * n_classes)
-    loss, probs = logreg_loss(*split(theta), X, y_idx, l2)
+    loss, probs = logreg_loss(*split(theta), X, y_idx, _L2_STRENGTH)
     grad = gradient(theta, probs)
     history = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y) pairs, oldest first
 
-    for _ in range(config.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         gnorm = float(np.sqrt(grad @ grad))
-        if gnorm <= config.tolerance:
+        if gnorm <= _TOLERANCE:
             break
         direction = _two_loop(grad, history, gnorm)
         slope = float(grad @ direction)  # < 0: H stays positive definite
@@ -116,7 +107,7 @@ def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRe
         step = 1.0
         for _ in range(40):
             new_theta = theta + step * direction
-            new_loss, new_probs = logreg_loss(*split(new_theta), X, y_idx, l2)
+            new_loss, new_probs = logreg_loss(*split(new_theta), X, y_idx, _L2_STRENGTH)
             if new_loss - loss <= _ARMIJO * step * slope:
                 break
             step /= 2.0
@@ -129,7 +120,7 @@ def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int, config: LogRe
             history.append((s, y, 1.0 / sy))
         theta, loss, grad = new_theta, new_loss, new_grad
 
-    return LogRegModel(*split(theta), converged=float(np.sqrt(grad @ grad)) <= config.tolerance)
+    return LogRegModel(*split(theta), converged=float(np.sqrt(grad @ grad)) <= _TOLERANCE)
 
 
 def _two_loop(grad: np.ndarray, history, gnorm: float) -> np.ndarray:

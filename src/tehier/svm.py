@@ -1,7 +1,7 @@
 """Binary soft-margin RBF SVMs trained with SMO, with Platt-calibrated outputs.
 
 SMO solves the dual with maximal-violating-pair working-set selection and
-stops when the KKT gap drops below ``SvmConfig.kkt_tolerance``. The kernel
+stops when the KKT gap drops below ``_KKT_TOLERANCE``. The kernel
 comes from one ``_KernelColumns`` provider per row set. Platt's sigmoid
 P(y=1|f) = 1 / (1 + exp(A f + B)) is fitted to the training decision values,
 which are read off the final SMO gradient, so it evaluates no further kernel.
@@ -19,27 +19,21 @@ from .errors import DegenerateDataError, DimensionError
 _FULL_GRAM_LIMIT = 4000
 _ROW_CACHE_SIZE = 512
 _SNAP = 1e-12
+_KKT_TOLERANCE = 1e-3
+_MAX_PASSES = 200  # SMO makes at most _MAX_PASSES * n_samples pair updates
 
 
 @dataclass(frozen=True)
 class SvmConfig:
-    """Soft-margin cost, RBF width and SMO stopping controls; SMO makes at
-    most ``max_passes * n_samples`` pair updates."""
+    """Soft-margin cost and RBF width, each finite and positive."""
 
     C: float = 1.0
     gamma: float = 1.0
-    kkt_tolerance: float = 1e-3
-    max_passes: int = 200
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.kkt_tolerance <= 0:
-            raise ValueError("kkt_tolerance must be positive")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
+        for name, value in (("C", self.C), ("gamma", self.gamma)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
@@ -240,7 +234,7 @@ def train_binary_svm(
     if columns is None:
         columns = _KernelColumns(X, config.gamma)
     alpha, bias, converged, grad = smo_solve(
-        columns.column, y, config.C, config.kkt_tolerance, config.max_passes * X.shape[0]
+        columns.column, y, config.C, _KKT_TOLERANCE, _MAX_PASSES * X.shape[0]
     )
     # f(x_k) = sum_l alpha_l y_l K_kl + b, and grad_k = y_k sum_l alpha_l y_l K_kl - 1
     a, b = platt_calibrate(y * (grad + 1.0) + bias, y)

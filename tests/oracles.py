@@ -822,10 +822,11 @@ def _logreg_gradient_reference(weights, bias, X, y_idx, l2_strength):
     return grad_w, grad_b
 
 
-def train_logreg_reference(X, y_idx, n_classes, config):
+def train_logreg_reference(X, y_idx, n_classes, l2_strength, max_iterations, tolerance):
     """The package's original softmax-regression fit: gradient descent with
     a backtracking line search from a unit learning rate, each search
-    starting at twice the last accepted step.
+    starting at twice the last accepted step, for at most ``max_iterations``
+    steps until the gradient norm falls to ``tolerance``.
 
     Every gradient recomputes the scores and their softmax. Returns
     (weights, bias, converged); a line search that finds no descent step
@@ -835,14 +836,14 @@ def train_logreg_reference(X, y_idx, n_classes, config):
     y_idx = np.asarray(y_idx, dtype=np.int64)
     weights = np.zeros((X.shape[1], n_classes))
     bias = np.zeros(n_classes)
-    loss = _logreg_loss_reference(weights, bias, X, y_idx, config.l2_strength)
+    loss = _logreg_loss_reference(weights, bias, X, y_idx, l2_strength)
     step = 1.0  # the original fit's default learning rate
     converged = False
 
-    for _ in range(config.max_iterations):
-        grad_w, grad_b = _logreg_gradient_reference(weights, bias, X, y_idx, config.l2_strength)
+    for _ in range(max_iterations):
+        grad_w, grad_b = _logreg_gradient_reference(weights, bias, X, y_idx, l2_strength)
         gnorm = float(np.sqrt(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b)))
-        if gnorm <= config.tolerance:
+        if gnorm <= tolerance:
             converged = True
             break
         accepted = False
@@ -850,7 +851,7 @@ def train_logreg_reference(X, y_idx, n_classes, config):
         for _ in range(40):
             new_w = weights - trial * grad_w
             new_b = bias - trial * grad_b
-            new_loss = _logreg_loss_reference(new_w, new_b, X, y_idx, config.l2_strength)
+            new_loss = _logreg_loss_reference(new_w, new_b, X, y_idx, l2_strength)
             if new_loss < loss:
                 weights, bias, loss = new_w, new_b, new_loss
                 accepted = True

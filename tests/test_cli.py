@@ -1,13 +1,16 @@
+import argparse
 import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tehier.cli
 from tehier import (
     KmerConfig, LogRegConfig, NumericError, SvmConfig, Taxonomy, featurize_batch, read_fasta,
-    load_model_file, render_label, save_model_file, train_hier, wicker_taxonomy,
+    load_model_file, parse_label, render_label, save_model_file, train_hier, wicker_taxonomy,
+    write_feature_csv,
 )
 from tehier.cli import build_parser, main
 
@@ -164,6 +167,27 @@ def test_predict_takes_rows_that_fit_both_normalizations(normalizations, tmp_pat
                     "--out", tmp_path / f"{norm}.csv"]) == 0
 
 
+def test_rows_of_no_k_mer_features_train_a_model_that_predicts_them(workspace, tmp_path, capsys):
+    # 16 columns of normal draws: the width of k = 2, but neither frequencies
+    # nor whole-number counts, so the model records no featurization
+    rng = np.random.default_rng(0)
+    labels = [parse_label(t) for t in ("1.1", "1.2", "2")] * 10
+    draws, model = tmp_path / "z.csv", tmp_path / "z.json"
+    with open(draws, "w", encoding="utf-8", newline="") as fh:
+        write_feature_csv([(rng.normal(size=16), label) for label in labels], fh)
+    assert run(["train", draws, "--base", "logreg", "--out", model]) == 0
+    assert json.loads(model.read_text())["kmer_config"] is None
+    assert run(["predict", draws, "--model", model, "--out", tmp_path / "p.csv"]) == 0
+    # a model of 'freq' rows names what the draws hold
+    narrow, freq_model = tmp_path / "narrow.csv", tmp_path / "narrow.json"
+    assert run(["featurize", workspace / "data.fasta", "--kmers", "2", "--out", narrow]) == 0
+    assert run(["train", narrow, "--base", "logreg", "--out", freq_model]) == 0
+    capsys.readouterr()
+    assert run(["predict", draws, "--model", freq_model, "--out", tmp_path / "q.csv"]) == 2
+    assert "the rows hold neither 'freq' nor 'raw' features" in capsys.readouterr().err
+    assert not (tmp_path / "q.csv").exists()
+
+
 def test_train_records_the_k_values_of_its_csv(workspace, tmp_path):
     narrow, model = tmp_path / "narrow.csv", tmp_path / "narrow.json"
     assert run(["featurize", workspace / "data.fasta", "--kmers", "2", "--out", narrow]) == 0
@@ -280,6 +304,24 @@ def test_gridsearch_report_and_selection(workspace, capsys):
     assert "selected C=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, error", [
+    ('{"c_values": [1, NaN], "gamma_values": [1]}', "C must be finite and positive, got nan"),
+    ('{"c_values": [1], "gamma_values": [1e400]}', "gamma must be finite and positive, got inf"),
+])
+def test_gridsearch_refuses_a_non_finite_grid_value_before_any_cell(
+    workspace, monkeypatch, capsys, text, error
+):
+    cells = []
+    monkeypatch.setattr(tehier.gridsearch, "crossval", lambda *a, **kw: cells.append(kw))
+    grid_file, report = workspace / "grid.json", workspace / "grid.csv"
+    grid_file.write_text(text)
+    argv = ["gridsearch", workspace / "data.csv", "--grid", grid_file, "--folds", "3",
+            "--out", report]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert cells == [] and not report.exists()
+
+
 def test_gridsearch_reports_why_a_cell_failed(workspace, monkeypatch, capsys):
     crossval = tehier.gridsearch.crossval
 
@@ -337,6 +379,46 @@ def test_compare_emits_all_pairs(workspace):
     for line in lines[1:]:
         hf = float(line.split(",")[2])
         assert 0.0 <= hf <= 1.0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--C", "nan"), ("--C", "inf"), ("--gamma", "nan"), ("--gamma", "inf"),
+])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_a_non_finite_c_or_gamma_exits_one_and_writes_nothing(
+    workspace, capsys, command, flag, value
+):
+    out = workspace / "out"
+    assert run([command, workspace / "data.csv", flag, value, "--out", out]) == 1
+    name = flag.lstrip("-")
+    assert capsys.readouterr().err == f"error: {name} must be finite and positive, got {value}\n"
+    assert not out.exists()
+
+
+def test_threads_below_one_exits_two_and_writes_nothing(workspace, capsys):
+    data, model = workspace / "data.csv", workspace / "m.json"
+    assert run(["train", data, "--base", "logreg", "--out", model]) == 0
+    inputs = {
+        "featurize": [workspace / "data.fasta"],
+        "train": [data],
+        "predict": [data, "--model", model],
+        "cv": [data],
+        "gridsearch": [data],
+        "compare": [data],
+    }
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    takes_threads = {
+        name for name, parser in commands.choices.items()
+        if any("--threads" in action.option_strings for action in parser._actions)
+    }
+    assert takes_threads == set(inputs)
+    for command, args in inputs.items():
+        for threads in ("0", "-1"):
+            out = workspace / f"{command}.out"
+            capsys.readouterr()
+            assert run([command, *args, "--threads", threads, "--out", out]) == 2, command
+            assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+            assert not out.exists(), command
 
 
 def test_usage_errors_exit_one():

@@ -119,7 +119,10 @@ def test_cell_failure_is_recorded_not_fatal(rng):
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(c_values=())
-    with pytest.raises(ValueError):
-        Grid(c_values=(0.0,))
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            Grid(c_values=(1.0, bad))
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            Grid(gamma_values=(bad,))
     with pytest.raises(ValueError, match="folds"):
         Grid(folds=1)

@@ -452,11 +452,12 @@ def test_unknown_strategy_rejected(rng):
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
 def test_save_load_round_trip(rng, base_kind):
     tax, X, labels = hier_training_setup(rng)
-    # two more columns make the width 4, one k = 1 block of raw values
+    # two more columns make the width 4, one k = 1 block, but fractional
+    # values that no frequencies sum up to are no k-mer features
     X = np.hstack([X, X])
     config = SvmConfig(C=5.0, gamma=1.0) if base_kind == "svm" else LogRegConfig()
     model = train_hier(X, labels, tax, config=config)
-    assert model.kmer_config == KmerConfig(k_values=(1,), normalization="raw")
+    assert model.kmer_config is None
     queries = np.tile(rng.normal(size=(100, 2)), 2)
     before = model.predict(queries, "lcpnb")
 
@@ -477,6 +478,9 @@ def test_save_load_round_trip(rng, base_kind):
     assert resaved.getvalue() == sink.getvalue()  # stable serialization
 
 
+# every file before version 5 held the solver controls in base_config
+OLD_LOGREG_CONFIG = {"l2_strength": 1e-4, "max_iterations": 500, "tolerance": 1e-6}
+
 # a version 3 file stated each node's kind, width and gamma, and the k values
 # and row count of the pool, beside what version 4 keeps
 V3_PAYLOAD = {
@@ -484,7 +488,7 @@ V3_PAYLOAD = {
     "base_kind": "logreg",
     "n_features": 2,
     "kmer_config": None,
-    "base_config": dataclasses.asdict(LogRegConfig()),
+    "base_config": OLD_LOGREG_CONFIG,
     "taxonomy": [{"path": "1", "name": ""}, {"path": "2", "name": ""}],
     "node_models": {"": {"kind": "constant", "classes": ["1"], "n_features": 2}},
     "pool_rows": 0,
@@ -492,10 +496,10 @@ V3_PAYLOAD = {
 }
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_load_refuses_an_old_schema_file(rng, version):
-    payload = saved_payload(rng, "logreg") if version < 3 else dict(V3_PAYLOAD)
-    payload["schema_version"] = version
+    payload = dict(V3_PAYLOAD) if version == 3 else saved_payload(rng, "logreg")
+    payload.update(schema_version=version, base_config=OLD_LOGREG_CONFIG)
     with pytest.raises(ModelFileError, match=f"version {version} is no longer read; retrain"):
         load_model(io.StringIO(json.dumps(payload)))
 
@@ -505,8 +509,8 @@ def test_load_rejects_unknown_schema_version(rng):
     model = train_hier(X, labels, tax, config=LogRegConfig())
     sink = io.StringIO()
     save_model(model, sink)
-    assert '"schema_version": 4' in sink.getvalue()
-    tampered = sink.getvalue().replace('"schema_version": 4', '"schema_version": 99')
+    assert '"schema_version": 5' in sink.getvalue()
+    tampered = sink.getvalue().replace('"schema_version": 5', '"schema_version": 99')
     with pytest.raises(ModelFileError):
         load_model(io.StringIO(tampered))
 
@@ -556,7 +560,7 @@ def set_at(index, value):
     return edit
 
 
-# (base kind, mutation of the JSON of a version 4 file, words the error must name)
+# (base kind, mutation of the JSON of a version 5 file, words the error must name)
 MODEL_FILE_FAULTS = {
     "leaf node": ("logreg", lambda p: move_node(p, "1", "2"), "not the root or an internal node"),
     "unknown node": ("logreg", lambda p: move_node(p, "1", "1.7"), "not the root or an internal"),
@@ -646,7 +650,9 @@ MODEL_FILE_FAULTS = {
         "logreg", lambda p: edit_b64(p["node_models"]["1"], "weights", set_at(0, -np.inf)),
         "non-finite",
     ),
-    "non-finite config": ("svm", lambda p: p["base_config"].__setitem__("C", np.nan), "non-finite"),
+    "non-finite config": (
+        "svm", lambda p: p["base_config"].__setitem__("C", np.nan), "C must be finite and positive"
+    ),
     "non-finite pool value": ("svm", lambda p: edit_b64(p, "pool", set_at(3, np.nan)), "non-finite"),
     "bad base64": ("svm", lambda p: p.__setitem__("pool", p["pool"][:-3] + "#=="), "base64"),
     "pool as a list": ("svm", lambda p: p.__setitem__("pool", [0.5, 0.5]), "base64"),
@@ -679,7 +685,7 @@ MODEL_FILE_FAULTS = {
 def test_load_rejects_inconsistent_model_file(rng, fault):
     base_kind, mutate, cause = MODEL_FILE_FAULTS[fault]
     payload = saved_payload(rng, base_kind)
-    assert payload["schema_version"] == 4
+    assert payload["schema_version"] == 5
     mutate(payload)
     with pytest.raises(ModelFileError, match=cause):
         load_model(io.StringIO(json.dumps(payload)))
@@ -694,10 +700,10 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
-def test_v4_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
+def test_v5_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
     from tehier.cli import main
 
-    model = DATA / f"model_v4_{base_kind}.json"
+    model = DATA / f"model_v5_{base_kind}.json"
     resaved = io.StringIO()
     save_model(load_model_file(model), resaved)
     assert resaved.getvalue().encode("utf-8") == model.read_bytes()
@@ -705,12 +711,12 @@ def test_v4_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
         out = tmp_path / f"pred_{strategy}.csv"
         argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--strategy", strategy]
         assert main([*argv, "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA / f"predict_v4_{base_kind}_{strategy}.csv").read_bytes()
+        assert out.read_bytes() == (DATA / f"predict_v5_{base_kind}_{strategy}.csv").read_bytes()
 
 
 def fixture_payload(base_kind):
-    """The committed version 4 file of ``base_kind`` (see data/README.md)."""
-    return json.loads((DATA / f"model_v4_{base_kind}.json").read_text())
+    """The committed version 5 file of ``base_kind`` (see data/README.md)."""
+    return json.loads((DATA / f"model_v5_{base_kind}.json").read_text())
 
 
 def query_rows():
@@ -729,6 +735,14 @@ def test_an_svm_node_with_no_support_vectors_gives_its_bias():
         decisions = bank.decision_function(X)
         model.predict(X, "lcpnb")
     assert decisions.tobytes() == np.tile(bank.bias, (len(X), 1)).tobytes()
+
+
+def test_load_refuses_a_raw_model_whose_pool_holds_a_fraction():
+    # the SVM fixture's pool holds 'freq' rows, whose values are fractions
+    payload = fixture_payload("svm")
+    payload["kmer_config"] = {"normalization": "raw"}
+    with pytest.raises(ModelFileError, match="rows do not hold 'raw' features"):
+        load_model(io.StringIO(json.dumps(payload)))
 
 
 def set_node(key, field, value, index=None):
@@ -820,7 +834,7 @@ def single_field_mutations(payload):
 
 @pytest.mark.parametrize("base_kind", ["svm", "logreg"])
 def test_every_single_field_mutation_is_refused_or_predicts_finite(base_kind):
-    text = (DATA / f"model_v4_{base_kind}.json").read_text()
+    text = (DATA / f"model_v5_{base_kind}.json").read_text()
     queries = query_rows()
     outcomes = {"refused": 0, "numeric": 0, "predicted": 0}
     for path, mutate in single_field_mutations(json.loads(text)):
@@ -850,7 +864,7 @@ def test_every_single_field_mutation_is_refused_or_predicts_finite(base_kind):
     assert outcomes["numeric"] > 0 or base_kind == "logreg"
 
 
-def test_training_reproduces_the_v4_fixtures_byte_for_byte(tmp_path):
+def test_training_reproduces_the_v5_fixtures_byte_for_byte(tmp_path):
     # the commands of data/README.md; a change that moves model bits must
     # regenerate the fixtures with them and say why
     from tehier.cli import main
@@ -865,9 +879,9 @@ def test_training_reproduces_the_v4_fixtures_byte_for_byte(tmp_path):
     run("synth", *synth, "--per-node", 3, "--seed", 4, "--out", tmp_path / "query.fasta")
     run("featurize", tmp_path / "query.fasta", "--kmers", 2, "--out", tmp_path / "query.csv")
     train = ["train", tmp_path / "train.csv"]
-    run(*train, "--base", "svm", "--C", 16, "--gamma", 64, "--out", tmp_path / "model_v4_svm.json")
-    run(*train, "--base", "logreg", "--out", tmp_path / "model_v4_logreg.json")
-    for name in ("query.csv", "model_v4_svm.json", "model_v4_logreg.json"):
+    run(*train, "--base", "svm", "--C", 16, "--gamma", 64, "--out", tmp_path / "model_v5_svm.json")
+    run(*train, "--base", "logreg", "--out", tmp_path / "model_v5_logreg.json")
+    for name in ("query.csv", "model_v5_svm.json", "model_v5_logreg.json"):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from tehier import DegenerateDataError, LogRegConfig
-from tehier.logreg import logreg_gradient, logreg_loss, softmax, train_logreg
+import tehier.logreg
+from tehier import DegenerateDataError
+from tehier.logreg import (
+    _L2_STRENGTH, _MAX_ITERATIONS, _TOLERANCE, logreg_gradient, logreg_loss, softmax, train_logreg,
+)
 
 from oracles import finite_difference_logreg_gradient, train_logreg_reference
 
@@ -72,24 +75,16 @@ def test_training_reduces_loss_and_separates(rng):
     from conftest import separable_blobs
 
     X, y = separable_blobs(rng, 40, [(2, 0), (-2, 0), (0, 2)])
-    config = LogRegConfig()
-    model = train_logreg(X, y, 3, config)
-    start, _ = logreg_loss(np.zeros((2, 3)), np.zeros(3), X, y, config.l2_strength)
-    end, _ = logreg_loss(model.weights, model.bias, X, y, config.l2_strength)
+    model = train_logreg(X, y, 3)
+    start, _ = logreg_loss(np.zeros((2, 3)), np.zeros(3), X, y, _L2_STRENGTH)
+    end, _ = logreg_loss(model.weights, model.bias, X, y, _L2_STRENGTH)
     assert end < start
     assert (model.predict_proba(X).argmax(axis=1) == y).mean() >= 0.95
 
 
 def test_training_single_class_rejected(rng):
     with pytest.raises(DegenerateDataError):
-        train_logreg(rng.normal(size=(5, 2)), np.zeros(5, dtype=int), 1, LogRegConfig())
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LogRegConfig(l2_strength=-1)
-    with pytest.raises(ValueError):
-        LogRegConfig(max_iterations=0)
+        train_logreg(rng.normal(size=(5, 2)), np.zeros(5, dtype=int), 1)
 
 
 def test_loss_with_probs_hands_back_the_softmax(rng):
@@ -139,18 +134,20 @@ def _objective_and_gradient_norm(weights, bias, X, y, l2):
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 12])
-def test_training_matches_reference_bit_for_bit(rng, k):
+def test_training_matches_reference_bit_for_bit(rng, monkeypatch, k):
     # L-BFGS takes other steps than the reference's gradient descent, so the
     # weights differ; what holds is that the fit either reaches the tolerance
     # or says it did not, never ends above an unconverged reference, and
     # agrees with a converged one on the optimum of the objective
     for X, y in _bit_identity_problems(rng, k):
         for l2 in (0.0, 1e-4):
-            config = LogRegConfig(l2_strength=l2)
-            model = train_logreg(X, y, k, config)
+            monkeypatch.setattr(tehier.logreg, "_L2_STRENGTH", l2)
+            model = train_logreg(X, y, k)
             loss, gnorm = _objective_and_gradient_norm(model.weights, model.bias, X, y, l2)
-            assert model.converged == (gnorm <= config.tolerance)
-            weights, bias, converged = train_logreg_reference(X, y, k, config)
+            assert model.converged == (gnorm <= _TOLERANCE)
+            weights, bias, converged = train_logreg_reference(
+                X, y, k, l2, _MAX_ITERATIONS, _TOLERANCE
+            )
             reference_loss, _ = logreg_loss(weights, bias, X, y, l2)
             if not converged:
                 assert loss <= reference_loss
@@ -180,23 +177,26 @@ def desk_nodes():
 
 
 def test_desk_nodes_converge_no_higher_than_reference(desk_nodes):
-    config = LogRegConfig()
     for X, y, k in desk_nodes:
-        model = train_logreg(X, y, k, config)
-        loss, gnorm = _objective_and_gradient_norm(model.weights, model.bias, X, y, config.l2_strength)
-        assert model.converged and gnorm <= config.tolerance
-        weights, bias, _ = train_logreg_reference(X, y, k, config)
-        assert loss <= logreg_loss(weights, bias, X, y, config.l2_strength)[0]
+        model = train_logreg(X, y, k)
+        loss, gnorm = _objective_and_gradient_norm(model.weights, model.bias, X, y, _L2_STRENGTH)
+        assert model.converged and gnorm <= _TOLERANCE
+        weights, bias, _ = train_logreg_reference(
+            X, y, k, _L2_STRENGTH, _MAX_ITERATIONS, _TOLERANCE
+        )
+        assert loss <= logreg_loss(weights, bias, X, y, _L2_STRENGTH)[0]
 
 
-def test_unbounded_objective_ends_finite_and_unconverged(rng):
+def test_unbounded_objective_ends_finite_and_unconverged(rng, monkeypatch):
     # separable blobs without a penalty: the loss keeps falling as the weights
     # grow, so no optimum exists; a tolerance no gradient norm reaches makes
     # the fit run until the cap or until float precision stalls the search
     from conftest import separable_blobs
 
+    monkeypatch.setattr(tehier.logreg, "_L2_STRENGTH", 0.0)
+    monkeypatch.setattr(tehier.logreg, "_TOLERANCE", 1e-300)
     X, y = separable_blobs(rng, 30, [(3, 0), (-3, 0), (0, 3)])
-    model = train_logreg(X, y, 3, LogRegConfig(l2_strength=0.0, tolerance=1e-300))
+    model = train_logreg(X, y, 3)
     assert not model.converged
     assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
     far = np.vstack([X, 1e6 * X, rng.normal(size=(20, 2))])
@@ -206,26 +206,30 @@ def test_unbounded_objective_ends_finite_and_unconverged(rng):
     assert (probs[: len(y)].argmax(axis=1) == y).all()
 
 
-def test_flat_curvature_pairs_are_skipped(rng):
+def test_flat_curvature_pairs_are_skipped(rng, monkeypatch):
     # overlapping blobs fitted to a tolerance no gradient norm reaches: near
     # float precision an accepted step can leave the gradient unchanged
     # (s.y = 0), and such a pair must be dropped rather than divided by
     from conftest import separable_blobs
 
+    monkeypatch.setattr(tehier.logreg, "_L2_STRENGTH", 0.0)
+    monkeypatch.setattr(tehier.logreg, "_TOLERANCE", 1e-300)
     X, y = separable_blobs(rng, 30, [(3, 0), (-3, 0), (0, 3)], spread=1.0)
-    model = train_logreg(X, y, 3, LogRegConfig(l2_strength=0.0, tolerance=1e-300))
+    model = train_logreg(X, y, 3)
     assert not model.converged
     assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
 
 
-def test_stalled_line_search_is_not_converged():
+def test_stalled_line_search_is_not_converged(monkeypatch):
     # a tolerance no gradient norm reaches: the fit ends when no step out of
     # 40 halvings lowers the loss, which the reference reported as converged
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 3))
     y = rng.integers(0, 3, size=40)
-    config = LogRegConfig(tolerance=1e-300)
-    model = train_logreg(X, y, 3, config)
-    weights, bias, converged = train_logreg_reference(X, y, 3, config)
+    monkeypatch.setattr(tehier.logreg, "_TOLERANCE", 1e-300)
+    model = train_logreg(X, y, 3)
+    weights, bias, converged = train_logreg_reference(
+        X, y, 3, _L2_STRENGTH, _MAX_ITERATIONS, 1e-300
+    )
     assert converged
     assert not model.converged

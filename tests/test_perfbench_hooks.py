@@ -87,7 +87,7 @@ def test_a_two_class_node_fires_one_solve_and_a_larger_node_one_per_class(
 def test_logreg_counts_each_trial_loss_and_each_iteration_gradient(tracer, rng, monkeypatch):
     X, y = separable_blobs(rng, 20, [(2, 0), (-2, 0), (0, 2)], spread=0.8)
     X = 10.0 * X  # wide features: unit-length steps overshoot and backtrack
-    config = LogRegConfig(max_iterations=60)
+    monkeypatch.setattr(tehier.logreg, "_MAX_ITERATIONS", 60)
 
     # log every loss and gradient call with the weights it was given, on top
     # of the tracer's own wrappers, so both see the same fit
@@ -100,7 +100,7 @@ def test_logreg_counts_each_trial_loss_and_each_iteration_gradient(tracer, rng, 
             return _traced(weights, *args, **kwargs)
 
         monkeypatch.setattr(tehier.logreg, name, logged)
-    fit_multiclass(X, y + 1, config)
+    fit_multiclass(X, y + 1, LogRegConfig())
 
     # one loss at the start plus one per line-search trial; one gradient at
     # the start plus one at each accepted trial, the loss call just before it
@@ -118,15 +118,15 @@ def test_logreg_counts_each_trial_loss_and_each_iteration_gradient(tracer, rng, 
     assert tracer.unpatched == set()
 
 
-def test_crossval_round_fires_every_hierarchy_hook(tracer, rng):
+def test_crossval_round_fires_every_hierarchy_hook(tracer, rng, monkeypatch):
     # labels are made after the tracer is installed, so their creation counts
     names = ["1", "1.1", "1.2", "2"]
     tax = Taxonomy([hl(n) for n in names])
     X, y = separable_blobs(rng, 8, [(2, 0), (-2, 0), (0, 2), (2, 2)], spread=0.5)
     labels = [hl(names[c]) for c in y]
-    config = LogRegConfig(max_iterations=20)
+    monkeypatch.setattr(tehier.logreg, "_MAX_ITERATIONS", 20)
     results = tehier.metrics.crossval_strategies(
-        X, labels, tax, config=config, strategies=STRATEGIES, k=2
+        X, labels, tax, config=LogRegConfig(), strategies=STRATEGIES, k=2
     )
     assert set(results) == set(STRATEGIES)
     assert fired(tracer) >= {

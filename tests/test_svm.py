@@ -112,16 +112,16 @@ def test_train_binary_svm_returns_a_bank_of_one(rng):
 
 
 def test_kkt_audit_on_random_blobs(rng):
-    config = SvmConfig(C=1.0, gamma=1.0, kkt_tolerance=1e-3)
+    config, tol = SvmConfig(C=1.0, gamma=1.0), tehier.svm._KKT_TOLERANCE
     for trial in range(5):
         X, y = blob_pair(rng, 100, separation=1.0 + trial * 0.3)
         K = rbf_kernel_matrix(X, X, config.gamma)
         alpha, bias, converged, _ = smo_solve(
-            _KernelColumns(X, config.gamma).column, y, config.C, config.kkt_tolerance, 200 * len(y)
+            _KernelColumns(X, config.gamma).column, y, config.C, tol, 200 * len(y)
         )
         assert converged
         viol = kkt_violations(K, y, alpha, bias, config.C)
-        assert viol.max() <= config.kkt_tolerance
+        assert viol.max() <= tol
 
 
 def test_dual_coefficient_balance(rng):
@@ -135,8 +135,9 @@ def test_dual_coefficient_balance(rng):
         assert (coefs <= config.C + 1e-12).all()
 
 
-def test_dual_objective_matches_projected_gradient_oracle(rng):
-    config = SvmConfig(C=1.0, gamma=0.9, kkt_tolerance=1e-6)
+def test_dual_objective_matches_projected_gradient_oracle(rng, monkeypatch):
+    monkeypatch.setattr(tehier.svm, "_KKT_TOLERANCE", 1e-6)
+    config = SvmConfig(C=1.0, gamma=0.9)
     for _ in range(6):
         n = int(rng.integers(6, 21))
         X = rng.normal(size=(n, 3))
@@ -164,11 +165,12 @@ def test_training_is_deterministic(rng):
         assert np.array_equal(getattr(m1, name), getattr(m2, name)), name
 
 
-def test_duplicated_dataset_keeps_decision_function(rng):
+def test_duplicated_dataset_keeps_decision_function(rng, monkeypatch):
     # duplication is equivalent to doubling C, so the optimum is unchanged
     # as long as no alpha is pinned at the box bound (cleanly separable data)
+    monkeypatch.setattr(tehier.svm, "_KKT_TOLERANCE", 1e-6)
     X, y = blob_pair(rng, 12, separation=3.0, spread=0.3)
-    config = SvmConfig(C=10.0, gamma=0.5, kkt_tolerance=1e-6)
+    config = SvmConfig(C=10.0, gamma=0.5)
     base = train_binary_svm(X, y, config)
     assert np.abs(base.dual_coef).max() < config.C * 0.99  # precondition: free SVs only
     doubled = train_binary_svm(np.vstack([X, X]), np.concatenate([y, y]), config)
@@ -340,9 +342,10 @@ def test_platt_inputs_from_gradient_match_decision_function(
         return platt_calibrate(values, labels)
 
     monkeypatch.setattr(tehier.svm, "platt_calibrate", capture)
+    monkeypatch.setattr(tehier.svm, "_KKT_TOLERANCE", tol)
+    monkeypatch.setattr(tehier.svm, "_MAX_PASSES", max_passes)
     X, y = blob_pair(rng, 60, separation=0.8, spread=0.6)
-    model = train_binary_svm(X, y, SvmConfig(C=4.0, gamma=2.0, kkt_tolerance=tol,
-                                             max_passes=max_passes))
+    model = train_binary_svm(X, y, SvmConfig(C=4.0, gamma=2.0))
     assert model.converged.tolist() == [converges]
     (from_gradient,) = captured
     assert np.allclose(from_gradient, model.decision_function(X)[:, 0], rtol=0, atol=1e-9)
