@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, DimensionError
 from .logreg import LogRegConfig, LogRegModel, train_logreg
-from .svm import BinarySvmModel, SvmConfig, _KernelColumns, train_binary_svm
+from .svm import BinarySvmModel, SvmConfig, SvmSolve, _KernelColumns, train_binary_svm
 
 SVM = "svm"
 LOGREG = "logreg"
@@ -106,6 +106,7 @@ def fit_multiclass(
     y: np.ndarray,
     config: SvmConfig | LogRegConfig = SvmConfig(),
     columns: _KernelColumns | None = None,
+    solves: list[SvmSolve | None] | None = None,
 ) -> MulticlassModel:
     """Train a local classifier on the rows of ``X`` and their int class ids.
 
@@ -115,7 +116,11 @@ def fit_multiclass(
     constant model (``model`` None). ``columns`` is a kernel provider for
     ``X`` and ``config.gamma``; by default one is built. An SVM node keeps
     one bank (``svm_bank``) of its one-vs-rest SVMs; with two classes,
-    class 0's SVM and its mirror (``mirrored``).
+    class 0's SVM and its mirror (``mirrored``). ``solves``, a list, carries
+    those SVMs from a fit of the same rows and kernel at a smaller C: each one
+    exact at this C (``SvmSolve.exact_at``) is reused as it is, and the list
+    is refilled with this fit's, None for each inexact even at this C (one
+    that clipped an alpha), which no larger C can reuse.
     """
     if not isinstance(config, SvmConfig | LogRegConfig):
         raise ValueError(
@@ -134,8 +139,11 @@ def fit_multiclass(
     if columns is None:
         columns = _KernelColumns(X, config.gamma)
     svms = [
-        train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
+        solves[c] if solves and solves[c] and solves[c].exact_at(config.C)
+        else train_binary_svm(X, np.where(y_idx == c, 1.0, -1.0), config, columns)
         for c in range(1 if len(classes) == 2 else len(classes))
     ]
+    if solves is not None:  # one inexact at its own C is so at every larger C
+        solves[:] = [svm if svm.exact_at(config.C) else None for svm in svms]
     bank = svm_bank(svms)
     return MulticlassModel(classes, X.shape[1], mirrored(bank) if len(classes) == 2 else bank)

@@ -10,7 +10,6 @@ from .errors import TehierError
 from .hierarchy import LCPNB
 from .labels import HierLabel
 from .metrics import crossval
-from .parallel import run_tasks
 from .svm import SvmConfig
 from .taxonomy import Taxonomy
 
@@ -34,10 +33,11 @@ class Grid:
     def __post_init__(self):
         if not self.c_values or not self.gamma_values:
             raise ValueError("grid axes must be nonempty")
-        for value in self.c_values:
-            SvmConfig(C=value)
-        for value in self.gamma_values:
-            SvmConfig(gamma=value)
+        for name, values in (("C", self.c_values), ("gamma", self.gamma_values)):
+            for i, value in enumerate(values):
+                SvmConfig(**{name: value})
+                if value in values[:i]:
+                    raise ValueError(f"grid {name} value {value!r} given twice")
         if self.folds < 2:
             raise ValueError("grid folds must be >= 2")
 
@@ -67,30 +67,32 @@ def grid_search(
 ) -> GridResult:
     """Every (C, gamma) cell scored by cross-validated hF, and the winner.
 
-    A cell that raises is recorded as failed and never selected; ties go to
-    the smaller C, then the smaller gamma. Cells run dearest first (larger
-    gamma, then larger C) on ``threads`` worker processes; the result is the
-    same for any worker count, with ``cells`` in lattice order.
+    One ``crossval`` call scores every cell: each fold trains once along the
+    C values of a gamma, sharing its kernel and every SVM solve that is
+    exact at the next C, on ``threads`` worker processes that share the
+    (gamma, fold) pairs. A cell that raises on any fold is recorded as
+    failed, with its lowest failing fold's error, and never selected; ties
+    go to the smaller C, then the smaller gamma. ``cells`` are in lattice
+    order, and the result is the same for any worker count.
     """
     grid = grid or Grid()
-    lattice = [(c, g) for c in grid.c_values for g in grid.gamma_values]
-    dearest_first = sorted(range(len(lattice)), key=lambda k: (-lattice[k][1], -lattice[k][0]))
-
-    def evaluate(index: int) -> GridCell:
-        c_value, gamma = lattice[index]
-        config = SvmConfig(C=c_value, gamma=gamma)
-        try:
-            result = crossval(
-                X, labels, taxonomy, strategy=grid.strategy, config=config, k=grid.folds,
-                seed=grid.seed,
-            )
-        except (TehierError, ValueError) as exc:
-            return GridCell(c_value, gamma, None, None, "failed", str(exc))
-        return GridCell(c_value, gamma, result.mean_hf, result.std_hf, "ok")
-
-    evaluated = run_tasks(lambda t: evaluate(dearest_first[t]), len(lattice), threads)
-    by_index = dict(zip(dearest_first, evaluated))
-    cells = [by_index[k] for k in range(len(lattice))]
+    lattice = [SvmConfig(C=c, gamma=g) for c in grid.c_values for g in grid.gamma_values]
+    try:
+        outcomes = crossval(
+            X, labels, taxonomy, lattice, (grid.strategy,), k=grid.folds, seed=grid.seed,
+            threads=threads,
+        )
+    except (TehierError, ValueError) as exc:  # raised before any fold ran
+        outcomes = [exc] * len(lattice)
+    cells = [
+        GridCell(
+            config.C, config.gamma, outcome[grid.strategy].mean_hf,
+            outcome[grid.strategy].std_hf, "ok",
+        )
+        if isinstance(outcome, dict)
+        else GridCell(config.C, config.gamma, None, None, "failed", str(outcome))
+        for config, outcome in zip(lattice, outcomes)
+    ]
     # by value, not by position: a grid file may list its axes in any order
     best = min(
         (cell for cell in cells if cell.status == "ok"),

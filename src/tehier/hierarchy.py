@@ -34,7 +34,7 @@ from .kmers import KmerConfig, holds_normalization, k_values_of, kmer_config_of
 from .labels import HierLabel, parse_label, render_label
 from .logreg import LogRegConfig, LogRegModel
 from .parallel import run_tasks
-from .svm import BinarySvmModel, SvmConfig, _KernelColumns
+from .svm import BinarySvmModel, SvmConfig, SvmSolve, _KernelColumns
 from .taxonomy import Taxonomy
 
 NLLCPN = "nllcpn"
@@ -221,12 +221,24 @@ class HierModel:
         return [labels[v] for v in range(1, len(kids)) if kids[v] and v not in self.node_models]
 
 
+@dataclass
+class CPath:
+    """What ``train_hier`` calls on one training set share when they run at
+    one gamma in ascending C: the set's kernel provider, which the first
+    call builds, and by parent node id the one-vs-rest SVMs of the last call
+    (``fit_multiclass``)."""
+
+    columns: _KernelColumns | None = None
+    solves: dict[int, list[SvmSolve | None]] = dataclasses.field(default_factory=dict)
+
+
 def train_hier(
     X: np.ndarray,
     labels: list[HierLabel],
     taxonomy: Taxonomy,
     config: SvmConfig | LogRegConfig = SvmConfig(),
     threads: int = 1,
+    path: CPath | None = None,
 ) -> HierModel:
     """Train one local classifier per parent node (root included).
 
@@ -234,10 +246,12 @@ def train_hier(
     A label that is no taxonomy node raises TaxonomyError, and a feature
     value that is not finite FormatError. A parent node with no training
     rows is left untrained. An SVM hierarchy builds one kernel provider for
-    ``X`` and hands each node the slice of it for the node's rows. The
-    nodes are the tasks of ``threads`` worker processes; the model is the
-    same for any count. The model's ``kmer_config`` is ``kmer_config_of(X)``,
-    or None where the rows hold no k-mer features.
+    ``X`` and hands each node the slice of it for the node's rows; along a
+    ``path`` it takes the path's provider and reuses the SVMs of the last
+    call that are exact at this C. The nodes are the tasks of ``threads``
+    worker processes, or of the calling process alone along a path; the
+    model is the same for any count. The model's ``kmer_config`` is
+    ``kmer_config_of(X)``, or None where the rows hold no k-mer features.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)  # the root node trains on X itself
     if X.ndim != 2 or X.size == 0:  # a model file's pool rows need a width
@@ -251,7 +265,11 @@ def train_hier(
 
     parents = [v for v, kids in enumerate(taxonomy.child_ids) if kids]
     # one kernel provider for the training set; each node's rows are a subset
-    kernel = _KernelColumns(X, config.gamma) if isinstance(config, SvmConfig) else None
+    kernel = path.columns if path is not None else None
+    if kernel is None and isinstance(config, SvmConfig):
+        kernel = _KernelColumns(X, config.gamma)
+        if path is not None:
+            path.columns = kernel
 
     def train_node(index: int):
         # rows under the parent; a label at the parent is its self class,
@@ -264,9 +282,11 @@ def train_hier(
         local = np.where(depths[rows] == depth, parent, ancestors[rows, depth + 1])
         X_rows = X if len(rows) == len(X) else X[rows]  # the root's rows need no copy
         columns = kernel.subset(rows, X_rows) if kernel is not None else None
-        return fit_multiclass(X_rows, local, config, columns)
+        solves = path.solves.setdefault(parent, []) if path is not None else None
+        return fit_multiclass(X_rows, local, config, columns, solves)
 
-    trained = run_tasks(train_node, len(parents), threads)
+    # a path's solves are refilled in place, so its nodes train here
+    trained = run_tasks(train_node, len(parents), threads if path is None else 1)
     try:
         kmer_config = kmer_config_of(X)
     except ValueError:
@@ -432,12 +452,16 @@ def _multiclass_from_dict(
 
 
 def _config_from_dict(base_kind: str, d) -> SvmConfig | LogRegConfig:
+    """The config of ``base_kind`` from its fields in ``d``. An unknown field
+    or a value of the wrong type raises TypeError (a malformed file), and a
+    value the config refuses ModelFileError naming it as a bad value."""
     _object(d, "base_config")
-    if base_kind == SVM:
-        return SvmConfig(**d)
-    if base_kind == LOGREG:
-        return LogRegConfig(**d)
-    raise ModelFileError(f"unknown base classifier kind {base_kind!r}")
+    if base_kind not in (SVM, LOGREG):
+        raise ModelFileError(f"unknown base classifier kind {base_kind!r}")
+    try:
+        return (SvmConfig if base_kind == SVM else LogRegConfig)(**d)
+    except ValueError as exc:
+        raise ModelFileError(f"model file: base_config holds a bad value: {exc}") from None
 
 
 def save_model(model: HierModel, sink: IO[str]) -> None:

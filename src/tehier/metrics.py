@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TaxonomyError
-from .hierarchy import STRATEGIES, train_hier
+from .errors import TaxonomyError, TehierError
+from .hierarchy import STRATEGIES, CPath, train_hier
 from .labels import HierLabel
 from .logreg import LogRegConfig
 from .parallel import run_tasks
@@ -156,21 +156,26 @@ class CrossvalResult:
         return float(np.mean(values)) if values else None
 
 
-def crossval_strategies(
+def crossval(
     X: np.ndarray,
     labels: list[HierLabel],
     taxonomy: Taxonomy,
-    config: SvmConfig | LogRegConfig = SvmConfig(),
+    configs: list[SvmConfig | LogRegConfig],
     strategies: tuple[str, ...] = STRATEGIES,
     k: int = 10,
     seed: int = 0,
     threads: int = 1,
-) -> dict[str, CrossvalResult]:
-    """k-fold cross-validation sharing one trained model per fold across
-    all requested strategies (training is strategy-independent). The type
-    of ``config`` chooses the base classifier (``train_hier``).
+) -> list[dict[str, CrossvalResult] | Exception]:
+    """k-fold cross-validation of each config on the same folds: per config,
+    its results by strategy, or the error of its lowest failing fold. Each
+    fold's model serves every requested strategy (training is
+    strategy-independent), and the type of a config chooses the base
+    classifier (``train_hier``).
 
-    The folds are the tasks that ``threads`` worker processes share
+    The SVM configs of one gamma form a group that each fold trains in
+    ascending C along one ``CPath``: one kernel provider, and every solve
+    that is exact at the next C reused there. The (group, fold) pairs are
+    the tasks that ``threads`` worker processes share, larger gamma first
     (``parallel.run_tasks``); the result is the same for any worker count.
     """
     for i, strategy in enumerate(strategies):
@@ -181,37 +186,70 @@ def crossval_strategies(
     X = np.asarray(X, dtype=np.float64)
     plan = stratified_kfold(labels, k, seed)
 
-    def run_fold(fold: int) -> dict[str, HierMetrics]:
+    def place(i: int) -> tuple[float, float]:
+        config = configs[i]
+        return (-config.gamma, config.C) if isinstance(config, SvmConfig) else (np.inf, 0.0)
+
+    # one group per gamma, the larger (dearer) first, each in ascending C;
+    # the configs of other types form one last group
+    groups: dict[float, list[int]] = {}
+    for i in sorted(range(len(configs)), key=place):
+        groups.setdefault(place(i)[0], []).append(i)
+    members = list(groups.values())
+
+    def run_task(task: int) -> list:
+        group, fold = divmod(task, k)
         train_idx = plan.train_indices(fold)
         test_idx = plan.test_indices(fold)
-        model = train_hier(X[train_idx], [labels[i] for i in train_idx], taxonomy, config)
-        X_test = X[test_idx]
-        truth = [labels[i] for i in test_idx]
-        return {
-            strategy: hier_metrics(list(zip(model.predict(X_test, strategy), truth)), taxonomy)
-            for strategy in strategies
-        }
+        X_train, train_labels = X[train_idx], [labels[i] for i in train_idx]
+        X_test, truth = X[test_idx], [labels[i] for i in test_idx]
 
-    fold_results = run_tasks(run_fold, k, threads)
+        def scores(model) -> dict[str, HierMetrics]:
+            return {
+                strategy: hier_metrics(list(zip(model.predict(X_test, strategy), truth)), taxonomy)
+                for strategy in strategies
+            }
 
-    return {
-        strategy: CrossvalResult([fr[strategy] for fr in fold_results])
-        for strategy in strategies
-    }
+        # a lone config has no next C to keep solves for
+        path = CPath() if len(members[group]) > 1 else None
+        outcomes = []
+        for i in members[group]:
+            try:
+                # the model is scored and dropped before the next C trains
+                outcomes.append(
+                    scores(train_hier(X_train, train_labels, taxonomy, configs[i], path=path))
+                )
+            except (TehierError, ValueError) as exc:
+                if path is not None:
+                    path.solves.clear()  # a failed fit leaves no solves to reuse
+                outcomes.append(exc)
+        return outcomes
+
+    done = run_tasks(run_task, len(members) * k, threads)
+    results: list = [None] * len(configs)
+    for group, indices in enumerate(members):
+        for position, i in enumerate(indices):
+            folds = [done[group * k + fold][position] for fold in range(k)]
+            failed = [fold for fold in folds if not isinstance(fold, dict)]
+            results[i] = failed[0] if failed else {
+                strategy: CrossvalResult([fold[strategy] for fold in folds])
+                for strategy in strategies
+            }
+    return results
 
 
-def crossval(
+def crossval_strategies(
     X: np.ndarray,
     labels: list[HierLabel],
     taxonomy: Taxonomy,
-    strategy: str,
     config: SvmConfig | LogRegConfig = SvmConfig(),
+    strategies: tuple[str, ...] = STRATEGIES,
     k: int = 10,
     seed: int = 0,
     threads: int = 1,
-) -> CrossvalResult:
-    """k-fold cross-validation of one (base config, strategy) combination."""
-    results = crossval_strategies(
-        X, labels, taxonomy, config, strategies=(strategy,), k=k, seed=seed, threads=threads
-    )
-    return results[strategy]
+) -> dict[str, CrossvalResult]:
+    """``crossval`` of the one config ``config``, raising its error."""
+    (result,) = crossval(X, labels, taxonomy, [config], strategies, k, seed, threads)
+    if not isinstance(result, dict):
+        raise result
+    return result

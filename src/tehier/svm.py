@@ -132,10 +132,39 @@ class BinarySvmModel:
         return platt_probability(self.decision_function(X), self.platt_a, self.platt_b)
 
 
+@dataclass
+class SvmSolve(BinarySvmModel):
+    """A bank of one SVM as SMO and Platt left it at some C, with the two
+    facts of its SMO run (``smo_solve``) that decide whether it is also the
+    solve at a larger C."""
+
+    clipped: bool
+    least_kept: float
+
+    def exact_at(self, C: float) -> bool:
+        """Whether this solve is bit for bit the one at ``C``, which is at
+        least the C it was solved at, on the same kernel and labels."""
+        # The exact C-path rule. C enters an SMO run only through the step's
+        # C term (C - alpha), the snap of alpha to 0 below _SNAP * C, its clip
+        # to C above C * (1 - _SNAP), and the I_up / I_low tests against C.
+        # Where the C term binds, the step lands alpha at C, above the clip;
+        # so in a run that clipped nothing it never bound, and at a larger C
+        # it is larger still: every step has the same length. Every kept
+        # alpha was at most C * (1 - _SNAP), below the larger clip and below
+        # C, so the index sets agree. An alpha snapped to 0 stays snapped, as
+        # _SNAP * C only grows; one kept stays kept when it is not below
+        # _SNAP * C at the larger C, the comparison smo_solve makes there. So
+        # every branch goes the same way: the run takes the same steps to the
+        # same alpha, bias and gradient, and Platt fits the same (A, B).
+        return not self.clipped and not self.least_kept < _SNAP * C
+
+
 def smo_solve(column, y: np.ndarray, C: float, tol: float, max_iter: int):
     """SMO on +1/-1 labels ``y``; ``column(i)`` is column i of the kernel.
 
-    Returns (alpha, bias, converged, grad), grad being Q alpha - 1 at alpha.
+    Returns (alpha, bias, converged, grad, clipped, least_kept): grad is
+    Q alpha - 1 at alpha, ``clipped`` whether any alpha was clipped to C, and
+    ``least_kept`` the smallest alpha kept above the zero snap (inf if none).
     """
     n = y.shape[0]
     labels = y.tolist()
@@ -152,7 +181,8 @@ def smo_solve(column, y: np.ndarray, C: float, tol: float, max_iter: int):
     change, other = np.empty(n), np.empty(n)
     inf = np.inf
     to_zero, to_c = _SNAP * C, C * (1.0 - _SNAP)
-    converged = False
+    converged = clipped = False
+    least_kept = inf
     bias = 0.0
 
     for _ in range(max_iter):
@@ -183,11 +213,15 @@ def smo_solve(column, y: np.ndarray, C: float, tol: float, max_iter: int):
         if new_i < to_zero:
             new_i = 0.0
         elif new_i > to_c:
-            new_i = C
+            new_i, clipped = C, True
+        elif new_i < least_kept:
+            least_kept = new_i
         if new_j < to_zero:
             new_j = 0.0
         elif new_j > to_c:
-            new_j = C
+            new_j, clipped = C, True
+        elif new_j < least_kept:
+            least_kept = new_j
         alpha[i] = new_i
         alpha[j] = new_j
 
@@ -213,13 +247,14 @@ def smo_solve(column, y: np.ndarray, C: float, tol: float, max_iter: int):
             bias = 0.5 * (v_hi + v_lo)
 
     v = np.where(v_up == -inf, v_low, v_up)
-    return np.array(alpha), bias, converged, -y * v
+    return np.array(alpha), bias, converged, -y * v, clipped, least_kept
 
 
 def train_binary_svm(
     X: np.ndarray, y: np.ndarray, config: SvmConfig, columns: _KernelColumns | None = None
-) -> BinarySvmModel:
-    """A bank of one SVM, trained by SMO and Platt-calibrated.
+) -> SvmSolve:
+    """A bank of one SVM, trained by SMO and Platt-calibrated, with the facts
+    of its run (``SvmSolve``).
 
     ``y`` holds +1/-1 labels, both present. ``columns`` is a kernel provider
     for this ``X`` and ``config.gamma``; by default one is built here.
@@ -233,14 +268,14 @@ def train_binary_svm(
 
     if columns is None:
         columns = _KernelColumns(X, config.gamma)
-    alpha, bias, converged, grad = smo_solve(
+    alpha, bias, converged, grad, clipped, least_kept = smo_solve(
         columns.column, y, config.C, _KKT_TOLERANCE, _MAX_PASSES * X.shape[0]
     )
     # f(x_k) = sum_l alpha_l y_l K_kl + b, and grad_k = y_k sum_l alpha_l y_l K_kl - 1
     a, b = platt_calibrate(y * (grad + 1.0) + bias, y)
 
     keep = alpha > 0.0
-    return BinarySvmModel(
+    return SvmSolve(
         support_vectors=X[keep],
         dual_coef=(alpha[keep] * y[keep])[:, None],
         bias=np.array([bias]),
@@ -248,6 +283,8 @@ def train_binary_svm(
         platt_a=np.array([a]),
         platt_b=np.array([b]),
         converged=np.array([converged]),
+        clipped=clipped,
+        least_kept=least_kept,
     )
 
 

@@ -14,7 +14,6 @@ from tehier import (
     SvmConfig,
     SynthSpec,
     Taxonomy,
-    crossval,
     crossval_strategies,
     f_measure,
     featurize,
@@ -152,7 +151,7 @@ def test_smo_kkt_audit_and_qp_oracle():
         y = np.array([1.0] * n_half + [-1.0] * n_half)
         C = float(rng.choice([0.5, 1.0, 4.0]))
         gamma = float(rng.choice([0.5, 1.0, 2.0]))
-        alpha, bias, converged, _ = smo_solve(
+        alpha, bias, converged, *_ = smo_solve(
             _KernelColumns(X, gamma).column, y, C, tol, 200 * len(y)
         )
         assert converged
@@ -170,7 +169,7 @@ def test_smo_kkt_audit_and_qp_oracle():
             y[0] = -y[0]
         C, gamma = 1.0, 0.9
         K = rbf_kernel_matrix(X, X, gamma)
-        alpha, _, _, _ = smo_solve(_KernelColumns(X, gamma).column, y, C, 1e-6, 400 * n)
+        alpha, *_ = smo_solve(_KernelColumns(X, gamma).column, y, C, 1e-6, 400 * n)
         gap = abs(dual_objective(K, y, alpha) - projected_gradient_qp(K, y, C)[1])
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-3
@@ -253,12 +252,10 @@ def test_end_to_end_desk_scale_experiment(pgsb_shaped_dataset):
     assert tuned.selected is not None
     c_star, gamma_star = tuned.selected.C, tuned.selected.gamma
 
-    result = crossval(
-        X, labels, taxonomy,
-        strategy="lcpnb",
-        config=SvmConfig(C=c_star, gamma=gamma_star),
+    result = crossval_strategies(
+        X, labels, taxonomy, SvmConfig(C=c_star, gamma=gamma_star), ("lcpnb",),
         k=10, seed=7, threads=4,
-    )
+    )["lcpnb"]
     elapsed = time.time() - start
     assert result.mean_hf >= 0.90
     assert elapsed < 600

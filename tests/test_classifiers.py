@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -220,3 +221,38 @@ def test_node_prediction_builds_one_kernel_block(rng, monkeypatch):
     assert calls == [len(model.model.support_vectors)] * 2
     # fewer rows than the SVMs use together: they share support vectors
     assert calls[0] < np.count_nonzero(model.model.dual_coef)
+
+
+def assert_same_bits(got, want):
+    """Every field of two SVM banks is equal bit for bit."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b) and np.shape(a) == np.shape(b), field.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
+@pytest.mark.parametrize("case", ["separable", "alphas reach C", "alphas near the snap"])
+def test_svms_reused_along_c_equal_fresh_solves_bit_for_bit(rng, monkeypatch, case):
+    # fit_multiclass at ascending C on one list of solves, as a grid fold does:
+    # every SVM it keeps, reused or not, is the fresh solve at its C
+    spread, c_values = {
+        "separable": (0.25, (16.0, 256.0, 4096.0)),
+        "alphas reach C": (1.2, (0.5, 8.0, 128.0)),
+        "alphas near the snap": (0.25, (16.0, 64.0, 256.0)),
+    }[case]
+    if case == "alphas near the snap":  # alphas kept on the way snap at a larger C
+        monkeypatch.setattr(tehier.svm, "_SNAP", 1e-3)
+    X, y = separable_blobs(rng, 20, [(1.5, 0), (-1.5, 0), (0, 1.5)], spread=spread)
+    solves, reused = [], 0
+    for C in c_values:
+        config = SvmConfig(C=C, gamma=0.5)
+        last = list(solves)
+        bank = fit_multiclass(X, y, config, solves=solves).model
+        assert_same_bits(bank, fit_multiclass(X, y, config).model)
+        for c, kept in enumerate(solves):
+            if kept is not None:
+                assert_same_bits(kept, train_binary_svm(X, np.where(y == c, 1.0, -1.0), config))
+                reused += bool(last) and kept is last[c]
+    # the separable blobs reuse all 3 classes at both steps; above the larger
+    # snap, one class at C = 256 is reused
+    assert reused == {"separable": 6, "alphas reach C": 0, "alphas near the snap": 1}[case]

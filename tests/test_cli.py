@@ -311,8 +311,24 @@ def test_gridsearch_report_and_selection(workspace, capsys):
 def test_gridsearch_refuses_a_non_finite_grid_value_before_any_cell(
     workspace, monkeypatch, capsys, text, error
 ):
+    assert_grid_file_refused(workspace, monkeypatch, capsys, text, error)
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"c_values": [1, 4, 1], "gamma_values": [2]}', "grid C value 1.0 given twice"),
+    ('{"c_values": [1], "gamma_values": [2, 2.0]}', "grid gamma value 2.0 given twice"),
+])
+def test_gridsearch_refuses_a_grid_value_given_twice_before_any_cell(
+    workspace, monkeypatch, capsys, text, error
+):
+    assert_grid_file_refused(workspace, monkeypatch, capsys, text, error)
+
+
+def assert_grid_file_refused(workspace, monkeypatch, capsys, text, error):
+    """``gridsearch`` on a grid file of ``text`` exits 2 with ``error`` and
+    cross-validates nothing."""
     cells = []
-    monkeypatch.setattr(tehier.gridsearch, "crossval", lambda *a, **kw: cells.append(kw))
+    monkeypatch.setattr(tehier.gridsearch, "crossval", lambda *a, **kw: cells.append((a, kw)))
     grid_file, report = workspace / "grid.json", workspace / "grid.csv"
     grid_file.write_text(text)
     argv = ["gridsearch", workspace / "data.csv", "--grid", grid_file, "--folds", "3",
@@ -326,10 +342,12 @@ def test_gridsearch_reports_why_a_cell_failed(workspace, monkeypatch, capsys):
     crossval = tehier.gridsearch.crossval
 
     def failing_below(limit):
-        def stub(X, labels, taxonomy, **kwargs):
-            if kwargs["config"].C < limit:
-                raise NumericError(f"stub failure, C={kwargs['config'].C:g}")
-            return crossval(X, labels, taxonomy, **kwargs)
+        def stub(X, labels, taxonomy, configs, *args, **kwargs):
+            outcomes = crossval(X, labels, taxonomy, configs, *args, **kwargs)
+            return [
+                NumericError(f"stub failure, C={config.C:g}") if config.C < limit else outcome
+                for config, outcome in zip(configs, outcomes)
+            ]
 
         return stub
 

@@ -650,8 +650,15 @@ MODEL_FILE_FAULTS = {
         "logreg", lambda p: edit_b64(p["node_models"]["1"], "weights", set_at(0, -np.inf)),
         "non-finite",
     ),
+    # a well-formed file with a bad value is not called truncated
     "non-finite config": (
-        "svm", lambda p: p["base_config"].__setitem__("C", np.nan), "C must be finite and positive"
+        "svm", lambda p: p["base_config"].__setitem__("C", np.nan),
+        r"^(?!.*truncated)model file: base_config holds a bad value: C must be finite and positive",
+    ),
+    "negative gamma": (
+        "svm", lambda p: p["base_config"].__setitem__("gamma", -1),
+        r"^(?!.*truncated)model file: base_config holds a bad value: gamma must be finite and "
+        r"positive, got -1$",
     ),
     "non-finite pool value": ("svm", lambda p: edit_b64(p, "pool", set_at(3, np.nan)), "non-finite"),
     "bad base64": ("svm", lambda p: p.__setitem__("pool", p["pool"][:-3] + "#=="), "base64"),

@@ -7,7 +7,6 @@ from tehier import (
     SvmConfig,
     Taxonomy,
     TaxonomyError,
-    crossval,
     crossval_strategies,
     f_measure,
     hier_metrics,
@@ -230,25 +229,24 @@ def test_crossval_two_folds_on_four_samples(rng):
     tax = Taxonomy([hl("1"), hl("2")])
     X = np.array([[1.0, 0], [1.1, 0], [-1.0, 0], [-1.1, 0]])
     labels = [hl("1"), hl("1"), hl("2"), hl("2")]
-    result = crossval(X, labels, tax, strategy="nllcpn", config=LogRegConfig(), k=2, seed=0)
+    result = crossval_strategies(X, labels, tax, LogRegConfig(), ("nllcpn",), k=2)["nllcpn"]
     assert len(result.fold_metrics) == 2
 
 
 def test_crossval_separable_data_scores_high(rng):
     tax, X, labels = tiny_dataset(rng)
-    result = crossval(
-        X, labels, tax, strategy="lcpnb",
-        config=SvmConfig(C=5, gamma=1.0), k=5, seed=3,
-    )
+    result = crossval_strategies(
+        X, labels, tax, SvmConfig(C=5, gamma=1.0), ("lcpnb",), k=5, seed=3,
+    )["lcpnb"]
     assert result.mean_hf >= 0.95
 
 
 def test_crossval_label_shuffle_drops_score(rng):
     tax, X, labels = tiny_dataset(rng)
-    good = crossval(X, labels, tax, strategy="lcpnb", config=LogRegConfig(), k=5, seed=3)
+    good = crossval_strategies(X, labels, tax, LogRegConfig(), ("lcpnb",), k=5, seed=3)["lcpnb"]
     shuffled = list(labels)
     rng.shuffle(shuffled)
-    bad = crossval(X, shuffled, tax, strategy="lcpnb", config=LogRegConfig(), k=5, seed=3)
+    bad = crossval_strategies(X, shuffled, tax, LogRegConfig(), ("lcpnb",), k=5, seed=3)["lcpnb"]
     assert bad.mean_hf < good.mean_hf
 
 
@@ -257,8 +255,8 @@ def test_crossval_strategies_share_training(rng):
     both = crossval_strategies(
         X, labels, tax, config=LogRegConfig(), strategies=("nllcpn", "lcpnb"), k=4, seed=5
     )
-    single = crossval(X, labels, tax, strategy="nllcpn", config=LogRegConfig(), k=4, seed=5)
-    assert both["nllcpn"].fold_metrics == single.fold_metrics
+    single = crossval_strategies(X, labels, tax, LogRegConfig(), ("nllcpn",), k=4, seed=5)
+    assert both["nllcpn"].fold_metrics == single["nllcpn"].fold_metrics
 
 
 def test_crossval_strategies_refuses_a_strategy_given_twice(rng):
@@ -269,6 +267,6 @@ def test_crossval_strategies_refuses_a_strategy_given_twice(rng):
 
 def test_crossval_thread_count_independent(rng):
     tax, X, labels = tiny_dataset(rng)
-    serial = crossval(X, labels, tax, strategy="lcpnb", config=LogRegConfig(), k=4, seed=1, threads=1)
-    threaded = crossval(X, labels, tax, strategy="lcpnb", config=LogRegConfig(), k=4, seed=1, threads=4)
-    assert serial.fold_metrics == threaded.fold_metrics
+    serial = crossval_strategies(X, labels, tax, LogRegConfig(), k=4, seed=1, threads=1)
+    threaded = crossval_strategies(X, labels, tax, LogRegConfig(), k=4, seed=1, threads=4)
+    assert serial["lcpnb"].fold_metrics == threaded["lcpnb"].fold_metrics

@@ -7,6 +7,7 @@ import pytest
 from tehier import DegenerateDataError, DimensionError, SvmConfig, train_binary_svm
 import tehier.svm
 from tehier.svm import (
+    SvmSolve,
     _KernelColumns,
     platt_calibrate,
     platt_probability,
@@ -116,7 +117,7 @@ def test_kkt_audit_on_random_blobs(rng):
     for trial in range(5):
         X, y = blob_pair(rng, 100, separation=1.0 + trial * 0.3)
         K = rbf_kernel_matrix(X, X, config.gamma)
-        alpha, bias, converged, _ = smo_solve(
+        alpha, bias, converged, *_ = smo_solve(
             _KernelColumns(X, config.gamma).column, y, config.C, tol, 200 * len(y)
         )
         assert converged
@@ -148,7 +149,7 @@ def test_dual_objective_matches_projected_gradient_oracle(rng, monkeypatch):
         K = rbf_kernel_matrix(X, X, config.gamma)
         # recover full alpha by re-solving; equivalently read it off the SVs
         column = _KernelColumns(X, config.gamma).column
-        alpha, _, _, _ = smo_solve(column, y, config.C, 1e-6, 200 * n)
+        alpha, *_ = smo_solve(column, y, config.C, 1e-6, 200 * n)
         smo_obj = dual_objective(K, y, alpha)
         _, pg_obj = projected_gradient_qp(K, y, config.C, iterations=150_000)
         assert smo_obj == pytest.approx(pg_obj, abs=1e-3)
@@ -182,7 +183,7 @@ def _assert_matches_reference(column, y, C, tol, max_iter):
     """smo_solve on the column function ``column`` equals both oracles bit for
     bit; the in-place one also on grad, which Platt reads its decision values
     from."""
-    alpha, bias, converged, grad = smo_solve(column, y, C, tol, max_iter)
+    alpha, bias, converged, grad, *_ = smo_solve(column, y, C, tol, max_iter)
     ref_alpha, ref_bias, ref_converged = smo_reference(column, y, C, tol, max_iter)
     assert np.array_equal(alpha, ref_alpha)
     assert bias == ref_bias
@@ -249,7 +250,7 @@ def test_smo_matches_reference_on_exactly_tied_values(rng):
     twice = np.repeat(np.arange(len(y)), 2)
     K = rbf_kernel_matrix(X, X, 1.0)[np.ix_(twice, twice)]
     alpha, _ = _assert_matches_reference(lambda i: K[i], y[twice], 4.0, 1e-4, 200 * len(twice))
-    _, _, _, grad = smo_solve(lambda i: K[i], y[twice], 4.0, 1e-4, 200 * len(twice))
+    _, _, _, grad, *_ = smo_solve(lambda i: K[i], y[twice], 4.0, 1e-4, 200 * len(twice))
     assert np.array_equal(grad[0::2], grad[1::2])
 
 
@@ -449,3 +450,37 @@ def test_platt_bit_identical_to_the_plain_overflow_free_fit(rng):
         assert np.array([a, b]).view(np.uint64).tolist() == (
             np.array([a_ref, b_ref]).view(np.uint64).tolist()
         )
+
+
+def c_path_verdict(column, y, c_small, c_large):
+    """(smo_solve's facts at ``c_small``, whether the C-path rule reuses that
+    solve at ``c_large``, whether the two runs give the same alpha), for at
+    most 10 SMO steps."""
+    alpha, _, _, _, clipped, least_kept = smo_solve(column, y, c_small, 1e-3, 10)
+    solve = SvmSolve(
+        np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(1), 1.0, np.zeros(1), np.zeros(1),
+        np.ones(1, dtype=bool), clipped, least_kept,
+    )
+    same = np.array_equal(alpha, smo_solve(column, y, c_large, 1e-3, 10)[0])
+    return (clipped, least_kept), solve.exact_at(c_large), same
+
+
+def test_c_path_rule_refuses_a_clipped_or_snap_bound_solve():
+    # an alpha reaches C = 0.5 and leaves it again, so no final alpha shows
+    # the clip; at C = 4 the run takes other steps
+    K = np.array([[12.0, 6.0, 9.0], [6.0, 5.0, 6.0], [9.0, 6.0, 12.0]])
+    facts, reused, same = c_path_verdict(lambda i: K[i], np.array([-1.0, 1.0, 1.0]), 0.5, 4.0)
+    assert facts[0] and not reused and not same
+    # kernel values near 1e10 make steps near 1e-12: one alpha is kept at
+    # 2.5e-12 on the way, above the snap of C = 0.5 (5e-13) but below that of
+    # C = 2.8 (2.8e-12), though every final alpha is above both
+    K = 1e10 * np.array([[5.0, -4.0, -4.0], [-4.0, 23.0, 1.0], [-4.0, 1.0, 18.0]])
+    y = np.array([-1.0, 1.0, -1.0])
+    facts, reused, same = c_path_verdict(lambda i: K[i], y, 0.5, 2.8)
+    assert not facts[0] and 2.5e-12 < facts[1] < 2.8e-12 and not reused and not same
+    # at C = 2, whose snap is 2e-12, that alpha is kept too
+    facts, reused, same = c_path_verdict(lambda i: K[i], y, 0.5, 2.0)
+    assert reused and same
+    # two orthogonal points: one step of 1.0, far from C = 4 and any snap
+    facts, reused, same = c_path_verdict(lambda i: np.eye(2)[i], np.array([1.0, -1.0]), 4.0, 1e6)
+    assert facts == (False, 1.0) and reused and same

@@ -9,7 +9,7 @@ from tehier import (
     KmerConfig,
     SvmConfig,
     SynthSpec,
-    crossval,
+    crossval_strategies,
     featurize_batch,
     generate,
     taxonomy_from_shape,
@@ -121,11 +121,8 @@ def test_full_separability_depth_two_is_learnable(rng):
     records = generate(spec)
     X = featurize_batch(records, KmerConfig())
     labels = [r.label for r in records]
-    result = crossval(
-        X, labels, tax, strategy="lcpnb",
-        config=SvmConfig(C=16.0, gamma=8.0), k=5, seed=0,
-    )
-    assert result.mean_hf >= 0.95
+    result = crossval_strategies(X, labels, tax, SvmConfig(C=16.0, gamma=8.0), ("lcpnb",), k=5)
+    assert result["lcpnb"].mean_hf >= 0.95
 
 
 def test_spec_validation():
