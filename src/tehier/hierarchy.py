@@ -452,14 +452,20 @@ def _multiclass_from_dict(
 
 
 def _config_from_dict(base_kind: str, d) -> SvmConfig | LogRegConfig:
-    """The config of ``base_kind`` from its fields in ``d``. An unknown field
-    or a value of the wrong type raises TypeError (a malformed file), and a
-    value the config refuses ModelFileError naming it as a bad value."""
+    """The config of ``base_kind`` from its fields in ``d``, which must hold
+    every field: a missing one raises ModelFileError naming it, not its
+    default. An unknown field or a value of the wrong type raises TypeError
+    (a malformed file), and a value the config refuses ModelFileError naming
+    it as a bad value."""
     _object(d, "base_config")
     if base_kind not in (SVM, LOGREG):
         raise ModelFileError(f"unknown base classifier kind {base_kind!r}")
+    config_type = SvmConfig if base_kind == SVM else LogRegConfig
+    for field in dataclasses.fields(config_type):
+        if field.name not in d:
+            raise ModelFileError(f"model file: base_config lacks {field.name}")
     try:
-        return (SvmConfig if base_kind == SVM else LogRegConfig)(**d)
+        return config_type(**d)
     except ValueError as exc:
         raise ModelFileError(f"model file: base_config holds a bad value: {exc}") from None
 

@@ -2,7 +2,9 @@
 weights, not the bias, fitted by L-BFGS (Nocedal & Wright ch. 7) over the
 last 10 curvature pairs with Armijo backtracking from the unit step. A
 line search that finds no descent step ends the fit with
-``converged=False``.
+``converged=False``. The fit builds the flat index of each row's true class
+once, and the gradient is written straight into the flat parameter layout
+the iterates use: W row by row, then b.
 """
 
 from __future__ import annotations
@@ -34,30 +36,42 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def logreg_loss(weights, bias, X, y_idx, l2_strength):
+def logreg_loss(weights, bias, X, target, l2_strength):
     """(loss, probs): the mean cross-entropy plus (l2/2)*||W||^2 (bias
     excluded), and the softmax of ``X @ weights + bias`` it was computed from.
+    ``target`` indexes each row's true class in the flattened (n, k) scores:
+    ``row * k + class``.
     """
-    scores = X @ weights + bias
+    scores = X @ weights
+    scores += bias
     # the row max as k - 1 elementwise maxima over columns: exact in any
     # order, and far cheaper than max(axis=1) when k is small
-    shifted = scores - functools.reduce(np.maximum, scores.T)[:, None]
-    e = np.exp(shifted)
-    total = e.sum(axis=1)
-    nll = np.log(total) - shifted[np.arange(X.shape[0]), y_idx]
-    loss = float(nll.mean() + 0.5 * l2_strength * np.sum(weights * weights))
-    return loss, e / total[:, None]
+    scores -= functools.reduce(np.maximum, scores.T)[:, None]
+    true_scores = scores.ravel()[target]
+    e = np.exp(scores, out=scores)
+    total = np.add.reduce(e, axis=1)
+    nll = np.log(total)
+    nll -= true_scores
+    penalty = 0.5 * l2_strength * np.add.reduce(weights * weights, axis=None)
+    loss = float(np.add.reduce(nll) / X.shape[0] + penalty)
+    e /= total[:, None]
+    return loss, e
 
 
-def logreg_gradient(weights, X, y_idx, l2_strength, probs):
-    """(grad_weights, grad_bias) of ``logreg_loss``, from the softmax
-    ``probs`` it returned for these weights; ``probs`` is not modified."""
-    n = X.shape[0]
-    probs = probs.copy()
-    probs[np.arange(n), y_idx] -= 1.0
-    grad_w = X.T @ probs / n + l2_strength * weights
-    grad_b = probs.mean(axis=0)
-    return grad_w, grad_b
+def logreg_gradient(weights, X, target, l2_strength, probs):
+    """The gradient of ``logreg_loss`` as one flat vector, W row by row then b,
+    from the softmax ``probs`` it returned for these weights (``target`` as
+    there); ``probs`` is not modified."""
+    n, k = probs.shape
+    residual = probs.copy()
+    residual.ravel()[target] -= 1.0
+    grad = np.empty(weights.size + k)
+    grad_w = np.matmul(X.T, residual, out=grad[:-k].reshape(weights.shape))
+    grad_w /= n
+    grad_w += l2_strength * weights
+    grad_b = np.add.reduce(residual, axis=0, out=grad[-k:])
+    grad_b /= n
+    return grad
 
 
 @dataclass
@@ -84,43 +98,50 @@ def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> LogRegMode
         raise DimensionError(f"X has shape {X.shape} but y has {y_idx.shape[0]} labels")
     if n_classes < 2:
         raise DegenerateDataError("softmax regression needs at least two classes")
+    outside = np.flatnonzero((y_idx < 0) | (y_idx >= n_classes))
+    if outside.size:
+        raise DimensionError(
+            f"class index {y_idx[outside[0]]} at row {outside[0]} is outside "
+            f"0..{n_classes - 1} for n_classes={n_classes}"
+        )
+    n, d = X.shape
+    target = np.arange(n) * n_classes + y_idx  # each row's true class, flat
 
     def split(theta):  # the flat vector holds W row by row, then b
-        return theta[:-n_classes].reshape(-1, n_classes), theta[-n_classes:]
+        return theta[:-n_classes].reshape(d, n_classes), theta[-n_classes:]
 
-    def gradient(theta, probs):
-        grad_w, grad_b = logreg_gradient(split(theta)[0], X, y_idx, _L2_STRENGTH, probs)
-        return np.concatenate([grad_w.ravel(), grad_b])
-
-    theta = np.zeros((X.shape[1] + 1) * n_classes)
-    loss, probs = logreg_loss(*split(theta), X, y_idx, _L2_STRENGTH)
-    grad = gradient(theta, probs)
+    theta = np.zeros((d + 1) * n_classes)
+    weights, bias = split(theta)
+    loss, probs = logreg_loss(weights, bias, X, target, _L2_STRENGTH)
+    grad = logreg_gradient(weights, X, target, _L2_STRENGTH, probs)
     history = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y) pairs, oldest first
 
     for _ in range(_MAX_ITERATIONS):
-        gnorm = float(np.sqrt(grad @ grad))
+        # ndarray.dot on vectors is the BLAS dot that @ calls, with less overhead
+        gnorm = float(np.sqrt(grad.dot(grad)))
         if gnorm <= _TOLERANCE:
             break
         direction = _two_loop(grad, history, gnorm)
-        slope = float(grad @ direction)  # < 0: H stays positive definite
+        slope = float(grad.dot(direction))  # < 0: H stays positive definite
         # Armijo backtracking from the unit step, halving on each rejection
         step = 1.0
         for _ in range(40):
             new_theta = theta + step * direction
-            new_loss, new_probs = logreg_loss(*split(new_theta), X, y_idx, _L2_STRENGTH)
+            weights, bias = split(new_theta)
+            new_loss, new_probs = logreg_loss(weights, bias, X, target, _L2_STRENGTH)
             if new_loss - loss <= _ARMIJO * step * slope:
                 break
             step /= 2.0
         else:
             break  # stalled: no descent possible at float precision
-        new_grad = gradient(new_theta, new_probs)
+        new_grad = logreg_gradient(weights, X, target, _L2_STRENGTH, new_probs)
         s, y = new_theta - theta, new_grad - grad
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         if sy > 0.0:  # keep the inverse-Hessian estimate positive definite
             history.append((s, y, 1.0 / sy))
         theta, loss, grad = new_theta, new_loss, new_grad
 
-    return LogRegModel(*split(theta), converged=float(np.sqrt(grad @ grad)) <= _TOLERANCE)
+    return LogRegModel(*split(theta), converged=float(np.sqrt(grad.dot(grad))) <= _TOLERANCE)
 
 
 def _two_loop(grad: np.ndarray, history, gnorm: float) -> np.ndarray:
@@ -129,14 +150,14 @@ def _two_loop(grad: np.ndarray, history, gnorm: float) -> np.ndarray:
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(history):
-        alpha = rho * float(s @ q)
+        alpha = rho * float(s.dot(q))
         q -= alpha * y
         alphas.append(alpha)
     if history:
         s, y, rho = history[-1]
-        q *= 1.0 / (rho * float(y @ y))  # s.y / y.y
+        q *= 1.0 / (rho * float(y.dot(y)))  # s.y / y.y
     else:
         q /= gnorm
     for (s, y, rho), alpha in zip(history, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
+        q += (alpha - rho * float(y.dot(q))) * s
     return -q

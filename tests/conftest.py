@@ -31,3 +31,10 @@ def separable_blobs(rng, n_per_class, centers, spread=0.25):
     )
     y = np.repeat(np.arange(len(centers)), n_per_class)
     return X, y
+
+
+def class_index(y_idx, n_classes):
+    """The flat index of each row's true class in its (n, n_classes) scores,
+    the form ``logreg_loss`` and ``logreg_gradient`` take the labels in."""
+    y_idx = np.asarray(y_idx, dtype=np.int64)
+    return np.arange(y_idx.shape[0]) * n_classes + y_idx

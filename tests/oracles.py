@@ -10,6 +10,8 @@ taxonomies, ``PathScore``, ``HierMetrics``).
 from __future__ import annotations
 
 import csv
+import functools
+from collections import deque
 
 import numpy as np
 
@@ -863,6 +865,95 @@ def train_logreg_reference(X, y_idx, n_classes, l2_strength, max_iterations, tol
         step = trial * 2.0
 
     return weights, bias, converged
+
+
+def _logreg_loss_lbfgs_reference(weights, bias, X, y_idx, l2_strength):
+    scores = X @ weights + bias
+    shifted = scores - functools.reduce(np.maximum, scores.T)[:, None]
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    nll = np.log(total) - shifted[np.arange(X.shape[0]), y_idx]
+    loss = float(nll.mean() + 0.5 * l2_strength * np.sum(weights * weights))
+    return loss, e / total[:, None]
+
+
+def _logreg_gradient_lbfgs_reference(weights, X, y_idx, l2_strength, probs):
+    n = X.shape[0]
+    probs = probs.copy()
+    probs[np.arange(n), y_idx] -= 1.0
+    grad_w = X.T @ probs / n + l2_strength * weights
+    grad_b = probs.mean(axis=0)
+    return grad_w, grad_b
+
+
+def train_logreg_lbfgs_reference(X, y_idx, n_classes, l2_strength, max_iterations, tolerance):
+    """The package's first L-BFGS softmax-regression fit, kept as it was:
+    a loss and a gradient that rebuild the true-class index on every call,
+    and a gradient assembled from its weight and bias blocks by
+    concatenation. The fit keeps 10 curvature pairs and backtracks from the
+    unit step with Armijo constant 1e-4. Returns (weights, bias, converged);
+    a line search that finds no descent step reports ``converged=False``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y_idx = np.asarray(y_idx, dtype=np.int64)
+
+    def split(theta):  # the flat vector holds W row by row, then b
+        return theta[:-n_classes].reshape(-1, n_classes), theta[-n_classes:]
+
+    def gradient(theta, probs):
+        grad_w, grad_b = _logreg_gradient_lbfgs_reference(
+            split(theta)[0], X, y_idx, l2_strength, probs
+        )
+        return np.concatenate([grad_w.ravel(), grad_b])
+
+    theta = np.zeros((X.shape[1] + 1) * n_classes)
+    loss, probs = _logreg_loss_lbfgs_reference(*split(theta), X, y_idx, l2_strength)
+    grad = gradient(theta, probs)
+    history = deque(maxlen=10)  # (s, y, 1 / s.y) pairs, oldest first
+
+    for _ in range(max_iterations):
+        gnorm = float(np.sqrt(grad @ grad))
+        if gnorm <= tolerance:
+            break
+        direction = _two_loop_lbfgs_reference(grad, history, gnorm)
+        slope = float(grad @ direction)
+        step = 1.0
+        for _ in range(40):
+            new_theta = theta + step * direction
+            new_loss, new_probs = _logreg_loss_lbfgs_reference(
+                *split(new_theta), X, y_idx, l2_strength
+            )
+            if new_loss - loss <= 1e-4 * step * slope:
+                break
+            step /= 2.0
+        else:
+            break
+        new_grad = gradient(new_theta, new_probs)
+        s, y = new_theta - theta, new_grad - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            history.append((s, y, 1.0 / sy))
+        theta, loss, grad = new_theta, new_loss, new_grad
+
+    weights, bias = split(theta)
+    return weights, bias, float(np.sqrt(grad @ grad)) <= tolerance
+
+
+def _two_loop_lbfgs_reference(grad, history, gnorm):
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(history):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if history:
+        s, y, rho = history[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    else:
+        q /= gnorm
+    for (s, y, rho), alpha in zip(history, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
 
 
 def write_feature_csv_matrix_reference(records, sink, config=None) -> None:

@@ -29,7 +29,7 @@ from tehier.hierarchy import decode_lcpnb, decode_nllcpn, score_paths
 from tehier.logreg import logreg_gradient, logreg_loss
 from tehier.svm import _KernelColumns, rbf_kernel_matrix, smo_solve
 
-from conftest import hl
+from conftest import class_index, hl
 from oracles import (
     best_path,
     dual_objective,
@@ -195,9 +195,11 @@ def test_logreg_gradient_matches_finite_differences():
         weights = rng.normal(scale=0.8, size=(d, k))
         bias = rng.normal(scale=0.5, size=k)
         l2 = float(rng.choice([0.0, 1e-4, 1e-2]))
-        _, probs = logreg_loss(weights, bias, X, y, l2)
-        grad_w, grad_b = logreg_gradient(weights, X, y, l2, probs)
-        loss_fn = lambda w, b: logreg_loss(w, b, X, y, l2)[0]
+        target = class_index(y, k)
+        _, probs = logreg_loss(weights, bias, X, target, l2)
+        grad = logreg_gradient(weights, X, target, l2, probs)
+        grad_w, grad_b = grad[:-k].reshape(d, k), grad[-k:]
+        loss_fn = lambda w, b: logreg_loss(w, b, X, target, l2)[0]
         num_w, num_b = finite_difference_logreg_gradient(loss_fn, weights, bias)
         scale = max(1.0, np.abs(num_w).max(), np.abs(num_b).max())
         err = max(np.abs(grad_w - num_w).max(), np.abs(grad_b - num_b).max()) / scale

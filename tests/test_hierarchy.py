@@ -602,6 +602,13 @@ MODEL_FILE_FAULTS = {
     "base_config as a list": (
         "svm", lambda p: p.__setitem__("base_config", [1]), "base_config is not a JSON object"
     ),
+    # every config field has a default, which must not stand in for the file's
+    "base_config lacks gamma": (
+        "svm", lambda p: p["base_config"].pop("gamma"), "base_config lacks gamma"
+    ),
+    "empty svm base_config": (
+        "svm", lambda p: p["base_config"].clear(), "base_config lacks C"
+    ),
     "unknown config key": (
         "logreg", lambda p: p["base_config"].__setitem__("learning_rate", 1.0), "learning_rate"
     ),
@@ -719,6 +726,20 @@ def test_v5_file_resaves_and_predicts_byte_for_byte(tmp_path, base_kind):
         argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--strategy", strategy]
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / f"predict_v5_{base_kind}_{strategy}.csv").read_bytes()
+
+
+def test_predict_on_a_file_without_gamma_exits_2(tmp_path, capsys):
+    from tehier.cli import main
+
+    payload = fixture_payload("svm")  # trained at gamma 64; the default is 1
+    del payload["base_config"]["gamma"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "pred.csv"
+    argv = ["predict", str(DATA / "query.csv"), "--model", str(model), "--out", str(out)]
+    assert main(argv) == 2
+    assert "base_config lacks gamma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def fixture_payload(base_kind):
