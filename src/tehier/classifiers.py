@@ -9,7 +9,7 @@ model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class MulticlassModel:
         if isinstance(self.model, LogRegModel):
             return self.model.predict_proba(X)
         scores = self.model.predict_proba_positive(X)
+        if scores.shape[1] == 1:  # two classes: class 0's SVM, and 1 - p for class 1
+            return np.hstack([scores, 1.0 - scores])
         totals = scores.sum(axis=1, keepdims=True)
         degenerate = totals[:, 0] <= _ZERO_SUM
         safe = np.where(totals <= _ZERO_SUM, 1.0, totals)
@@ -78,19 +80,6 @@ def svm_bank(svms: list[BinarySvmModel]) -> BinarySvmModel:
     )
 
 
-def mirrored(svm: BinarySvmModel) -> BinarySvmModel:
-    """The two-class bank of class 0's bank ``svm``: class 1's SVM is class
-    0's with dual coefficients, bias and Platt B negated (probability 1 - p)."""
-    return replace(
-        svm,
-        dual_coef=np.hstack([svm.dual_coef, -svm.dual_coef]),
-        bias=np.concatenate([svm.bias, -svm.bias]),
-        platt_a=np.concatenate([svm.platt_a, svm.platt_a]),
-        platt_b=np.concatenate([svm.platt_b, -svm.platt_b]),
-        converged=np.concatenate([svm.converged, svm.converged]),
-    )
-
-
 def pool_rows(vectors: np.ndarray, pool: dict[bytes, int]) -> list[int]:
     """The row of each of ``vectors`` in ``pool``, adding the new ones.
 
@@ -115,12 +104,12 @@ def fit_multiclass(
     count other than ``len(y)`` DimensionError. One distinct id gives a
     constant model (``model`` None). ``columns`` is a kernel provider for
     ``X`` and ``config.gamma``; by default one is built. An SVM node keeps
-    one bank (``svm_bank``) of its one-vs-rest SVMs; with two classes,
-    class 0's SVM and its mirror (``mirrored``). ``solves``, a list, carries
-    those SVMs from a fit of the same rows and kernel at a smaller C: each one
-    exact at this C (``SvmSolve.exact_at``) is reused as it is, and the list
-    is refilled with this fit's, None for each inexact even at this C (one
-    that clipped an alpha), which no larger C can reuse.
+    one bank (``svm_bank``) of its one-vs-rest SVMs; with two classes, of
+    class 0's SVM only, as class 1's probability is 1 - p. ``solves``, a
+    list, carries those SVMs from a fit of the same rows and kernel at a
+    smaller C: each one exact at this C (``SvmSolve.exact_at``) is reused as
+    it is, and the list is refilled with this fit's, None for each inexact
+    even at this C (one that clipped an alpha), which no larger C can reuse.
     """
     if not isinstance(config, SvmConfig | LogRegConfig):
         raise ValueError(
@@ -145,5 +134,4 @@ def fit_multiclass(
     ]
     if solves is not None:  # one inexact at its own C is so at every larger C
         solves[:] = [svm if svm.exact_at(config.C) else None for svm in svms]
-    bank = svm_bank(svms)
-    return MulticlassModel(classes, X.shape[1], mirrored(bank) if len(classes) == 2 else bank)
+    return MulticlassModel(classes, X.shape[1], svm_bank(svms))

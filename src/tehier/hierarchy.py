@@ -26,7 +26,7 @@ from typing import IO
 
 import numpy as np
 
-from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, mirrored, pool_rows
+from .classifiers import LOGREG, SVM, MulticlassModel, fit_multiclass, pool_rows
 from .errors import (
     DimensionError, FormatError, LabelParseError, ModelFileError, NumericError, TaxonomyError
 )
@@ -369,31 +369,29 @@ def _pool_index(index, pool: np.ndarray, where: str) -> np.ndarray:
 
 
 def _svm_to_dict(bank: BinarySvmModel, pool: dict[bytes, int]) -> dict:
-    """A node bank of k columns, its support vectors added to ``pool``: the
-    pool rows of its support vectors (``pool_index``), its stored columns of
-    ``dual_coef`` in base64, and lists of their ``bias``, ``platt_a``,
-    ``platt_b`` and ``converged``. A two-class bank stores column 0 only,
-    as column 1 is its mirror (``mirrored``).
+    """A node bank, its support vectors added to ``pool``: the pool rows of
+    its support vectors (``pool_index``), its ``dual_coef`` in base64, and
+    lists of its columns' ``bias``, ``platt_a``, ``platt_b`` and
+    ``converged``. A two-class bank holds class 0's column only.
 
     ``pool`` maps the little-endian bytes of each distinct support vector to
     its row in the file's pool, in order of first use.
     """
-    k = 1 if bank.dual_coef.shape[1] == 2 else bank.dual_coef.shape[1]
     return {
         "pool_index": pool_rows(bank.support_vectors, pool),
-        "dual_coef": _encode(bank.dual_coef[:, :k]),
-        "bias": bank.bias[:k].tolist(),
-        "platt_a": bank.platt_a[:k].tolist(),
-        "platt_b": bank.platt_b[:k].tolist(),
-        "converged": bank.converged[:k].tolist(),
+        "dual_coef": _encode(bank.dual_coef),
+        "bias": bank.bias.tolist(),
+        "platt_a": bank.platt_a.tolist(),
+        "platt_b": bank.platt_b.tolist(),
+        "converged": bank.converged.tolist(),
     }
 
 
 def _svm_from_dict(d: dict, pool: np.ndarray, k: int, gamma: float, where: str) -> BinarySvmModel:
-    """The bank of a node with k classes."""
+    """The bank of a node with k classes, of class 0's column only for two."""
     index = _pool_index(d["pool_index"], pool, where)
     stored = 1 if k == 2 else k
-    bank = BinarySvmModel(
+    return BinarySvmModel(
         support_vectors=pool[index],
         dual_coef=_decode(d["dual_coef"], (len(index), stored), where, "dual_coef"),
         bias=_listed(d["bias"], stored, where, "bias"),
@@ -402,7 +400,6 @@ def _svm_from_dict(d: dict, pool: np.ndarray, k: int, gamma: float, where: str) 
         platt_b=_listed(d["platt_b"], stored, where, "platt_b"),
         converged=_listed(d["converged"], stored, where, "converged", flags=True),
     )
-    return mirrored(bank) if k == 2 else bank
 
 
 def _multiclass_to_dict(m: MulticlassModel, paths: list[str], pool: dict[bytes, int]) -> dict:

@@ -91,19 +91,21 @@ class LogRegModel:
 
 def train_logreg(X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> LogRegModel:
     """Softmax regression on class indices 0..n_classes-1; ``converged`` is
-    true only when the gradient norm fell to ``_TOLERANCE``."""
+    true only when the gradient norm fell to ``_TOLERANCE``. An index that
+    is not a whole number in that range raises DimensionError."""
     X = np.asarray(X, dtype=np.float64)
-    y_idx = np.asarray(y_idx, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y_idx.shape[0]:
-        raise DimensionError(f"X has shape {X.shape} but y has {y_idx.shape[0]} labels")
+    given = np.asarray(y_idx, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != given.shape[0]:
+        raise DimensionError(f"X has shape {X.shape} but y has {given.shape[0]} labels")
     if n_classes < 2:
         raise DegenerateDataError("softmax regression needs at least two classes")
-    outside = np.flatnonzero((y_idx < 0) | (y_idx >= n_classes))
-    if outside.size:
+    bad = np.flatnonzero(~((given >= 0) & (given < n_classes) & (np.trunc(given) == given)))
+    if bad.size:
         raise DimensionError(
-            f"class index {y_idx[outside[0]]} at row {outside[0]} is outside "
-            f"0..{n_classes - 1} for n_classes={n_classes}"
+            f"class index {given[bad[0]]:g} at row {bad[0]} is not a whole number "
+            f"in 0..{n_classes - 1} for n_classes={n_classes}"
         )
+    y_idx = given.astype(np.int64)
     n, d = X.shape
     target = np.arange(n) * n_classes + y_idx  # each row's true class, flat
 

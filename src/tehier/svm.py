@@ -256,13 +256,17 @@ def train_binary_svm(
     """A bank of one SVM, trained by SMO and Platt-calibrated, with the facts
     of its run (``SvmSolve``).
 
-    ``y`` holds +1/-1 labels, both present. ``columns`` is a kernel provider
-    for this ``X`` and ``config.gamma``; by default one is built here.
+    ``y`` holds +1/-1 labels, both present; any other label raises
+    DimensionError. ``columns`` is a kernel provider for this ``X`` and
+    ``config.gamma``; by default one is built here.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DimensionError(f"X has shape {X.shape} but y has {y.shape[0]} labels")
+    bad = np.flatnonzero(np.abs(y) != 1.0)
+    if bad.size:
+        raise DimensionError(f"label {y[bad[0]]:g} at row {bad[0]} is not +1 or -1")
     if X.shape[0] < 2 or (y > 0).all() or (y < 0).all():
         raise DegenerateDataError("binary SVM training needs both classes present")
 

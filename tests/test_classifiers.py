@@ -1,5 +1,4 @@
 import dataclasses
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from tehier import (
     fit_multiclass,
     train_binary_svm,
 )
+from tehier.classifiers import svm_bank
 from tehier.logreg import LogRegModel
 from tehier.svm import BinarySvmModel
 
@@ -159,20 +159,16 @@ def test_bank_matches_each_binary_svm(rng, monkeypatch, node):
     config = SvmConfig(C=5.0, gamma=1.0)
     model = fit_multiclass(X, labels, config)
     two_class = len(model.classes) == 2
+    # a two-class node keeps class 0's SVM only, its one column
     binaries = [
         train_binary_svm(X, np.where(labels == c, 1.0, -1.0), config)
         for c in model.classes[: 1 if two_class else None]
     ]
-    if two_class:  # class 1's SVM is class 0's negated, not a second solve
-        first = binaries[0]
-        binaries.append(
-            replace(first, dual_coef=-first.dual_coef, bias=-first.bias, platt_b=-first.platt_b)
-        )
     bank = model.model
     query = rng.normal(0.0, 1.5, size=(40, 2))
     decisions = bank.decision_function(query)
     positives = bank.predict_proba_positive(query)
-    assert decisions.shape == positives.shape == (len(query), len(model.classes))
+    assert decisions.shape == positives.shape == (len(query), len(binaries))
     for c, binary in enumerate(binaries):
         assert np.allclose(
             decisions[:, c : c + 1], binary.decision_function(query), rtol=0, atol=1e-12
@@ -187,22 +183,24 @@ def test_bank_matches_each_binary_svm(rng, monkeypatch, node):
     used = {sv.tobytes() for m in binaries for sv in m.support_vectors}
     assert sorted(sv.tobytes() for sv in bank.support_vectors) == sorted(used)
     scores = np.hstack([m.predict_proba_positive(query) for m in binaries])
-    expected = scores / scores.sum(axis=1, keepdims=True)
+    if two_class:
+        expected = np.hstack([scores, 1.0 - scores])
+    else:
+        expected = scores / scores.sum(axis=1, keepdims=True)
     assert np.allclose(model.predict_proba(query), expected, rtol=0, atol=1e-12)
 
 
-def test_two_class_node_is_one_svm_and_its_mirror(rng, monkeypatch):
+def test_two_class_node_is_one_svm(rng, monkeypatch):
     X, labels = two_class_node(rng, monkeypatch)
-    model = fit_multiclass(X, labels, SvmConfig(C=5.0, gamma=1.0))
+    config = SvmConfig(C=5.0, gamma=1.0)
+    model = fit_multiclass(X, labels, config)
     bank = model.model
-    assert bank.dual_coef.shape[1] == 2
-    for name in ("dual_coef", "bias", "platt_b"):
-        column = np.asarray(getattr(bank, name)).T
-        assert (-column[0]).tobytes() == column[1].tobytes(), name
-    assert bank.platt_a[0] == bank.platt_a[1]
-    assert bank.converged[0] == bank.converged[1]
+    assert bank.dual_coef.shape[1] == 1
+    first = train_binary_svm(X, np.where(labels == model.classes[0], 1.0, -1.0), config)
+    assert_same_bits(bank, svm_bank([first]))
     probs = model.predict_proba(rng.normal(0.0, 1.5, size=(200, 2)))
-    assert np.abs(probs[:, 1] - (1.0 - probs[:, 0])).max() <= 1e-15
+    assert probs.shape == (200, 2)
+    assert probs[:, 1].tobytes() == (1.0 - probs[:, 0]).tobytes()
 
 
 def test_node_prediction_builds_one_kernel_block(rng, monkeypatch):

@@ -962,20 +962,17 @@ def test_a_two_class_svm_node_stores_one_column_and_loads_as_trained(rng):
     root, one = node_ids(tax, "", "1")
     for v, key in ((root, ""), (one, "1")):
         trained = model.node_models[v].model
-        assert trained.dual_coef.shape[1] == 2
+        assert trained.dual_coef.shape[1] == 1
         n_sv = len(entries[key]["pool_index"])
         assert len(base64.b64decode(entries[key]["dual_coef"])) == 8 * n_sv
         for field in ("bias", "platt_a", "platt_b", "converged"):
             assert len(entries[key][field]) == 1
         assert bank_bytes(loaded.node_models[v].model) == bank_bytes(trained)
-    # fit_multiclass's bank is class 0's SVM pooled with its negation
+    # fit_multiclass's bank is class 0's SVM alone
     y = np.array([1 if str(label).startswith("1") else 2 for label in labels])
     svm = train_binary_svm(X, np.where(y == 1, 1.0, -1.0), config)
-    flipped = dataclasses.replace(
-        svm, dual_coef=-svm.dual_coef, bias=-svm.bias, platt_b=-svm.platt_b
-    )
     bank = fit_multiclass(X, y, config).model
-    assert bank_bytes(bank) == bank_bytes(svm_bank([svm, flipped]))
+    assert bank_bytes(bank) == bank_bytes(svm_bank([svm]))
     assert bank_bytes(bank) == bank_bytes(model.node_models[root].model)
 
 

@@ -256,6 +256,24 @@ def test_class_index_outside_the_classes_is_refused(rng, bad):
         train_logreg(X, y, 3)
 
 
+@pytest.mark.parametrize("bad", [0.2, 1.5, np.nan, np.inf])
+def test_class_index_not_a_whole_number_is_refused(rng, bad):
+    X = rng.normal(size=(6, 2))
+    y = np.array([0.0, 1.0, 0.0, bad, 0.0, 1.0])
+    with pytest.raises(DimensionError, match=rf"class index {bad} at row 3 is not a whole number"):
+        train_logreg(X, y, 2)
+
+
+def test_whole_float_and_bool_class_indices_train_as_ints(rng):
+    X = rng.normal(size=(6, 2))
+    y = np.array([0, 1, 0, 1, 1, 0])
+    want = train_logreg(X, y, 2)
+    for given in (y.astype(float), y.astype(bool)):
+        got = train_logreg(X, given, 2)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
 # -- the fit against the first L-BFGS fit, bit for bit ---------------------------
 
 

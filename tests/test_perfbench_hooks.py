@@ -79,7 +79,7 @@ def test_a_two_class_node_fires_one_solve_and_a_larger_node_one_per_class(
     X, y = separable_blobs(rng, 20, centers, spread=0.8)
     fit_multiclass(X, y + 1, SvmConfig(C=5.0, gamma=1.0))
     _, _, calls = tracer.totals()
-    solves = 1 if len(centers) == 2 else len(centers)  # class 1 of two mirrors class 0
+    solves = 1 if len(centers) == 2 else len(centers)  # class 1 of two is 1 - p
     for name in ("svm.train_binary_svm", "svm.smo_solve", "svm.platt_calibrate"):
         assert calls[name] == solves, name
 

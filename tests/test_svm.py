@@ -358,6 +358,15 @@ def test_single_class_rejected():
         train_binary_svm(X, np.ones(4), SvmConfig())
 
 
+@pytest.mark.parametrize(
+    "labels, bad, row",
+    [([1, 0, 1, 0], "0", 1), ([2, -1, -1, 2], "2", 0), ([1, -1, np.nan, 1], "nan", 2)],
+)
+def test_labels_other_than_plus_or_minus_one_rejected(rng, labels, bad, row):
+    with pytest.raises(DimensionError, match=rf"label {bad} at row {row} is not \+1 or -1"):
+        train_binary_svm(rng.normal(size=(4, 2)), np.array(labels, dtype=float), SvmConfig())
+
+
 # -- Platt calibration -----------------------------------------------------
 
 
